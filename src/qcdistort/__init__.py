@@ -9,7 +9,7 @@ A Tutte disk embedding is included so the pipeline runs end to end.
 
 __version__ = "0.1.0"
 
-from .angular import AngularDistortionField, corner_distortion, face_distortion
+from .angular import AngularDistortionField, corner_distortion
 from .beltrami import (
     AffineMap2D,
     BeltramiField,

@@ -62,7 +62,3 @@ def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
         corner=corner, signed_corner=signed, face_avg=corner.mean(axis=1)
     )
 
-
-def face_distortion(field: AngularDistortionField) -> np.ndarray:
-    """Face-averaged angular distortion: mean of the three corner values."""
-    return field.corner.mean(axis=1)

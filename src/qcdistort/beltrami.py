@@ -15,7 +15,6 @@ than clamped, since the bound formulas assume |mu| < 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,12 +244,7 @@ def _mu_arrays(a, b, c, d):
     return mu, abs_mu, vanished
 
 
-def _chunks(total: int, workers: int):
-    step = -(-total // workers)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def face_beltrami(mapping: MeshMap, workers: int = 1) -> BeltramiField:
+def face_beltrami(mapping: MeshMap) -> BeltramiField:
     """Per-face Beltrami field of a mesh map.
 
     3D faces are flattened by rigid motion first; since rigid motions are
@@ -258,34 +252,12 @@ def face_beltrami(mapping: MeshMap, workers: int = 1) -> BeltramiField:
     orientation (or where |mu| >= 1, equivalently) are flagged folded and
     get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
     folded, with abs_mu = inf.
-
-    ``workers > 1`` splits the faces into contiguous chunks evaluated on a
-    thread pool writing into preallocated slots; the result is bit-identical
-    to the single-worker path.
     """
     m = mapping.n_faces
-    mu = np.empty(m, dtype=np.complex128)
-    abs_mu = np.empty(m, dtype=np.float64)
-    det = np.empty(m, dtype=np.float64)
-    folded = np.empty(m, dtype=bool)
-
-    src = _face_coords_2d(mapping.source)
-    dst = _face_coords_2d(mapping.target)
-
-    def fill(lo: int, hi: int) -> None:
-        a, b, c, d = _affine_arrays(src[lo:hi], dst[lo:hi])
-        mu_c, abs_c, vanished = _mu_arrays(a, b, c, d)
-        det_c = a * d - b * c
-        mu[lo:hi] = mu_c
-        abs_mu[lo:hi] = abs_c
-        det[lo:hi] = det_c
-        folded[lo:hi] = (det_c <= 0) | vanished | (abs_c >= 1.0)
-
-    if workers <= 1 or m < 2 * workers:
-        fill(0, m)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), _chunks(m, workers)))
+    a, b, c, d = _affine_arrays(_face_coords_2d(mapping.source),
+                                _face_coords_2d(mapping.target))
+    mu, abs_mu, vanished = _mu_arrays(a, b, c, d)
+    folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
 
     ok = ~folded
     dil = np.full(m, np.nan)

@@ -1,16 +1,15 @@
 """Command-line interface: analyze, param, theory, version subcommands.
 
 Exit codes: 0 success (including fold warnings), 1 failed theory check or
-solver failure, 2 I/O or parse error, 3 validation/topology error.  All
-stored values are radians; ``--degrees`` converts displayed summary lines
-only, never the JSON.
+solver failure, 2 I/O, parse or usage error (including out-of-range
+arguments), 3 validation/topology error.  All stored values are radians;
+``--degrees`` converts displayed summary lines only, never the JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 
@@ -20,6 +19,7 @@ from . import __version__
 from .beltrami import MeshMap
 from .errors import (
     DegenerateFaceError,
+    DomainError,
     NonManifoldEdgeError,
     ParseError,
     SolverError,
@@ -47,15 +47,23 @@ from .theory import (
 
 _ANGLE_FIELDS = ("eps_angle_t", "eps_mu_t")
 
+# exit code of each error type a command may raise; one "error: <message>"
+# line goes to stderr
+_EXIT_CODES = {
+    SolverError: 1,
+    OSError: 2,
+    ParseError: 2,
+    DomainError: 2,
+    ValidationError: 3,
+    DegenerateFaceError: 3,
+    NonManifoldEdgeError: 3,
+    TopologyError: 3,
+}
+
 
 def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # defined on the root parser and again on every subparser (with SUPPRESS
-    # defaults) so they are accepted on either side of the subcommand
-    parser.add_argument(
-        "--threads", type=int, metavar="N",
-        default=1 if top_level else argparse.SUPPRESS,
-        help="cap on worker threads for per-face computations",
-    )
+    # defined on the root parser and again on every subparser (with a
+    # SUPPRESS default) so it is accepted on either side of the subcommand
     parser.add_argument(
         "--quiet", action="store_true",
         default=False if top_level else argparse.SUPPRESS,
@@ -140,45 +148,29 @@ def _print_summary(report, quiet: bool, degrees: bool = False) -> None:
 
 
 def run_analyze(args) -> int:
-    try:
-        src = load_mesh(args.source)
-        dst = load_mesh(args.target)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        mapping = MeshMap(src, dst)
-        rep = summarize(
-            mapping,
-            bins=args.bins,
-            source_path=args.source,
-            target_path=args.target,
-            workers=args.threads,
+    src = load_mesh(args.source)
+    dst = load_mesh(args.target)
+    mapping = MeshMap(src, dst)
+    rep = summarize(
+        mapping,
+        bins=args.bins,
+        source_path=args.source,
+        target_path=args.target,
+    )
+    if args.json:
+        sys.stdout.write(report_json(rep))
+    else:
+        export_report(rep, args.out, "json")
+        _print_summary(rep, args.quiet, args.degrees)
+        if not args.quiet:
+            print(f"report written to {args.out}")
+    if args.csv:
+        export_report(rep, args.csv, "csv")
+    if args.ply_out:
+        export_colored_mesh(
+            mapping, args.field, args.ply_out,
+            beltrami=rep.beltrami, angular=rep.angular,
         )
-    except (ValidationError, DegenerateFaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        if args.json:
-            sys.stdout.write(report_json(rep))
-        else:
-            export_report(rep, args.out, "json")
-            _print_summary(rep, args.quiet, args.degrees)
-            if not args.quiet:
-                print(f"report written to {args.out}")
-        if args.csv:
-            export_report(rep, args.csv, "csv")
-        if args.ply_out:
-            export_colored_mesh(
-                mapping, args.field, args.ply_out,
-                beltrami=rep.beltrami, angular=rep.angular,
-            )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if rep.folded_count:
         print(f"warning: {rep.folded_count} folded faces "
               f"(excluded from statistics)", file=sys.stderr)
@@ -186,46 +178,19 @@ def run_analyze(args) -> int:
 
 
 def run_param(args) -> int:
-    try:
-        mesh = load_mesh(args.source)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        mapping = tutte_disk(mesh, ParamConfig(weights=args.weights))
-    except (TopologyError, NonManifoldEdgeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mesh = load_mesh(args.source)
+    mapping = tutte_disk(mesh, ParamConfig(weights=args.weights))
     out = args.output
     if out is None:
         stem = args.source.rsplit(".", 1)[0]
         out = f"{stem}_flat.obj"
-    try:
-        save_mesh(mapping.target, out, "obj")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    save_mesh(mapping.target, out, "obj")
     if not args.quiet:
         print(f"flattened mesh written to {out}")
     if args.analyze:
-        rep = summarize(
-            mapping,
-            source_path=args.source,
-            target_path=out,
-            workers=args.threads,
-        )
+        rep = summarize(mapping, source_path=args.source, target_path=out)
         report_path = f"{out}.report.json"
-        try:
-            export_report(rep, report_path, "json")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        export_report(rep, report_path, "json")
         _print_summary(rep, args.quiet)
         if not args.quiet:
             print(f"report written to {report_path}")
@@ -299,15 +264,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
-    if args.command == "analyze":
-        return run_analyze(args)
-    if args.command == "param":
-        return run_param(args)
-    if args.command == "theory":
-        return run_theory(args)
-    print(f"qcdistort {__version__}")
-    return 0
+    commands = {"analyze": run_analyze, "param": run_param, "theory": run_theory}
+    if args.command not in commands:
+        print(f"qcdistort {__version__}")
+        return 0
+    try:
+        return commands[args.command](args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def console_main() -> None:

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -57,7 +58,8 @@ class TriMesh:
     Construction performs the structural checks (index range, no repeated
     vertex within a face); the geometric invariants (non-degenerate faces,
     consistent combinatorial orientation) are enforced by
-    :func:`validate_mesh`, which file loading and map construction call.
+    :func:`validate_mesh`, which file loading and map construction call;
+    its passing verdict is cached on the mesh.
     """
 
     vertices: np.ndarray = field(repr=False)
@@ -136,6 +138,12 @@ class TriMesh:
         """Vertex positions per face, shape (n_faces, 3, dim_of_storage)."""
         return self.vertices[self.faces]
 
+    @functools.cached_property
+    def _valid(self) -> bool:
+        # the passing verdict of validate_mesh; a raised error is not cached
+        _check_mesh(self)
+        return True
+
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned area of every face (cross-product formula)."""
@@ -178,8 +186,22 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     return angles
 
 
-def _directed_edges(faces: np.ndarray) -> np.ndarray:
-    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+def _edge_pass(mesh: TriMesh):
+    """Half-edges and their undirected edges from one ``np.unique`` pass.
+
+    Returns ``(half, inverse, counts)``.  ``half`` is the (3m, 2) array of
+    directed half-edges: the rows ``(f0, f1)``, then ``(f1, f2)``, then
+    ``(f2, f0)`` of every face.  ``inverse[h]`` numbers the undirected edge
+    of half-edge ``h``, and ``counts[e]`` is the number of faces on edge
+    ``e``.  Edges are numbered in lexicographic order of their sorted
+    vertex pairs.
+    """
+    faces = mesh.faces
+    half = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+    n = max(mesh.n_vertices, 1)
+    keys = half.min(axis=1) * n + half.max(axis=1)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return half, inverse, counts
 
 
 def boundary_loops(mesh: TriMesh) -> list[list[int]]:
@@ -199,18 +221,15 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
     """
     if mesh.n_faces == 0:
         return []
-    n = max(mesh.n_vertices, 1)
-    directed = _directed_edges(mesh.faces)
-    und = np.sort(directed, axis=1)
-    keys = und[:, 0] * n + und[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    if counts.max() > 2:
-        bad = int(uniq[int(np.argmax(counts > 2))])
+    half, inverse, counts = _edge_pass(mesh)
+    shared = counts > 2
+    if shared.any():
+        # the lowest-numbered such edge, named by its sorted vertex pair
+        i, j = sorted(half[np.argmax(inverse == np.argmax(shared))].tolist())
         raise NonManifoldEdgeError(
-            f"edge ({bad // n}, {bad % n}) is shared by {int(counts.max())} faces"
+            f"edge ({i}, {j}) is shared by {int(counts.max())} faces"
         )
-    per_edge_count = counts[np.searchsorted(uniq, keys)]
-    border = directed[per_edge_count == 1]
+    border = half[counts[inverse] == 1]
 
     successors: dict[int, list[int]] = {}
     for i, j in border.tolist():
@@ -236,16 +255,6 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
     return loops
 
 
-def is_edge_manifold(mesh: TriMesh) -> bool:
-    """True when no edge is shared by more than two faces."""
-    if mesh.n_faces == 0:
-        return True
-    n = max(mesh.n_vertices, 1)
-    und = np.sort(_directed_edges(mesh.faces), axis=1)
-    _, counts = np.unique(und[:, 0] * n + und[:, 1], return_counts=True)
-    return int(counts.max()) <= 2
-
-
 def validate_mesh(mesh: TriMesh) -> None:
     """Enforce the geometric mesh invariants.
 
@@ -256,10 +265,17 @@ def validate_mesh(mesh: TriMesh) -> None:
     never repaired, because a silent flip would corrupt the sign conventions
     of the per-face distortion fields.
 
+    A ``TriMesh`` is immutable, so a passing verdict is kept on the mesh
+    and later calls return at once; a failure is raised again on every call.
+
     Raises
     ------
     ValidationError
     """
+    mesh._valid  # runs _check_mesh on the first call only
+
+
+def _check_mesh(mesh: TriMesh) -> None:
     areas = face_areas(mesh)
     degenerate = areas <= mesh.area_epsilon
     if degenerate.any():
@@ -270,25 +286,17 @@ def validate_mesh(mesh: TriMesh) -> None:
         )
     if mesh.n_faces == 0:
         return
-    n = max(mesh.n_vertices, 1)
-    directed = _directed_edges(mesh.faces)
-    dir_keys = directed[:, 0] * n + directed[:, 1]
-    dir_uniq, dir_counts = np.unique(dir_keys, return_counts=True)
-    dup = dir_uniq[dir_counts > 1]
-    if dup.size:
-        # a duplicated directed edge is an orientation flip unless the edge
-        # is non-manifold (>2 faces), which is reported by the ops needing it
-        und = np.sort(directed, axis=1)
-        und_keys = und[:, 0] * n + und[:, 1]
-        und_uniq, und_counts = np.unique(und_keys, return_counts=True)
-        for key in dup.tolist():
-            i, j = key // n, key % n
-            und_key = min(i, j) * n + max(i, j)
-            total = int(und_counts[np.searchsorted(und_uniq, und_key)])
-            if total <= 2:
-                raise ValidationError(
-                    f"inconsistent face orientation across edge ({i}, {j})"
-                )
+    # a manifold edge is consistently oriented when exactly one of its two
+    # half-edges runs from the lower to the higher vertex index; edges on
+    # more than two faces are reported by the ops needing manifoldness
+    half, inverse, counts = _edge_pass(mesh)
+    ascending = np.bincount(inverse[half[:, 0] < half[:, 1]], minlength=counts.size)
+    flipped = (counts == 2) & (ascending != 1)
+    if flipped.any():
+        # the smallest flipped half-edge (i, j) in lexicographic order
+        cand = half[flipped[inverse]]
+        i, j = cand[np.lexsort((cand[:, 1], cand[:, 0]))[0]].tolist()
+        raise ValidationError(f"inconsistent face orientation across edge ({i}, {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +416,14 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
 
     Raises
     ------
-    ParseError, ValidationError, OSError
+    ParseError
+        Malformed file, or a format other than OBJ and OFF.
+    ValidationError, OSError
     """
-    fmt = _resolve_format(path, format, _LOAD_FORMATS)
+    try:
+        fmt = _resolve_format(path, format, _LOAD_FORMATS)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if fmt == "obj":
         verts, faces = _parse_obj(path)
     else:

@@ -7,7 +7,7 @@ empty; in colored PLY exports they get the sentinel color magenta.
 
 Aggregation is deterministic: values are reduced in face-index order with
 exactly-rounded (compensated) summation, so reports are byte-identical
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def summarize(
     bins: int = DEFAULT_BINS,
     source_path: str | None = None,
     target_path: str | None = None,
-    workers: int = 1,
 ) -> DistortionReport:
     """Full distortion report of a mesh map.
 
@@ -125,7 +124,7 @@ def summarize(
     distortion exceeds the face bound by more than 1e-9; zero is the healthy
     state.
     """
-    bf = face_beltrami(mapping, workers=workers)
+    bf = face_beltrami(mapping)
     ang = corner_distortion(mapping)
     ok = ~bf.folded
 
@@ -267,7 +266,6 @@ def export_colored_mesh(
     colormap_range=None,
     beltrami: BeltramiField | None = None,
     angular: AngularDistortionField | None = None,
-    workers: int = 1,
 ) -> None:
     """Write the target mesh as ASCII PLY with per-face colors for a field.
 
@@ -282,7 +280,7 @@ def export_colored_mesh(
     if field_name not in FIELD_NAMES:
         raise ValueError(f"field must be one of {FIELD_NAMES}")
     if beltrami is None:
-        beltrami = face_beltrami(mapping, workers=workers)
+        beltrami = face_beltrami(mapping)
     if field_name == "eps_angle_t" and angular is None:
         angular = corner_distortion(mapping)
 

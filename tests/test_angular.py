@@ -11,7 +11,6 @@ from qcdistort import (
     corner_distortion,
     epsilon_mu,
     face_beltrami,
-    face_distortion,
     mu_from_affine,
 )
 from qcdistort.synth import perturbed_target, scaled_map_target, wavy_disk
@@ -46,7 +45,6 @@ def test_squashed_equilateral_corner_values():
     assert np.allclose(field.corner[0], [0.333474, 0.333474, 0.666947], atol=1e-6)
     assert field.face_avg[0] == pytest.approx(sum(expected) / 3, abs=1e-12)
     assert field.face_avg[0] == pytest.approx(0.444631, abs=1e-6)
-    assert np.allclose(face_distortion(field), field.face_avg)
 
 
 def test_signed_corners_sum_to_zero():

@@ -193,17 +193,6 @@ class TestFaceBeltrami:
         assert np.isnan(field.eps_mu[1]) and np.isnan(field.dilatation[1])
         assert field.abs_mu[0] == 0
 
-    def test_workers_bit_identical(self):
-        mesh = wavy_disk(400)
-        target = scaled_map_target(
-            TriMesh(mesh.vertices[:, :2], mesh.faces), 1.2, 0.7
-        )
-        src = TriMesh(mesh.vertices[:, :2], mesh.faces)
-        one = face_beltrami(MeshMap(src, target), workers=1)
-        four = face_beltrami(MeshMap(src, target), workers=4)
-        assert np.array_equal(one.mu, four.mu)
-        assert np.array_equal(one.eps_mu, four.eps_mu)
-
     def test_connectivity_mismatch(self):
         a = wavy_disk(100)
         faces = a.faces.copy()

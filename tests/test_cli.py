@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qcdistort.parameterize
 from qcdistort import load_mesh, save_mesh
 from qcdistort.cli import main
 from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron
@@ -121,6 +122,14 @@ class TestParam:
         report = json.loads((tmp_path / "flat.obj.report.json").read_text())
         assert report["bound_violations"] == 0
 
+    def test_failed_solve_exit_1(self, meshes, tmp_path, capsys, monkeypatch):
+        # scipy returns NaN instead of raising on a singular matrix
+        monkeypatch.setattr(qcdistort.parameterize, "spsolve",
+                            lambda a, b: np.full(b.shape, np.nan))
+        code = main(["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "f.obj")])
+        assert code == 1
+        assert "residual" in capsys.readouterr().err
+
 
 class TestTheory:
     def test_default_suite_passes(self, capsys):
@@ -151,6 +160,30 @@ class TestTheory:
         assert main(["theory", "--theta", "0.5"]) == 2
 
 
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{disk}", "{disk}", "--bins", "0"],
+        ["theory", "--k", "0.5"],
+        ["theory", "--k", "2", "--theta", "4"],
+    ])
+    def test_out_of_domain_argument_exit_2(self, meshes, capsys, argv):
+        code = main([a.format(disk=meshes / "disk.obj") for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{root}/a.ply", "{root}/a.ply"],
+        ["param", "{root}/a.stl"],
+    ])
+    def test_unsupported_input_extension_exit_2(self, tmp_path, capsys, argv):
+        code = main([a.format(root=tmp_path) for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'a.'}")
+        assert "('obj', 'off')" in err
+
+
 class TestMisc:
     def test_version(self, capsys):
         assert main(["version"]) == 0
@@ -160,16 +193,10 @@ class TestMisc:
         assert main(["--help"]) == 0
         assert main(["analyze", "--help"]) == 0
 
-    def test_threads_flag_accepted(self, meshes, tmp_path):
-        out = tmp_path / "rep.json"
-        code = main(["--threads", "4", "analyze", str(meshes / "disk.obj"),
-                     str(meshes / "disk.obj"), "--out", str(out)])
-        assert code == 0
-
     def test_global_flags_after_subcommand(self, meshes, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["analyze", str(meshes / "disk.obj"), str(meshes / "disk.obj"),
-                     "--out", str(out), "--quiet", "--threads", "2"])
+                     "--out", str(out), "--quiet"])
         assert code == 0
         assert capsys.readouterr().out == ""
 

@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcdistort.mesh
 from qcdistort import (
     DegenerateFaceError,
+    MeshMap,
     NonManifoldEdgeError,
     ParseError,
     TriMesh,
@@ -16,9 +19,10 @@ from qcdistort import (
     face_areas,
     load_mesh,
     save_mesh,
+    tutte_disk,
     validate_mesh,
 )
-from qcdistort.synth import tetrahedron, wavy_disk
+from qcdistort.synth import hemisphere, irregular_disk, tetrahedron, wavy_disk
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -60,15 +64,53 @@ class TestTriMesh:
 
     def test_degenerate_face_rejected_by_validate(self):
         m = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
-        with pytest.raises(ValidationError, match="degenerate"):
-            validate_mesh(m)
+        for _ in range(2):  # a failed verdict is not cached
+            with pytest.raises(ValidationError, match="degenerate"):
+                validate_mesh(m)
 
     def test_inconsistent_orientation_rejected(self):
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         # both faces traverse edge (1, 2) in the same direction
         m = TriMesh(verts, [[0, 1, 2], [1, 2, 3]])
-        with pytest.raises(ValidationError, match="orientation"):
-            validate_mesh(m)
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                validate_mesh(m)
+            assert str(info.value) == "inconsistent face orientation across edge (1, 2)"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orientation_error_names_smallest_flipped_half_edge(self, seed):
+        mesh = irregular_disk(301)
+        faces = mesh.faces.copy()
+        flip = np.random.default_rng(seed).choice(len(faces), 4, replace=False)
+        faces[flip] = faces[flip][:, [0, 2, 1]]
+        # oracle: the smallest directed edge traversed twice the same way on
+        # an edge with at most two faces
+        directed = Counter()
+        undirected = Counter()
+        for f in faces.tolist():
+            for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+                directed[a, b] += 1
+                undirected[min(a, b), max(a, b)] += 1
+        i, j = min(e for e, c in directed.items()
+                   if c > 1 and undirected[min(e), max(e)] <= 2)
+        with pytest.raises(ValidationError) as info:
+            validate_mesh(TriMesh(mesh.vertices, faces))
+        assert str(info.value) == f"inconsistent face orientation across edge ({i}, {j})"
+
+    def test_validation_runs_once_per_mesh(self, tmp_path, monkeypatch):
+        checked = []
+        check = qcdistort.mesh._check_mesh
+        monkeypatch.setattr(qcdistort.mesh, "_check_mesh",
+                            lambda mesh: checked.append(mesh) or check(mesh))
+        save_mesh(hemisphere(6), tmp_path / "hemi.obj")
+        src = load_mesh(tmp_path / "hemi.obj")
+        dst = load_mesh(tmp_path / "hemi.obj")
+        assert len(checked) == 2
+        MeshMap(src, dst)
+        validate_mesh(src)
+        assert len(checked) == 2
+        flat = tutte_disk(src)
+        assert len(checked) == 3 and checked[2] is flat.target
 
 
 class TestCornerAngles:
@@ -169,9 +211,10 @@ class TestBoundaryLoops:
 
     def test_non_manifold_edge(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]]
-        m = TriMesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        with pytest.raises(NonManifoldEdgeError):
+        m = TriMesh(verts, [[2, 1, 0], [0, 1, 3], [0, 1, 4]])
+        with pytest.raises(NonManifoldEdgeError) as info:
             boundary_loops(m)
+        assert str(info.value) == "edge (0, 1) is shared by 3 faces"
 
 
 class TestFileIO:

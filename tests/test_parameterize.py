@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import qcdistort.parameterize
 from qcdistort import (
     ParamConfig,
+    SolverError,
     TopologyError,
     TriMesh,
     boundary_loops,
     face_beltrami,
     tutte_disk,
 )
-from qcdistort.synth import flat_disk, hemisphere, tetrahedron
+from qcdistort.synth import flat_disk, hemisphere, irregular_disk, tetrahedron
 
 
 def signed_areas(mesh):
@@ -109,6 +111,24 @@ def test_annulus_rejected():
     mesh = TriMesh(verts, np.asarray(faces))
     with pytest.raises(TopologyError, match="boundary"):
         tutte_disk(mesh)
+
+
+@pytest.mark.parametrize("mesh", [flat_disk(6), hemisphere(8), irregular_disk(301)],
+                         ids=["flat_disk", "hemisphere", "irregular_disk"])
+def test_edge_count_from_faces_and_boundary(mesh):
+    # tutte_disk counts the edges of a disk as (3F + B) / 2
+    edges = {frozenset((int(f[a]), int(f[b])))
+             for f in mesh.faces for a, b in ((0, 1), (1, 2), (2, 0))}
+    (loop,) = boundary_loops(mesh)
+    assert 3 * mesh.n_faces + len(loop) == 2 * len(edges)
+
+
+def test_failed_solve_raises_solver_error(monkeypatch):
+    # scipy returns NaN instead of raising on a singular matrix
+    monkeypatch.setattr(qcdistort.parameterize, "spsolve",
+                        lambda a, b: np.full(b.shape, np.nan))
+    with pytest.raises(SolverError, match="residual"):
+        tutte_disk(flat_disk(4))
 
 
 def test_determinism_bit_identical():
