@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -35,6 +36,17 @@ LENGTH_EPS_FACTOR = 1e-12   # times bbox diagonal
 
 _LOAD_FORMATS = ("obj", "off")
 _SAVE_FORMATS = ("obj", "off", "ply")
+
+# rows per block of text written at once
+_WRITE_BLOCK_ROWS = 65_536
+
+# the bytes of the plain OBJ and OFF text save_mesh writes; a file holding
+# any other byte is read line by line
+_OBJ_BULK_BYTES = b"0123456789+-.eE vf\n"
+_OFF_BULK_BYTES = b"0123456789+-.eE \n"
+# longer tokens send a file to the line parsers (save_mesh writes at most 24)
+_BULK_TOKEN_BYTES = 32
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _cross_magnitude(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -75,8 +87,11 @@ class TriMesh:
             raise ValidationError("vertices must have shape (n, 2) or (n, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValidationError("faces must have shape (m, 3)")
-        if not np.all(np.isfinite(verts)):
-            raise ValidationError("non-finite vertex coordinate")
+        finite = np.isfinite(verts).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"vertex {int(np.argmin(finite))} has a non-finite coordinate"
+            )
         if faces.size:
             if faces.min() < 0 or faces.max() >= verts.shape[0]:
                 bad = int(np.argmax((faces < 0) | (faces >= verts.shape[0]), axis=None) // 3)
@@ -312,6 +327,19 @@ def _resolve_format(path: str | os.PathLike, format: str | None, allowed) -> str
     return fmt
 
 
+def _text_lines(data: bytes):
+    # the lines open(path, "r", encoding="utf-8", errors="replace") yields
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+
+
+def _index(tok: str) -> int:
+    """``int(tok)``, refused (ValueError) beyond the int64 range of face arrays."""
+    i = int(tok)
+    if not _INT64_MIN <= i <= _INT64_MAX:
+        raise ValueError(tok)
+    return i
+
+
 def _fan_triangulate(polys: list[tuple[list[int], int]], path) -> np.ndarray:
     faces = []
     for indices, lineno in polys:
@@ -322,57 +350,57 @@ def _fan_triangulate(polys: list[tuple[list[int], int]], path) -> np.ndarray:
     return np.asarray(faces, dtype=np.int64).reshape(-1, 3)
 
 
-def _parse_obj(path):
+def _parse_obj(path, data: bytes):
     vertices: list[list[float]] = []
     polys: list[tuple[list[int], int]] = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            key = parts[0]
-            if key == "v":
+    for lineno, raw in enumerate(_text_lines(data), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        key = parts[0]
+        if key == "v":
+            try:
+                coords = [float(tok) for tok in parts[1:4]]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
+            if len(coords) < 2:
+                raise ParseError(f"{path}:{lineno}: vertex needs at least 2 coordinates")
+            while len(coords) < 3:
+                coords.append(0.0)
+            vertices.append(coords)
+        elif key == "f":
+            indices = []
+            for tok in parts[1:]:
+                head = tok.split("/", 1)[0]
                 try:
-                    coords = [float(tok) for tok in parts[1:4]]
+                    i = _index(head)
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
-                if len(coords) < 2:
-                    raise ParseError(f"{path}:{lineno}: vertex needs at least 2 coordinates")
-                while len(coords) < 3:
-                    coords.append(0.0)
-                vertices.append(coords)
-            elif key == "f":
-                indices = []
-                for tok in parts[1:]:
-                    head = tok.split("/", 1)[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
-                    if i == 0:
-                        raise ParseError(f"{path}:{lineno}: face indices are 1-based")
-                    indices.append(i - 1 if i > 0 else len(vertices) + i)
-                polys.append((indices, lineno))
-            # vn/vt/o/g/s/usemtl/mtllib/l and other directives are ignored
+                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
+                if i == 0:
+                    raise ParseError(f"{path}:{lineno}: face indices are 1-based")
+                indices.append(i - 1 if i > 0 else len(vertices) + i)
+            polys.append((indices, lineno))
+        # vn/vt/o/g/s/usemtl/mtllib/l and other directives are ignored
     verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     return verts, _fan_triangulate(polys, path)
 
 
-def _parse_off(path):
+def _parse_off(path, data: bytes):
     tokens: list[tuple[str, int]] = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            body = raw.split("#", 1)[0]
-            tokens.extend((tok, lineno) for tok in body.split())
+    for lineno, raw in enumerate(_text_lines(data), 1):
+        body = raw.split("#", 1)[0]
+        tokens.extend((tok, lineno) for tok in body.split())
     if not tokens or tokens[0][0].upper() != "OFF":
         raise ParseError(f"{path}:1: missing OFF header")
     cursor = 1
 
+    def end_of_file(kind):
+        return ParseError(f"{path}:{tokens[-1][1]}: unexpected end of file (wanted {kind})")
+
     def take(kind, convert):
         nonlocal cursor
         if cursor >= len(tokens):
-            last = tokens[-1][1] if tokens else 1
-            raise ParseError(f"{path}:{last}: unexpected end of file (wanted {kind})")
+            raise end_of_file(kind)
         tok, lineno = tokens[cursor]
         cursor += 1
         try:
@@ -385,6 +413,9 @@ def _parse_off(path):
     take("edge count", int)
     if n_vert < 0 or n_face < 0:
         raise ParseError(f"{path}: negative element count in header")
+    if 3 * n_vert > len(tokens) - cursor:
+        # a header count the file cannot hold must not size the allocation
+        raise end_of_file("coordinate")
     verts = np.empty((n_vert, 3), dtype=np.float64)
     for i in range(n_vert):
         for axis in range(3):
@@ -395,8 +426,79 @@ def _parse_off(path):
         size = take("face size", int)
         if size < 3:
             raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-        polys.append(([take("face index", int) for _ in range(size)], lineno))
+        polys.append(([take("face index", _index) for _ in range(size)], lineno))
     return verts, _fan_triangulate(polys, path)
+
+
+def _short(tokens: list[bytes]) -> bool:
+    # np.array(tokens) sizes every cell to the longest token
+    return max(map(len, tokens)) <= _BULK_TOKEN_BYTES
+
+
+def _bulk_obj(data: bytes):
+    """``(vertices, faces)`` of an OBJ file in save_mesh's plain form, else None.
+
+    Every line must be ``v x y z`` or ``f i j k`` with positive indices,
+    made of number characters and spaces and ended by LF.  Any other file,
+    or any token the conversions refuse, gives None, and the caller runs
+    :func:`_parse_obj`, which alone raises and handles comments, slashes,
+    n-gons and relative indices.  numpy converts bytes tokens as Python's
+    ``float`` and ``int`` do, so the arrays equal the line parser's bit for bit.
+    """
+    n_lines = data.count(b"\n")
+    if not data.endswith(b"\n") or data.translate(None, _OBJ_BULK_BYTES):
+        return None
+    starts = data.count(b"\nv ") + data.count(b"\nf ") + data.startswith((b"v ", b"f "))
+    tokens = data.split()
+    # with a v/f keyword starting every line and 4n tokens, all v/f tokens
+    # sit in column 0 exactly when the number columns convert below
+    if starts != n_lines or len(tokens) != 4 * n_lines or not _short(tokens):
+        return None
+    rows = np.array(tokens).reshape(-1, 4)
+    is_v = rows[:, 0] == b"v"
+    is_f = rows[:, 0] == b"f"
+    if not (is_v | is_f).all():
+        return None
+    try:
+        verts = rows[is_v, 1:].astype(np.float64)
+        faces = rows[is_f, 1:].astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if faces.size and faces.min() < 1:
+        return None
+    return verts, faces - 1
+
+
+def _bulk_off(data: bytes):
+    """``(vertices, faces)`` of an OFF file in save_mesh's plain form, else None.
+
+    The file must be an ``OFF`` line, the three counts, the coordinates and
+    ``3 i j k`` records with non-negative indices and nothing after them,
+    in number characters, spaces and LF.  As with :func:`_bulk_obj`, every
+    other file goes to :func:`_parse_off`.
+    """
+    if not data.startswith(b"OFF\n") or not data.endswith(b"\n"):
+        return None
+    body = data[4:]
+    if body.translate(None, _OFF_BULK_BYTES):
+        return None
+    tokens = body.split()
+    try:
+        n_vert, n_face, _ = (int(tok) for tok in tokens[:3])
+    except ValueError:
+        return None
+    if (n_vert < 0 or n_face < 0 or len(tokens) != 3 + 3 * n_vert + 4 * n_face
+            or not _short(tokens)):
+        return None
+    split = 3 + 3 * n_vert
+    try:
+        verts = np.array(tokens[3:split]).astype(np.float64).reshape(-1, 3)
+        records = np.array(tokens[split:]).astype(np.int64).reshape(-1, 4)
+    except (ValueError, OverflowError):
+        return None
+    if records.size and ((records[:, 0] != 3).any() or records[:, 1:].min() < 0):
+        return None
+    return verts, records[:, 1:]
 
 
 def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
@@ -414,6 +516,9 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
         Validated mesh.  Non-triangular faces are fan-triangulated; the
         dimension is 2 when every ``|z| <= 1e-12``, else 3.
 
+    Files in the plain form :func:`save_mesh` writes are converted in bulk;
+    every other file is read line by line, with the same result.
+
     Raises
     ------
     ParseError
@@ -424,10 +529,11 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
         fmt = _resolve_format(path, format, _LOAD_FORMATS)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if fmt == "obj":
-        verts, faces = _parse_obj(path)
-    else:
-        verts, faces = _parse_off(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bulk, parse = (_bulk_obj, _parse_obj) if fmt == "obj" else (_bulk_off, _parse_off)
+    arrays = bulk(data)
+    verts, faces = arrays if arrays is not None else parse(path, data)
     mesh = TriMesh(verts, faces)
     validate_mesh(mesh)
     return mesh
@@ -439,9 +545,16 @@ def _as_3d(vertices: np.ndarray) -> np.ndarray:
     return np.column_stack([vertices, np.zeros(vertices.shape[0])])
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip doubles exactly through text
-    return f"{x:.17g}"
+def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
+    """Write ``row_format % tuple(row)`` for every row of an (n, k) array.
+
+    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, so the Python objects
+    made for the text do not grow with the row count.  ``%.17g`` gives 17
+    significant digits, which round-trip doubles exactly through text.
+    """
+    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+        block = rows[start:start + _WRITE_BLOCK_ROWS]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_ply(path, vertices: np.ndarray, faces: np.ndarray,
@@ -456,14 +569,11 @@ def _write_ply(path, vertices: np.ndarray, faces: np.ndarray,
         if face_colors is not None:
             fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         fh.write("end_header\n")
-        for v in verts:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", verts)
         if face_colors is None:
-            for f in faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+            _write_rows(fh, "3 %d %d %d\n", faces)
         else:
-            for f, c in zip(faces, face_colors):
-                fh.write(f"3 {f[0]} {f[1]} {f[2]} {c[0]} {c[1]} {c[2]}\n")
+            _write_rows(fh, "3 %d %d %d %d %d %d\n", np.column_stack([faces, face_colors]))
 
 
 def save_mesh(mesh: TriMesh, path: str | os.PathLike, format: str | None = None) -> None:
@@ -484,14 +594,10 @@ def save_mesh(mesh: TriMesh, path: str | os.PathLike, format: str | None = None)
     verts = _as_3d(mesh.vertices)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if fmt == "obj":
-            for v in verts:
-                fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
+            _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
         else:  # off
             fh.write("OFF\n")
             fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-            for v in verts:
-                fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+            _write_rows(fh, "%.17g %.17g %.17g\n", verts)
+            _write_rows(fh, "3 %d %d %d\n", mesh.faces)

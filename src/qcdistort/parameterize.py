@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
@@ -42,8 +40,8 @@ class ParamConfig:
             raise ValueError("solver_tolerance must be positive")
 
 
-def _weight_matrix(mesh: TriMesh, kind: str) -> sparse.csr_matrix:
-    """Symmetric (n, n) edge-weight matrix.
+def _weight_matrix(mesh: TriMesh, kind: str):
+    """Symmetric (n, n) edge-weight matrix (scipy CSR).
 
     Each face corner k contributes its opposite edge (i, j) in both
     directions.  Cotangent weights are half the corner's cotangent, summed
@@ -51,6 +49,8 @@ def _weight_matrix(mesh: TriMesh, kind: str) -> sparse.csr_matrix:
     negative so the analyzed map is the honest harmonic one.  Uniform
     weights are 1 on every edge.
     """
+    from scipy import sparse
+
     faces = mesh.faces
     tri = mesh.face_corners()
     rows_list, cols_list, vals_list = [], [], []
@@ -112,6 +112,11 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     SolverError
         Linear-system residual above ``config.solver_tolerance``.
     """
+    # scipy is imported here, not at module level, so that importing the
+    # package for analysis alone does not pay for scipy.sparse
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
     validate_mesh(mesh)
     loops = boundary_loops(mesh)
     if len(loops) != 1:

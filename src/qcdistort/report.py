@@ -12,7 +12,6 @@ across runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from . import __version__
 from .angular import AngularDistortionField, corner_distortion
 from .beltrami import BeltramiField, MeshMap, face_beltrami
 from .errors import DomainError, EmptyInputError
-from .mesh import _write_ply
+from .mesh import _WRITE_BLOCK_ROWS, _write_ply
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -195,26 +194,25 @@ def report_json(report: DistortionReport) -> str:
 
 
 def _write_csv(report: DistortionReport, path) -> None:
+    # no cell needs quoting, so these are the bytes of csv.writer's default
+    # dialect: comma-separated cells, CRLF row ends, floats as repr
     bf, ang = report.beltrami, report.angular
+    columns = (bf.abs_mu, bf.dilatation, bf.eps_mu, ang.face_avg,
+               ang.corner[:, 0], ang.corner[:, 1], ang.corner[:, 2])
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["face_id", "abs_mu", "k", "eps_mu", "eps_angle_t",
-             "corner_0", "corner_1", "corner_2", "folded"]
-        )
-        for i in range(report.face_count):
-            folded = bool(bf.folded[i])
-            writer.writerow([
-                i,
-                repr(float(bf.abs_mu[i])),
-                "" if folded else repr(float(bf.dilatation[i])),
-                "" if folded else repr(float(bf.eps_mu[i])),
-                repr(float(ang.face_avg[i])),
-                repr(float(ang.corner[i, 0])),
-                repr(float(ang.corner[i, 1])),
-                repr(float(ang.corner[i, 2])),
-                "true" if folded else "false",
-            ])
+        fh.write("face_id,abs_mu,k,eps_mu,eps_angle_t,corner_0,corner_1,corner_2,folded\r\n")
+        for start in range(0, report.face_count, _WRITE_BLOCK_ROWS):
+            stop = min(start + _WRITE_BLOCK_ROWS, report.face_count)
+            abs_mu, k, eps_mu, avg, c0, c1, c2 = (
+                list(map(repr, col[start:stop].tolist())) for col in columns
+            )
+            folded = bf.folded[start:stop]
+            for i in np.flatnonzero(folded).tolist():
+                k[i] = eps_mu[i] = ""
+            flags = map(("false", "true").__getitem__, folded.tolist())
+            rows = zip(map(str, range(start, stop)), abs_mu, k, eps_mu, avg,
+                       c0, c1, c2, flags)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def export_report(report: DistortionReport, path, format: str | None = None) -> None:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-import qcdistort.parameterize
+import qcdistort
 from qcdistort import load_mesh, save_mesh
 from qcdistort.cli import main
 from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron
@@ -124,7 +128,7 @@ class TestParam:
 
     def test_failed_solve_exit_1(self, meshes, tmp_path, capsys, monkeypatch):
         # scipy returns NaN instead of raising on a singular matrix
-        monkeypatch.setattr(qcdistort.parameterize, "spsolve",
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                             lambda a, b: np.full(b.shape, np.nan))
         code = main(["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "f.obj")])
         assert code == 1
@@ -183,6 +187,18 @@ class TestErrorExitCodes:
         assert err.startswith(f"error: {tmp_path / 'a.'}")
         assert "('obj', 'off')" in err
 
+    @pytest.mark.parametrize("text, code, message", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", 2,
+         "{path}:4: bad face index '99999999999999999999'"),
+        ("v 0 0 0\nv 0 1 nan\nv 1 0 0\nf 1 2 3\n", 3,
+         "vertex 1 has a non-finite coordinate"),
+    ], ids=["oversized-index", "non-finite-vertex"])
+    def test_malformed_mesh_named_in_one_line(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        assert main(["analyze", str(path), str(path)]) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
 
 class TestMisc:
     def test_version(self, capsys):
@@ -199,6 +215,17 @@ class TestMisc:
                      "--out", str(out), "--quiet"])
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    def test_import_leaves_scipy_out(self):
+        # analyze needs no scipy; only param's solve imports it
+        src = os.path.dirname(os.path.dirname(qcdistort.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, qcdistort.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_quiet_suppresses_summary(self, meshes, tmp_path, capsys):
         out = tmp_path / "rep.json"

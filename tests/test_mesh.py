@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcdistort.mesh
+import qcdistort.report
 from qcdistort import (
     DegenerateFaceError,
     MeshMap,
@@ -16,7 +17,9 @@ from qcdistort import (
     ValidationError,
     boundary_loops,
     corner_angles,
+    export_colored_mesh,
     face_areas,
+    face_beltrami,
     load_mesh,
     save_mesh,
     tutte_disk,
@@ -50,6 +53,12 @@ class TestTriMesh:
     def test_repeated_index(self):
         with pytest.raises(ValidationError):
             TriMesh(RIGHT, [[0, 1, 1]])
+
+    def test_non_finite_vertex_named(self):
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, math.inf], [math.nan, 1.0]]
+        with pytest.raises(ValidationError) as info:
+            TriMesh(verts, [[0, 1, 2]])
+        assert str(info.value) == "vertex 3 has a non-finite coordinate"
 
     def test_immutable(self):
         m = single(RIGHT)
@@ -309,6 +318,23 @@ class TestFileIO:
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
         with pytest.raises(ParseError, match="unexpected end"):
             load_mesh(path)
+        # a header count far beyond the file fails before any allocation
+        path.write_text("OFF\n1000000000000 1 0\n0 0 0\n1 0 0\n")
+        with pytest.raises(ParseError) as info:
+            load_mesh(path)
+        assert str(info.value) == f"{path}:4: unexpected end of file (wanted coordinate)"
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("big.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", 4),
+        ("big.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -99999999999999999999\n", 4),
+        ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n", 6),
+    ], ids=["obj", "obj-negative", "off"])
+    def test_oversized_face_index_names_line(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_mesh(path)
+        assert str(info.value).startswith(f"{path}:{line}: bad face index ")
 
     def test_explicit_format_override(self, tmp_path):
         path = tmp_path / "mesh.txt"
@@ -331,3 +357,176 @@ class TestFileIO:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             save_mesh(single(RIGHT), tmp_path / "m.stl")
+
+
+# tokens and lines the mutations below splice into save_mesh output
+ODD_TOKENS = ["1_0", "nan", "inf", "+1", "1e3", "-0", "0x1", "1.5", ".", "", "v", "f",
+              "0", "-1", "-3", "4", "99999999999999999999", "1/1", "2//3", "\u00e9",
+              "0000000000000000000000000000000000001", "1E-2", "5."]
+ODD_LINES = ["", "v", "f", "# comment", "vt 0 0", "\tv 0 0 0", "f 1 2 3 4", "OFF", "3 0 1 2"]
+MUTATIONS = ["indent", "tab", "space", "bare", "drop", "extra", "comment", "slash",
+             "token", "token", "line", "nonascii", "crlf", "unterminated"]
+
+
+def mutate(text, mutations):
+    lines = text.splitlines()
+    end, last = "\n", "\n"
+    for kind, at, slot, pick in mutations:
+        i = at % len(lines)
+        parts = lines[i].split()
+        if kind == "indent":
+            lines[i] = " " + lines[i]
+        elif kind == "tab":
+            lines[i] = lines[i].replace(" ", "\t", 1)
+        elif kind == "space":
+            lines[i] = lines[i].replace(" ", "  ", 1)
+        elif kind == "bare":
+            lines[i] = parts[0] if parts else ""
+        elif kind == "drop":
+            lines[i] = " ".join(parts[:-1])
+        elif kind == "extra":
+            lines[i] += f" {1 + pick % 5}"
+        elif kind == "comment":
+            lines[i] += " # note"
+        elif kind == "slash" and parts:
+            parts[-1] += "/1"
+            lines[i] = " ".join(parts)
+        elif kind == "token" and parts:
+            parts[slot % len(parts)] = ODD_TOKENS[pick % len(ODD_TOKENS)]
+            lines[i] = " ".join(parts)
+        elif kind == "line":
+            lines.insert(i, ODD_LINES[pick % len(ODD_LINES)])
+        elif kind == "nonascii":
+            lines[i] += "\u00e9" if pick % 2 else "\u2028"
+        elif kind == "crlf":
+            end = last = "\r\n"
+        elif kind == "unterminated":
+            last = ""
+    return (end.join(lines) + last).encode()
+
+
+def outcome(load):
+    """The loaded arrays, or the type and message of the error raised."""
+    try:
+        mesh = load()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return mesh.vertices, mesh.faces
+
+
+def assert_same_arrays(a, b):
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bulk")
+
+
+class TestBulkReader:
+    """The bulk OBJ/OFF reader agrees with the line parsers on every input."""
+
+    @pytest.mark.parametrize("fmt", ["obj", "off"])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutations=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+                      st.integers(0, 3), st.integers(0, 10**6)),
+            max_size=3,
+        ),
+    )
+    def test_agrees_with_line_parser(self, io_dir, fmt, mutations):
+        plain = io_dir / f"plain.{fmt}"
+        save_mesh(wavy_disk(12), plain)
+        data = mutate(plain.read_text(), mutations)
+        path = io_dir / f"mutated.{fmt}"
+        path.write_bytes(data)
+        bulk = getattr(qcdistort.mesh, f"_bulk_{fmt}")
+        parse = getattr(qcdistort.mesh, f"_parse_{fmt}")
+
+        def line_parsed():
+            mesh = TriMesh(*parse(path, data))
+            validate_mesh(mesh)
+            return mesh
+
+        arrays = bulk(data)
+        if not mutations:
+            assert arrays is not None  # save_mesh output takes the bulk path
+        if arrays is not None:
+            # never accepts what the line parser rejects; same bits otherwise
+            assert_same_arrays(arrays, parse(path, data))
+        expected, actual = outcome(line_parsed), outcome(lambda: load_mesh(path))
+        if isinstance(expected[0], type):
+            assert actual == expected
+        else:
+            assert_same_arrays(actual, expected)
+
+
+def reference_mesh_text(vertices, faces, fmt, face_colors=None):
+    """The per-row writers the block writers replaced, kept as the reference."""
+    if vertices.shape[1] == 2:
+        vertices = np.column_stack([vertices, np.zeros(len(vertices))])
+    xyz = [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in vertices]
+    if fmt == "obj":
+        return "".join(f"v {row}" for row in xyz) + "".join(
+            f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in faces)
+    if fmt == "off":
+        return f"OFF\n{len(vertices)} {len(faces)} 0\n" + "".join(xyz) + "".join(
+            f"3 {f[0]} {f[1]} {f[2]}\n" for f in faces)
+    header = (
+        "ply\nformat ascii 1.0\n"
+        f"element vertex {len(vertices)}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        f"element face {len(faces)}\n"
+        "property list uchar int vertex_indices\n"
+    )
+    if face_colors is None:
+        rows = [f"3 {f[0]} {f[1]} {f[2]}\n" for f in faces]
+    else:
+        header += "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        rows = [f"3 {f[0]} {f[1]} {f[2]} {c[0]} {c[1]} {c[2]}\n"
+                for f, c in zip(faces, face_colors)]
+    return header + "end_header\n" + "".join(xyz) + "".join(rows)
+
+
+def awkward_mesh(dim):
+    """A mesh whose coordinates span many exponents, with -0.0 and 0.0."""
+    base = wavy_disk(60)
+    scale = np.array([1e-300, -3.0, 1e300])[:dim]
+    verts = base.vertices[:, :dim] * scale
+    verts[0, 0] = -0.0
+    verts[1, 1] = 0.0
+    return TriMesh(verts, base.faces)
+
+
+class TestWrittenBytes:
+    """The block writers give the bytes of the per-row writers exactly."""
+
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_save_mesh(self, tmp_path, monkeypatch, block_rows, fmt, dim):
+        monkeypatch.setattr(qcdistort.mesh, "_WRITE_BLOCK_ROWS", block_rows)
+        mesh = awkward_mesh(dim)
+        path = tmp_path / f"m.{fmt}"
+        save_mesh(mesh, path)
+        assert path.read_bytes() == reference_mesh_text(
+            mesh.vertices, mesh.faces, fmt).encode("ascii")
+
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    def test_colored_ply(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(qcdistort.mesh, "_WRITE_BLOCK_ROWS", block_rows)
+        src = wavy_disk(60)
+        flat = src.vertices[:, :2].copy()
+        flat[30] = flat[0] + 1.5 * (flat[0] - flat[30])  # folds faces around 30
+        mapping = MeshMap(TriMesh(src.vertices[:, :2], src.faces), TriMesh(flat, src.faces))
+        path = tmp_path / "c.ply"
+        export_colored_mesh(mapping, "abs_mu", path)
+        bf = face_beltrami(mapping)
+        assert bf.folded.any() and not bf.folded.all()
+        colors = qcdistort.report.face_colors(
+            bf.abs_mu, bf.folded, 0.0, float(bf.abs_mu[~bf.folded].max()))
+        assert path.read_bytes() == reference_mesh_text(
+            flat, src.faces, "ply", face_colors=colors).encode("ascii")

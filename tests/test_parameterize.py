@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-import qcdistort.parameterize
 from qcdistort import (
     ParamConfig,
     SolverError,
@@ -125,7 +125,7 @@ def test_edge_count_from_faces_and_boundary(mesh):
 
 def test_failed_solve_raises_solver_error(monkeypatch):
     # scipy returns NaN instead of raising on a singular matrix
-    monkeypatch.setattr(qcdistort.parameterize, "spsolve",
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                         lambda a, b: np.full(b.shape, np.nan))
     with pytest.raises(SolverError, match="residual"):
         tutte_disk(flat_disk(4))

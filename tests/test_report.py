@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import qcdistort.mesh
+import qcdistort.report
 from qcdistort import (
     DomainError,
     EmptyInputError,
@@ -30,6 +34,29 @@ def flat_mesh():
 def squeeze_report(flat_mesh):
     mapping = MeshMap(flat_mesh, scaled_map_target(flat_mesh, 1.0, 0.5))
     return summarize(mapping, source_path="src.obj", target_path="dst.obj")
+
+
+def reference_csv(report):
+    """The csv.writer export the block writer replaced, kept as the reference."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["face_id", "abs_mu", "k", "eps_mu", "eps_angle_t",
+                     "corner_0", "corner_1", "corner_2", "folded"])
+    bf, ang = report.beltrami, report.angular
+    for i in range(report.face_count):
+        folded = bool(bf.folded[i])
+        writer.writerow([
+            i,
+            repr(float(bf.abs_mu[i])),
+            "" if folded else repr(float(bf.dilatation[i])),
+            "" if folded else repr(float(bf.eps_mu[i])),
+            repr(float(ang.face_avg[i])),
+            repr(float(ang.corner[i, 0])),
+            repr(float(ang.corner[i, 1])),
+            repr(float(ang.corner[i, 2])),
+            "true" if folded else "false",
+        ])
+    return buf.getvalue().encode("ascii")
 
 
 class TestHistogram:
@@ -143,6 +170,17 @@ class TestExports:
         row = path.read_text().strip().splitlines()[2].split(",")
         assert row[2] == "" and row[3] == ""
         assert row[-1] == "true"
+
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    def test_csv_bytes_match_csv_writer(self, flat_mesh, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(qcdistort.report, "_WRITE_BLOCK_ROWS", block_rows)
+        target = scaled_map_target(flat_mesh, 1.3, 0.7).vertices.copy()
+        target[40] = target[0] + 1.5 * (target[0] - target[40])  # folds faces around 40
+        rep = summarize(MeshMap(flat_mesh, TriMesh(target, flat_mesh.faces)))
+        assert 0 < rep.folded_count < rep.face_count
+        path = tmp_path / "rep.csv"
+        export_report(rep, path, "csv")
+        assert path.read_bytes() == reference_csv(rep)
 
     def test_determinism_excluding_timestamp(self, flat_mesh, tmp_path):
         mapping = MeshMap(flat_mesh, scaled_map_target(flat_mesh, 1.1, 0.8))
