@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import io
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,17 @@ _SAVE_FORMATS = ("obj", "off", "ply")
 # rows per block of text written at once
 _WRITE_BLOCK_ROWS = 65_536
 
-# the bytes of the plain OBJ and OFF text save_mesh writes; a file holding
-# any other byte is read line by line
-_OBJ_BULK_BYTES = b"0123456789+-.eE vf\n"
-_OFF_BULK_BYTES = b"0123456789+-.eE \n"
+# the bytes the bulk readers convert, once skipped OBJ lines and OFF
+# comments are gone; a file holding any other byte there is read line by line
+_OBJ_BULK_BYTES = b"0123456789+-.eE \t\r\nvf/"
+_OFF_BULK_BYTES = b"0123456789+-.eE \t\r\n"
+# an OBJ line the line parser skips, with the LF before it: a blank line, or
+# one whose first token is not "v" or "f" (comments, vn, vt, o, g, s, usemtl,
+# mtllib, ...).  The first byte must be printable ASCII, since str.split()
+# takes some other bytes for whitespace and would find a "v" or "f" behind them.
+_OBJ_SKIPPED = re.compile(rb"\n(?:(?:[!-eg-uw-~]|[vf][!-~])[^\n]*|[ \t]*\r?)(?=\n)")
+# an OFF comment runs to the end of its line, as the line parser reads it
+_OFF_COMMENT = re.compile(rb"#[^\r\n]*")
 # longer tokens send a file to the line parsers (save_mesh writes at most 24)
 _BULK_TOKEN_BYTES = 32
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -435,33 +443,56 @@ def _short(tokens: list[bytes]) -> bool:
     return max(map(len, tokens)) <= _BULK_TOKEN_BYTES
 
 
-def _bulk_obj(data: bytes):
-    """``(vertices, faces)`` of an OBJ file in save_mesh's plain form, else None.
-
-    Every line must be ``v x y z`` or ``f i j k`` with positive indices,
-    made of number characters and spaces and ended by LF.  Any other file,
-    or any token the conversions refuse, gives None, and the caller runs
-    :func:`_parse_obj`, which alone raises and handles comments, slashes,
-    n-gons and relative indices.  numpy converts bytes tokens as Python's
-    ``float`` and ``int`` do, so the arrays equal the line parser's bit for bit.
-    """
-    n_lines = data.count(b"\n")
-    if not data.endswith(b"\n") or data.translate(None, _OBJ_BULK_BYTES):
-        return None
+def _all_vf_lines(data: bytes) -> bool:
+    # every line of LF-ended data starts with "v " or "f "
     starts = data.count(b"\nv ") + data.count(b"\nf ") + data.startswith((b"v ", b"f "))
+    return starts == data.count(b"\n")
+
+
+def _bulk_obj(data: bytes):
+    """``(vertices, faces)`` of a triangle OBJ file, else None.
+
+    After the lines the line parser skips (blank lines, comments and
+    directives other than ``v`` and ``f``) are dropped, every line must be
+    ``v x y z`` or ``f i j k`` with positive indices, made of number
+    characters, spaces and tabs, and ended by LF or CRLF; a face token may
+    carry slash parts (``7/2/5``, ``7//5``), which are ignored.  Any other
+    file, or any token the conversions refuse, gives None, and the caller
+    runs :func:`_parse_obj`, which alone raises and handles n-gons,
+    relative indices, extra vertex values and indented lines.  numpy
+    converts bytes tokens as Python's ``float`` and ``int`` do, so the
+    arrays equal the line parser's bit for bit.
+    """
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None  # a lone CR ends a line for the line parser
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if not _all_vf_lines(data):
+        data = _OBJ_SKIPPED.sub(b"", b"\n" + data)[1:]
+        if not data or not _all_vf_lines(data):
+            return None
+    n_lines = data.count(b"\n")
+    if data.translate(None, _OBJ_BULK_BYTES):
+        return None
     tokens = data.split()
     # with a v/f keyword starting every line and 4n tokens, all v/f tokens
     # sit in column 0 exactly when the number columns convert below
-    if starts != n_lines or len(tokens) != 4 * n_lines or not _short(tokens):
+    if len(tokens) != 4 * n_lines or not _short(tokens):
         return None
     rows = np.array(tokens).reshape(-1, 4)
     is_v = rows[:, 0] == b"v"
     is_f = rows[:, 0] == b"f"
     if not (is_v | is_f).all():
         return None
+    faces = rows[is_f, 1:]
+    if b"/" in data and faces.size:
+        # keep each face token up to its first slash, as the line parser
+        # does; a vertex token with a slash fails its conversion
+        text = faces.view(np.uint8).reshape(faces.size, -1)
+        text[np.maximum.accumulate(text == ord("/"), axis=1)] = 0
     try:
         verts = rows[is_v, 1:].astype(np.float64)
-        faces = rows[is_f, 1:].astype(np.int64)
+        faces = faces.astype(np.int64)
     except (ValueError, OverflowError):
         return None
     if faces.size and faces.min() < 1:
@@ -470,16 +501,20 @@ def _bulk_obj(data: bytes):
 
 
 def _bulk_off(data: bytes):
-    """``(vertices, faces)`` of an OFF file in save_mesh's plain form, else None.
+    """``(vertices, faces)`` of a triangle OFF file, else None.
 
-    The file must be an ``OFF`` line, the three counts, the coordinates and
-    ``3 i j k`` records with non-negative indices and nothing after them,
-    in number characters, spaces and LF.  As with :func:`_bulk_obj`, every
-    other file goes to :func:`_parse_off`.
+    Comments are dropped first.  The file must then be the ``OFF`` token,
+    the three counts, the coordinates and ``3 i j k`` records with
+    non-negative indices, exactly ``3 + 3V + 4F`` number tokens after
+    ``OFF``, in any spacing and line layout (spaces, tabs, LF, CR).  As
+    with :func:`_bulk_obj`, every other file goes to :func:`_parse_off`.
     """
-    if not data.startswith(b"OFF\n") or not data.endswith(b"\n"):
+    if b"#" in data:
+        data = _OFF_COMMENT.sub(b"", data)
+    tokens = data.split(maxsplit=1)
+    if not tokens or tokens[0] != b"OFF":
         return None
-    body = data[4:]
+    body = tokens[1] if len(tokens) == 2 else b""
     if body.translate(None, _OFF_BULK_BYTES):
         return None
     tokens = body.split()
@@ -516,8 +551,9 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
         Validated mesh.  Non-triangular faces are fan-triangulated; the
         dimension is 2 when every ``|z| <= 1e-12``, else 3.
 
-    Files in the plain form :func:`save_mesh` writes are converted in bulk;
-    every other file is read line by line, with the same result.
+    Triangle files in the forms :func:`_bulk_obj` and :func:`_bulk_off`
+    accept (among them everything :func:`save_mesh` writes) are converted
+    in bulk; every other file is read line by line, with the same result.
 
     Raises
     ------
@@ -545,15 +581,24 @@ def _as_3d(vertices: np.ndarray) -> np.ndarray:
     return np.column_stack([vertices, np.zeros(vertices.shape[0])])
 
 
+def _blocks(n_rows: int):
+    """``(start, stop)`` of each block of rows written as text at once.
+
+    Blocks of ``_WRITE_BLOCK_ROWS`` keep the Python objects made for the
+    text from growing with the row count.
+    """
+    for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+        yield start, min(start + _WRITE_BLOCK_ROWS, n_rows)
+
+
 def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
     """Write ``row_format % tuple(row)`` for every row of an (n, k) array.
 
-    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, so the Python objects
-    made for the text do not grow with the row count.  ``%.17g`` gives 17
-    significant digits, which round-trip doubles exactly through text.
+    ``%.17g`` gives 17 significant digits, which round-trip doubles exactly
+    through text.
     """
-    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-        block = rows[start:start + _WRITE_BLOCK_ROWS]
+    for start, stop in _blocks(len(rows)):
+        block = rows[start:stop]
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 

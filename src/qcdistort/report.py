@@ -24,7 +24,7 @@ from . import __version__
 from .angular import AngularDistortionField, corner_distortion
 from .beltrami import BeltramiField, MeshMap, face_beltrami
 from .errors import DomainError, EmptyInputError
-from .mesh import _WRITE_BLOCK_ROWS, _write_ply
+from .mesh import _blocks, _write_ply
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -201,8 +201,7 @@ def _write_csv(report: DistortionReport, path) -> None:
                ang.corner[:, 0], ang.corner[:, 1], ang.corner[:, 2])
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("face_id,abs_mu,k,eps_mu,eps_angle_t,corner_0,corner_1,corner_2,folded\r\n")
-        for start in range(0, report.face_count, _WRITE_BLOCK_ROWS):
-            stop = min(start + _WRITE_BLOCK_ROWS, report.face_count)
+        for start, stop in _blocks(report.face_count):
             abs_mu, k, eps_mu, avg, c0, c1, c2 = (
                 list(map(repr, col[start:stop].tolist())) for col in columns
             )

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -363,9 +364,14 @@ class TestFileIO:
 ODD_TOKENS = ["1_0", "nan", "inf", "+1", "1e3", "-0", "0x1", "1.5", ".", "", "v", "f",
               "0", "-1", "-3", "4", "99999999999999999999", "1/1", "2//3", "\u00e9",
               "0000000000000000000000000000000000001", "1E-2", "5."]
-ODD_LINES = ["", "v", "f", "# comment", "vt 0 0", "\tv 0 0 0", "f 1 2 3 4", "OFF", "3 0 1 2"]
-MUTATIONS = ["indent", "tab", "space", "bare", "drop", "extra", "comment", "slash",
-             "token", "token", "line", "nonascii", "crlf", "unterminated"]
+ODD_LINES = ["", " ", "\t", "v", "f", "vn", "# comment", "  # indented", "# Cr\u00e9\u00e9",
+             "#\rv 0 0 0", "#\r1 2", "vt 0 0", "vn 0 0 1", "o Surface", "g\u00a0x", "s off",
+             "usemtl Material", "mtllib m.mtl", "f/1 2 3", "\tv 0 0 0", "\u00a0v 0 0 0",
+             "v\u00a00 0 0", "\x0cv 0 0 0", "\x1cf 1 2 3", "f 1 2 3 4", "OFF", "3 0 1 2"]
+SLASH_PARTS = ["/1", "/1/1", "//2", "/", "/x", "/-1"]
+MUTATIONS = ["indent", "tab", "space", "bare", "drop", "extra", "comment", "midcomment",
+             "slash", "token", "token", "line", "line", "nonascii", "crlf", "cr",
+             "unterminated"]
 
 
 def mutate(text, mutations):
@@ -388,8 +394,11 @@ def mutate(text, mutations):
             lines[i] += f" {1 + pick % 5}"
         elif kind == "comment":
             lines[i] += " # note"
+        elif kind == "midcomment" and parts:
+            parts.insert(slot % len(parts), "#x")
+            lines[i] = " ".join(parts)
         elif kind == "slash" and parts:
-            parts[-1] += "/1"
+            parts[slot % len(parts)] += SLASH_PARTS[pick % len(SLASH_PARTS)]
             lines[i] = " ".join(parts)
         elif kind == "token" and parts:
             parts[slot % len(parts)] = ODD_TOKENS[pick % len(ODD_TOKENS)]
@@ -398,6 +407,8 @@ def mutate(text, mutations):
             lines.insert(i, ODD_LINES[pick % len(ODD_LINES)])
         elif kind == "nonascii":
             lines[i] += "\u00e9" if pick % 2 else "\u2028"
+        elif kind == "cr" and i + 1 < len(lines):
+            lines[i:i + 2] = [lines[i] + "\r" + lines[i + 1]]
         elif kind == "crlf":
             end = last = "\r\n"
         elif kind == "unterminated":
@@ -425,6 +436,26 @@ def io_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("bulk")
 
 
+def exporter_text(text, fmt):
+    """save_mesh output in the layout common exporters write.
+
+    OBJ gets header comments, mtllib/o/usemtl/s directives, vt and vn
+    lines and ``v/vt/vn`` face tokens; OFF gets comment lines and a
+    trailing comment.  Both still hold a triangle mesh the bulk path reads.
+    """
+    lines = text.splitlines()
+    if fmt == "off":
+        return "\n".join(["# exported mesh", lines[0], "# counts"] + lines[1:]
+                         + ["# end"]) + "\n"
+    verts = [line for line in lines if line.startswith("v ")]
+    faces = ["f " + " ".join(f"{t}/{t}/1" for t in line.split()[1:])
+             for line in lines if line.startswith("f ")]
+    return "\n".join(
+        ["# exported mesh", "mtllib m.mtl", "o Surface"] + verts
+        + [f"vt {k % 3} {k % 2}" for k in range(len(verts))]
+        + ["vn 0 0 1", "usemtl Material", "s off"] + faces) + "\n"
+
+
 class TestBulkReader:
     """The bulk OBJ/OFF reader agrees with the line parsers on every input."""
 
@@ -440,7 +471,66 @@ class TestBulkReader:
     def test_agrees_with_line_parser(self, io_dir, fmt, mutations):
         plain = io_dir / f"plain.{fmt}"
         save_mesh(wavy_disk(12), plain)
-        data = mutate(plain.read_text(), mutations)
+        self.check_agreement(io_dir, fmt, mutate(plain.read_text(), mutations), mutations)
+
+    @pytest.mark.parametrize("fmt", ["obj", "off"])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutations=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+                      st.integers(0, 3), st.integers(0, 10**6)),
+            max_size=3,
+        ),
+    )
+    def test_exporter_layout_agrees_with_line_parser(self, io_dir, fmt, mutations):
+        plain = io_dir / f"plain.{fmt}"
+        save_mesh(wavy_disk(12), plain)
+        text = exporter_text(plain.read_text(), fmt)
+        self.check_agreement(io_dir, fmt, mutate(text, mutations), mutations)
+
+    @pytest.mark.parametrize("layout", ["plain", "exporter"])
+    @pytest.mark.parametrize("fmt", ["obj", "off"])
+    def test_every_odd_line_agrees(self, tmp_path, fmt, layout):
+        plain = tmp_path / f"plain.{fmt}"
+        save_mesh(wavy_disk(12), plain)
+        text = plain.read_text()
+        if layout == "exporter":
+            text = exporter_text(text, fmt)
+        n_lines = text.count("\n")
+        for line in range(len(ODD_LINES)):
+            for at in (0, 2, n_lines // 2, n_lines - 1):
+                mutations = [("line", at, 0, line)]
+                self.check_agreement(tmp_path, fmt, mutate(text, mutations), mutations)
+
+    @pytest.mark.parametrize("fmt, layout", [
+        ("obj", "crlf"), ("obj", "unterminated"), ("obj", "exporter"),
+        ("obj", "exporter-crlf"), ("obj", "normals-only"),
+        ("off", "crlf"), ("off", "tabs"), ("off", "exporter"), ("off", "exporter-crlf"),
+    ])
+    def test_documented_layouts_take_bulk_path(self, tmp_path, fmt, layout):
+        plain = tmp_path / f"plain.{fmt}"
+        save_mesh(wavy_disk(12), plain)
+        text = plain.read_text()
+        if layout.startswith("exporter"):
+            text = exporter_text(text, fmt)
+        elif layout == "unterminated":
+            text = text[:-1]
+        elif layout == "tabs":
+            text = text.replace(" ", "\t")
+        elif layout == "normals-only":
+            text = re.sub(r"^f (\d+) (\d+) (\d+)$", r"f \1//\1 \2//\2 \3//\3", text,
+                          flags=re.M)
+        if layout.endswith("crlf"):
+            text = text.replace("\n", "\r\n")
+        data = text.encode()
+        parse = getattr(qcdistort.mesh, f"_parse_{fmt}")
+        arrays = getattr(qcdistort.mesh, f"_bulk_{fmt}")(data)
+        assert arrays is not None
+        assert_same_arrays(arrays, parse(plain, data))
+        assert_same_arrays(arrays, parse(plain, plain.read_bytes()))  # the same mesh
+
+    @staticmethod
+    def check_agreement(io_dir, fmt, data, mutations):
         path = io_dir / f"mutated.{fmt}"
         path.write_bytes(data)
         bulk = getattr(qcdistort.mesh, f"_bulk_{fmt}")
@@ -453,7 +543,7 @@ class TestBulkReader:
 
         arrays = bulk(data)
         if not mutations:
-            assert arrays is not None  # save_mesh output takes the bulk path
+            assert arrays is not None  # the unmutated layouts take the bulk path
         if arrays is not None:
             # never accepts what the line parser rejects; same bits otherwise
             assert_same_arrays(arrays, parse(path, data))
