@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beltrami import MeshMap
-from .errors import DegenerateFaceError
 from .mesh import corner_angles
 
 
@@ -42,21 +41,8 @@ def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
     in the source and target meshes (same convention as
     :func:`qcdistort.mesh.corner_angles`).  Folded faces get ordinary
     values too: the angles of a flipped triangle are well defined.
-
-    Raises
-    ------
-    DegenerateFaceError
-        With the face index and which mesh was degenerate.
     """
-    try:
-        src = corner_angles(mapping.source)
-    except DegenerateFaceError as exc:
-        raise DegenerateFaceError(f"source mesh: {exc}", face=exc.face) from None
-    try:
-        dst = corner_angles(mapping.target)
-    except DegenerateFaceError as exc:
-        raise DegenerateFaceError(f"target mesh: {exc}", face=exc.face) from None
-    signed = dst - src
+    signed = corner_angles(mapping.target) - corner_angles(mapping.source)
     corner = np.abs(signed)
     return AngularDistortionField(
         corner=corner, signed_corner=signed, face_avg=corner.mean(axis=1)

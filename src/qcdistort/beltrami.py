@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFaceError, DomainError, ValidationError, VanishingFzError
-from .mesh import TriMesh, validate_mesh
+from .errors import DomainError, ValidationError, VanishingFzError
+from .mesh import TriMesh, _cross_2d, _face_coords, _require_area, face_areas, validate_mesh
 
 # relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
 FZ_GUARD = 1e-14
-# per-face relative degeneracy threshold (scaled by the face's own size)
-_FACE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,13 @@ class BeltramiField:
         return int(self.folded.sum())
 
 
+def _one_face(*corners) -> np.ndarray:
+    """``_face_coords`` of the one-face mesh on ``corners``, if not degenerate."""
+    mesh = TriMesh(np.asarray(corners, dtype=np.float64), [[0, 1, 2]])
+    _require_area(mesh, face_areas(mesh))
+    return _face_coords(mesh)
+
+
 def flatten_triangle(p0, p1, p2) -> np.ndarray:
     """Rigidly map a 3D triangle to the plane in a canonical pose.
 
@@ -130,28 +135,19 @@ def flatten_triangle(p0, p1, p2) -> np.ndarray:
     Raises
     ------
     DegenerateFaceError
+        If the triangle, as a one-face mesh, fails :func:`validate_mesh`.
     """
-    tri = np.asarray([p0, p1, p2], dtype=np.float64).reshape(1, 3, -1)
-    return _flatten_faces(tri)[0]
+    return _flatten_faces(_one_face(p0, p1, p2))[0]
 
 
 def _flatten_faces(tri: np.ndarray) -> np.ndarray:
-    """Vectorized canonical-pose flattening of (m, 3, 3) triangles."""
+    """Vectorized canonical-pose flattening of valid (m, 3, k) triangles."""
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
     l1 = np.linalg.norm(e1, axis=1)
-    scale = np.maximum(l1, np.linalg.norm(e2, axis=1))
-    bad = l1 <= _FACE_EPS * scale
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise DegenerateFaceError(f"face {idx}: first edge has zero length", face=idx)
     x2 = (e1 * e2).sum(axis=1) / l1
     perp = e2 - (x2 / l1)[:, None] * e1
     y2 = np.linalg.norm(perp, axis=1)
-    bad = y2 <= _FACE_EPS * scale
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise DegenerateFaceError(f"face {idx} is collinear", face=idx)
     out = np.zeros((tri.shape[0], 3, 2), dtype=np.float64)
     out[:, 1, 0] = l1
     out[:, 2, 0] = x2
@@ -162,32 +158,24 @@ def _flatten_faces(tri: np.ndarray) -> np.ndarray:
 def _face_coords_2d(mesh: TriMesh) -> np.ndarray:
     """Per-face planar coordinates, (m, 3, 2).
 
-    Planar meshes use their stored coordinates (keeping signed orientation);
-    3D meshes are flattened face-by-face in the canonical pose, which is
+    Planar meshes use their x and y (keeping signed orientation); 3D meshes
+    are flattened face-by-face in the canonical pose, which is
     orientation-positive by construction.
     """
-    tri = mesh.face_corners()
-    if mesh.dimension == 2:
-        return np.ascontiguousarray(tri[:, :, :2])
-    return _flatten_faces(tri)
+    tri = _face_coords(mesh)
+    return tri if mesh.dimension == 2 else _flatten_faces(tri)
 
 
 def _affine_arrays(src: np.ndarray, dst: np.ndarray):
     """Vectorized affine coefficients mapping src triangles onto dst ones.
 
-    src, dst : (m, 3, 2).  Returns (a, b, c, d) arrays; raises on source
-    triangles with near-zero area.
+    src, dst : (m, 3, 2), src valid.  Returns (a, b, c, d) arrays.
     """
-    dx1 = src[:, 1, 0] - src[:, 0, 0]
-    dy1 = src[:, 1, 1] - src[:, 0, 1]
-    dx2 = src[:, 2, 0] - src[:, 0, 0]
-    dy2 = src[:, 2, 1] - src[:, 0, 1]
-    det = dx1 * dy2 - dx2 * dy1
-    scale2 = np.maximum(dx1 * dx1 + dy1 * dy1, dx2 * dx2 + dy2 * dy2)
-    bad = np.abs(det) <= 2.0 * _FACE_EPS * scale2
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise DegenerateFaceError(f"source face {idx} has near-zero area", face=idx)
+    u = src[:, 1] - src[:, 0]
+    w = src[:, 2] - src[:, 0]
+    dx1, dy1 = u[:, 0], u[:, 1]
+    dx2, dy2 = w[:, 0], w[:, 1]
+    det = _cross_2d(u, w)
     du1 = dst[:, 1, 0] - dst[:, 0, 0]
     dv1 = dst[:, 1, 1] - dst[:, 0, 1]
     du2 = dst[:, 2, 0] - dst[:, 0, 0]
@@ -207,9 +195,9 @@ def affine_coefficients(src_tri, dst_tri) -> AffineMap2D:
     Raises
     ------
     DegenerateFaceError
-        If the source triangle has near-zero area.
+        If the source triangle, as a one-face mesh, fails :func:`validate_mesh`.
     """
-    src = np.asarray(src_tri, dtype=np.float64).reshape(1, 3, 2)
+    src = _one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
     dst = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 2)
     a, b, c, d = (float(arr[0]) for arr in _affine_arrays(src, dst))
     p = dst[0, 0, 0] - a * src[0, 0, 0] - b * src[0, 0, 1]
@@ -226,17 +214,17 @@ def mu_from_affine(m: AffineMap2D) -> complex:
         If |f_z| falls below the relative guard (anti-conformal or collapsed
         map), in which case mu is a meaningless ratio.
     """
-    fz, fzb = m.fz, m.fzbar
-    if abs(fz) <= FZ_GUARD * (abs(fz) + abs(fzb)):
+    mu, _, vanished = _mu_arrays(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=np.float64))
+    if vanished[0]:
         raise VanishingFzError("f_z vanishes; Beltrami coefficient undefined")
-    return fzb / fz
+    return complex(mu[0])
 
 
 def _mu_arrays(a, b, c, d):
     fz = 0.5 * ((a + d) + 1j * (c - b))
     fzb = 0.5 * ((a - d) + 1j * (c + b))
     vanished = np.abs(fz) <= FZ_GUARD * (np.abs(fz) + np.abs(fzb))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
     mu = np.where(vanished, complex(np.nan, np.nan), mu)
     abs_mu = np.abs(mu)
@@ -262,8 +250,8 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     ok = ~folded
     dil = np.full(m, np.nan)
     eps = np.full(m, np.nan)
-    dil[ok] = (1.0 + abs_mu[ok]) / (1.0 - abs_mu[ok])
-    eps[ok] = 2.0 * np.arcsin(abs_mu[ok])
+    dil[ok] = dilatation(abs_mu[ok])
+    eps[ok] = epsilon_mu(abs_mu[ok])
     return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .beltrami import MeshMap
 from .errors import (
-    DegenerateFaceError,
     DomainError,
     NonManifoldEdgeError,
     ParseError,
@@ -55,7 +54,6 @@ _EXIT_CODES = {
     ParseError: 2,
     DomainError: 2,
     ValidationError: 3,
-    DegenerateFaceError: 3,
     NonManifoldEdgeError: 3,
     TopologyError: 3,
 }

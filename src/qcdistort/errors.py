@@ -13,8 +13,8 @@ class ValidationError(QcdistortError):
     """A mesh or mesh pair violates a structural invariant."""
 
 
-class DegenerateFaceError(QcdistortError):
-    """A face is too small or thin for the requested computation."""
+class DegenerateFaceError(ValidationError):
+    """A face has area at or below the mesh's degeneracy threshold."""
 
     def __init__(self, message: str, face: int | None = None):
         super().__init__(message)

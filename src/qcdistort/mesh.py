@@ -7,8 +7,9 @@ Conventions used throughout the package:
   this indexing.
 * Corner angles are computed as ``atan2(|u x w|, u . w)``, which is stable
   near 0 and pi where ``acos`` is not.
-* Degeneracy thresholds are relative to the bounding-box diagonal, so meshes
-  may use arbitrary length units.
+* The one degeneracy test: a face whose area (on the coordinates every
+  per-face formula reads, see :func:`_face_coords`) is at or below ``1e-12``
+  times the squared bounding-box diagonal is degenerate, in any length unit.
 * n-gon faces in input files are fan-triangulated around their first vertex.
 * A mesh whose vertices all satisfy ``|z| <= 1e-12`` is treated as planar
   (dimension 2), matching how flat meshes round-trip through 3D file formats.
@@ -33,7 +34,6 @@ from .errors import (
 
 PLANAR_Z_TOL = 1e-12
 AREA_EPS_FACTOR = 1e-12     # times (bbox diagonal)^2
-LENGTH_EPS_FACTOR = 1e-12   # times bbox diagonal
 
 _LOAD_FORMATS = ("obj", "off")
 _SAVE_FORMATS = ("obj", "off", "ply")
@@ -57,10 +57,15 @@ _BULK_TOKEN_BYTES = 32
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
+def _cross_2d(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Signed u x w for stacks of 2D vectors (coordinates on the last axis)."""
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
 def _cross_magnitude(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """|u x w| for stacks of 2D or 3D vectors (coordinates on the last axis)."""
     if u.shape[-1] == 2:
-        return np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
+        return np.abs(_cross_2d(u, w))
     return np.linalg.norm(np.cross(u, w), axis=-1)
 
 
@@ -152,11 +157,6 @@ class TriMesh:
         """Faces with area at or below this are degenerate (unit-free)."""
         return AREA_EPS_FACTOR * self.bbox_diagonal ** 2
 
-    @property
-    def length_epsilon(self) -> float:
-        """Edges at or below this length are degenerate (unit-free)."""
-        return LENGTH_EPS_FACTOR * self.bbox_diagonal
-
     def face_corners(self) -> np.ndarray:
         """Vertex positions per face, shape (n_faces, 3, dim_of_storage)."""
         return self.vertices[self.faces]
@@ -168,12 +168,31 @@ class TriMesh:
         return True
 
 
+def _face_coords(mesh: TriMesh) -> np.ndarray:
+    """Per-face coordinates, (n_faces, 3, dimension): xy on planar meshes."""
+    return mesh.vertices[:, :mesh.dimension][mesh.faces]
+
+
+def _corner_terms(tri: np.ndarray, k: int):
+    """``(u . w, |u x w|)`` at corner k, u and w running to the next corners."""
+    u = tri[:, (k + 1) % 3] - tri[:, k]
+    w = tri[:, (k + 2) % 3] - tri[:, k]
+    return (u * w).sum(axis=1), _cross_magnitude(u, w)
+
+
+def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
+    """The degeneracy test: raise on the first face (NaN included) whose
+    area is not above ``mesh.area_epsilon``."""
+    degenerate = ~(areas > mesh.area_epsilon)
+    if degenerate.any():
+        idx = int(np.argmax(degenerate))
+        raise DegenerateFaceError(f"face {idx} is degenerate (area {areas[idx]:.3e} "
+                                  f"<= {mesh.area_epsilon:.3e})", face=idx)
+
+
 def face_areas(mesh: TriMesh) -> np.ndarray:
-    """Unsigned area of every face (cross-product formula)."""
-    tri = mesh.face_corners()
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    return 0.5 * _cross_magnitude(e1, e2)
+    """Unsigned area of every face (cross-product formula, xy if planar)."""
+    return 0.5 * _corner_terms(_face_coords(mesh), 0)[1]
 
 
 def corner_angles(mesh: TriMesh) -> np.ndarray:
@@ -189,24 +208,12 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     Raises
     ------
     DegenerateFaceError
-        If any face edge is shorter than the mesh length threshold.
+        If a face fails the degeneracy test of :func:`validate_mesh`.
     """
-    tri = mesh.face_corners()
-    edges = tri[:, [1, 2, 0], :] - tri[:, [0, 1, 2], :]
-    lengths = np.linalg.norm(edges, axis=2)
-    short = lengths <= mesh.length_epsilon
-    if short.any():
-        idx = int(np.argwhere(short)[0, 0])
-        raise DegenerateFaceError(
-            f"face {idx} has an edge shorter than {mesh.length_epsilon:.3e}",
-            face=idx,
-        )
-    angles = np.empty((mesh.n_faces, 3), dtype=np.float64)
-    for k in range(3):
-        u = tri[:, (k + 1) % 3, :] - tri[:, k, :]
-        w = tri[:, (k + 2) % 3, :] - tri[:, k, :]
-        angles[:, k] = np.arctan2(_cross_magnitude(u, w), (u * w).sum(axis=1))
-    return angles
+    tri = _face_coords(mesh)
+    terms = [_corner_terms(tri, k) for k in range(3)]
+    _require_area(mesh, 0.5 * terms[0][1])
+    return np.column_stack([np.arctan2(cross, dot) for dot, cross in terms])
 
 
 def _edge_pass(mesh: TriMesh):
@@ -281,12 +288,12 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
 def validate_mesh(mesh: TriMesh) -> None:
     """Enforce the geometric mesh invariants.
 
-    Checks that no face is degenerate (area above the relative threshold)
-    and that face orientation is combinatorially consistent wherever the
-    mesh is manifold: every edge shared by exactly two faces must be
-    traversed once in each direction.  Inconsistent orientation is reported,
-    never repaired, because a silent flip would corrupt the sign conventions
-    of the per-face distortion fields.
+    Checks that no face is degenerate (``face_areas`` at or below
+    ``mesh.area_epsilon``) and that face orientation is combinatorially
+    consistent wherever the mesh is manifold: every edge shared by exactly
+    two faces must be traversed once in each direction.  Inconsistent
+    orientation is reported, never repaired, because a silent flip would
+    corrupt the sign conventions of the per-face distortion fields.
 
     A ``TriMesh`` is immutable, so a passing verdict is kept on the mesh
     and later calls return at once; a failure is raised again on every call.
@@ -294,19 +301,13 @@ def validate_mesh(mesh: TriMesh) -> None:
     Raises
     ------
     ValidationError
+        :class:`DegenerateFaceError` (a subclass) for a degenerate face.
     """
     mesh._valid  # runs _check_mesh on the first call only
 
 
 def _check_mesh(mesh: TriMesh) -> None:
-    areas = face_areas(mesh)
-    degenerate = areas <= mesh.area_epsilon
-    if degenerate.any():
-        idx = int(np.argmax(degenerate))
-        raise ValidationError(
-            f"face {idx} is degenerate (area {areas[idx]:.3e} <= "
-            f"{mesh.area_epsilon:.3e})"
-        )
+    _require_area(mesh, face_areas(mesh))
     if mesh.n_faces == 0:
         return
     # a manifold edge is consistently oriented when exactly one of its two
@@ -405,11 +406,13 @@ def _parse_off(path, data: bytes):
     def end_of_file(kind):
         return ParseError(f"{path}:{tokens[-1][1]}: unexpected end of file (wanted {kind})")
 
-    def take(kind, convert):
+    def take(kind, convert, line=None):  # the next token, from ``line`` if given
         nonlocal cursor
         if cursor >= len(tokens):
             raise end_of_file(kind)
         tok, lineno = tokens[cursor]
+        if line is not None and lineno != line:
+            raise ParseError(f"{path}:{line}: unexpected end of line (wanted {kind})")
         cursor += 1
         try:
             return convert(tok)
@@ -434,7 +437,10 @@ def _parse_off(path, data: bytes):
         size = take("face size", int)
         if size < 3:
             raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-        polys.append(([take("face index", _index) for _ in range(size)], lineno))
+        polys.append(([take("face index", _index, lineno) for _ in range(size)], lineno))
+        # a face record ends with its line: drop what follows (face colors)
+        while cursor < len(tokens) and tokens[cursor][1] == lineno:
+            cursor += 1
     return verts, _fan_triangulate(polys, path)
 
 
@@ -500,14 +506,31 @@ def _bulk_obj(data: bytes):
     return verts, faces - 1
 
 
+def _records_on_own_lines(body: bytes, first: int) -> bool:
+    """Whether each 4-token record from token ``first`` on fills its own line,
+    in a ``body`` of tokens parted by bytes <= 32 (space, tab, CR, LF)."""
+    text = np.frombuffer(body, np.uint8)
+    gap = text <= 32
+    starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1  # tokens 1, 2, ...
+    records = starts[first - 1:].reshape(-1, 4)
+    if not records.size:
+        return True
+    tail = text[records[0, 0]:]
+    breaks = np.flatnonzero((tail == 10) | (tail == 13)) + records[0, 0]
+    # the line of each record's first and last token
+    line = np.searchsorted(breaks, records[:, ::3])
+    return bool((line[:, 0] == line[:, 1]).all() and (line[1:, 0] > line[:-1, 1]).all())
+
+
 def _bulk_off(data: bytes):
     """``(vertices, faces)`` of a triangle OFF file, else None.
 
     Comments are dropped first.  The file must then be the ``OFF`` token,
     the three counts, the coordinates and ``3 i j k`` records with
     non-negative indices, exactly ``3 + 3V + 4F`` number tokens after
-    ``OFF``, in any spacing and line layout (spaces, tabs, LF, CR).  As
-    with :func:`_bulk_obj`, every other file goes to :func:`_parse_off`.
+    ``OFF``, in any spacing and line layout (spaces, tabs, LF, CR) save
+    that each record fills its own line.  As with :func:`_bulk_obj`, every
+    other file goes to :func:`_parse_off`.
     """
     if b"#" in data:
         data = _OFF_COMMENT.sub(b"", data)
@@ -522,10 +545,10 @@ def _bulk_off(data: bytes):
         n_vert, n_face, _ = (int(tok) for tok in tokens[:3])
     except ValueError:
         return None
-    if (n_vert < 0 or n_face < 0 or len(tokens) != 3 + 3 * n_vert + 4 * n_face
-            or not _short(tokens)):
-        return None
     split = 3 + 3 * n_vert
+    if (n_vert < 0 or n_face < 0 or len(tokens) != split + 4 * n_face
+            or not _short(tokens) or not _records_on_own_lines(body, split)):
+        return None
     try:
         verts = np.array(tokens[3:split]).astype(np.float64).reshape(-1, 3)
         records = np.array(tokens[split:]).astype(np.int64).reshape(-1, 4)
@@ -559,7 +582,9 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     ------
     ParseError
         Malformed file, or a format other than OBJ and OFF.
-    ValidationError, OSError
+    ValidationError
+        From :class:`TriMesh` or :func:`validate_mesh`, the path put first.
+    OSError
     """
     try:
         fmt = _resolve_format(path, format, _LOAD_FORMATS)
@@ -570,8 +595,12 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     bulk, parse = (_bulk_obj, _parse_obj) if fmt == "obj" else (_bulk_off, _parse_off)
     arrays = bulk(data)
     verts, faces = arrays if arrays is not None else parse(path, data)
-    mesh = TriMesh(verts, faces)
-    validate_mesh(mesh)
+    try:
+        mesh = TriMesh(verts, faces)
+        validate_mesh(mesh)
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     return mesh
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import TriMesh, _cross_magnitude, boundary_loops, validate_mesh
+from .mesh import TriMesh, _corner_terms, _cross_2d, _face_coords, boundary_loops, validate_mesh
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 
@@ -52,7 +52,7 @@ def _weight_matrix(mesh: TriMesh, kind: str):
     from scipy import sparse
 
     faces = mesh.faces
-    tri = mesh.face_corners()
+    tri = _face_coords(mesh)
     rows_list, cols_list, vals_list = [], [], []
     for k in range(3):
         i = faces[:, (k + 1) % 3]
@@ -60,9 +60,8 @@ def _weight_matrix(mesh: TriMesh, kind: str):
         rows_list += [i, j]
         cols_list += [j, i]
         if kind == "cotangent":
-            u = tri[:, (k + 1) % 3] - tri[:, k]
-            w = tri[:, (k + 2) % 3] - tri[:, k]
-            half_cot = 0.5 * ((u * w).sum(axis=1) / _cross_magnitude(u, w))
+            dot, cross = _corner_terms(tri, k)
+            half_cot = 0.5 * (dot / cross)
             vals_list += [half_cot, half_cot]
         else:
             vals_list += [np.ones(faces.shape[0])] * 2
@@ -81,9 +80,7 @@ def _boundary_circle_positions(mesh: TriMesh, loop: list[int]) -> np.ndarray:
     """Unit-circle positions with arc-length-proportional spacing."""
     pts = mesh.vertices[np.asarray(loop, dtype=np.int64)]
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    total = seg.sum()
-    if total <= 0:
-        raise TopologyError("boundary loop has zero length")
+    total = seg.sum()  # positive: the boundary edges are edges of valid faces
     t = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(seg[:-1])]) / total
     return np.column_stack([np.cos(t), np.sin(t)])
 
@@ -159,11 +156,7 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     # normalize global orientation: a boundary loop walked the "wrong" way
     # would reflect the whole embedding
     tri = uv[mesh.faces]
-    signed = 0.5 * (
-        (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1])
-        - (tri[:, 2, 0] - tri[:, 0, 0]) * (tri[:, 1, 1] - tri[:, 0, 1])
-    )
-    if signed.sum() < 0:
+    if _cross_2d(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).sum() < 0:
         uv[:, 1] = -uv[:, 1]
 
     return MeshMap(source=mesh, target=TriMesh(uv, mesh.faces))

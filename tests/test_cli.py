@@ -191,13 +191,29 @@ class TestErrorExitCodes:
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", 2,
          "{path}:4: bad face index '99999999999999999999'"),
         ("v 0 0 0\nv 0 1 nan\nv 1 0 0\nf 1 2 3\n", 3,
-         "vertex 1 has a non-finite coordinate"),
-    ], ids=["oversized-index", "non-finite-vertex"])
+         "{path}: vertex 1 has a non-finite coordinate"),
+        ("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-12\nf 1 2 3\n", 3,
+         "{path}: face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"),
+    ], ids=["oversized-index", "non-finite-vertex", "collinear-in-xy"])
     def test_malformed_mesh_named_in_one_line(self, tmp_path, capsys, text, code, message):
         path = tmp_path / "bad.obj"
         path.write_text(text)
         assert main(["analyze", str(path), str(path)]) == code
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+    def test_degenerate_target_names_file_and_face(self, meshes, tmp_path, capsys):
+        disk = load_mesh(meshes / "disk.obj")
+        verts = disk.vertices.copy()
+        a, b, c = disk.faces[5]
+        verts[c] = 0.25 * verts[a] + 0.75 * verts[b]  # face 5 collapses onto edge ab
+        target = tmp_path / "collapsed.obj"
+        save_mesh(qcdistort.TriMesh(verts, disk.faces), target)
+        assert main(["analyze", str(meshes / "disk.obj"), str(target),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {target}: face 5 is degenerate (area ")
 
 
 class TestMisc:

@@ -75,8 +75,9 @@ class TestTriMesh:
     def test_degenerate_face_rejected_by_validate(self):
         m = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
         for _ in range(2):  # a failed verdict is not cached
-            with pytest.raises(ValidationError, match="degenerate"):
+            with pytest.raises(ValidationError, match="degenerate") as info:
                 validate_mesh(m)
+            assert type(info.value) is DegenerateFaceError and info.value.face == 0
 
     def test_inconsistent_orientation_rejected(self):
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -155,6 +156,28 @@ class TestCornerAngles:
         m = TriMesh([[0.0, 0.0], [1e-16, 0.0], [0.0, 1.0]], [[0, 1, 2]])
         with pytest.raises(DegenerateFaceError):
             corner_angles(m)
+
+
+def test_z_column_of_zeros_keeps_every_bit():
+    """Planar faces are read in xy, and on z == 0 the 3D formulas give the
+    same bits, so a planar mesh stored with a zero z column measures as
+    the same mesh stored with 2 columns."""
+    flat = irregular_disk(301)
+    stored3 = TriMesh(np.column_stack([flat.vertices, np.zeros(flat.n_vertices)]),
+                      flat.faces)
+    assert flat.vertices.shape[1] == 2 and stored3.dimension == 2
+    for measure in (corner_angles, face_areas):
+        assert measure(stored3).tobytes() == measure(flat).tobytes()
+    # the 3D cross-product formulas on the stored columns agree bit for bit
+    tri = stored3.vertices[stored3.faces]
+    for k in range(3):
+        u = tri[:, (k + 1) % 3] - tri[:, k]
+        w = tri[:, (k + 2) % 3] - tri[:, k]
+        cross = np.linalg.norm(np.cross(u, w), axis=-1)
+        angle = np.arctan2(cross, (u * w).sum(axis=1))
+        assert angle.tobytes() == corner_angles(flat)[:, k].tobytes()
+        if k == 0:
+            assert (0.5 * cross).tobytes() == face_areas(flat).tobytes()
 
 
 class TestFaceAreas:
@@ -369,9 +392,11 @@ ODD_LINES = ["", " ", "\t", "v", "f", "vn", "# comment", "  # indented", "# Cr\u
              "usemtl Material", "mtllib m.mtl", "f/1 2 3", "\tv 0 0 0", "\u00a0v 0 0 0",
              "v\u00a00 0 0", "\x0cv 0 0 0", "\x1cf 1 2 3", "f 1 2 3 4", "OFF", "3 0 1 2"]
 SLASH_PARTS = ["/1", "/1/1", "//2", "/", "/x", "/-1"]
+# per-face colors: RGB integers, RGBA floats
+COLORS = [" 255 0 0", " 0.1 0.2 0.3 1.0"]
 MUTATIONS = ["indent", "tab", "space", "bare", "drop", "extra", "comment", "midcomment",
              "slash", "token", "token", "line", "line", "nonascii", "crlf", "cr",
-             "unterminated"]
+             "unterminated", "colors", "join"]
 
 
 def mutate(text, mutations):
@@ -392,6 +417,10 @@ def mutate(text, mutations):
             lines[i] = " ".join(parts[:-1])
         elif kind == "extra":
             lines[i] += f" {1 + pick % 5}"
+        elif kind == "colors":
+            lines[i] += COLORS[pick % len(COLORS)]
+        elif kind == "join" and i + 1 < len(lines):
+            lines[i:i + 2] = [lines[i] + " " + lines[i + 1]]
         elif kind == "comment":
             lines[i] += " # note"
         elif kind == "midcomment" and parts:
@@ -529,6 +558,33 @@ class TestBulkReader:
         assert_same_arrays(arrays, parse(plain, data))
         assert_same_arrays(arrays, parse(plain, plain.read_bytes()))  # the same mesh
 
+    @pytest.mark.parametrize("colors", COLORS)
+    def test_off_face_colors_are_dropped(self, tmp_path, colors):
+        plain = tmp_path / "plain.off"
+        save_mesh(wavy_disk(12), plain)
+        lines = plain.read_text().splitlines()
+        n_faces = int(lines[1].split()[1])
+        colored = lines[:-n_faces] + [line + colors for line in lines[-n_faces:]]
+        path = tmp_path / "colored.off"
+        path.write_text("\n".join(colored) + "\n")
+        data = path.read_bytes()
+        assert qcdistort.mesh._bulk_off(data) is None  # the line parser reads it
+        assert_same_arrays(qcdistort.mesh._parse_off(path, data),
+                           qcdistort.mesh._bulk_off(plain.read_bytes()))
+        self.check_agreement(tmp_path, "off", data, [("colors", 0, 0, 0)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 0 1 2 3 1 3 2\n", "{path}:7: unexpected end of file (wanted face size)"),
+        ("3 0 1\n2\n3 1 3 2\n", "{path}:7: unexpected end of line (wanted face index)"),
+    ], ids=["joined", "split"])
+    def test_off_record_on_two_lines_or_sharing_one(self, tmp_path, text, message):
+        path = tmp_path / "rec.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n" + text)
+        assert qcdistort.mesh._bulk_off(path.read_bytes()) is None
+        with pytest.raises(ParseError) as info:
+            load_mesh(path)
+        assert str(info.value) == message.format(path=path)
+
     @staticmethod
     def check_agreement(io_dir, fmt, data, mutations):
         path = io_dir / f"mutated.{fmt}"
@@ -537,8 +593,12 @@ class TestBulkReader:
         parse = getattr(qcdistort.mesh, f"_parse_{fmt}")
 
         def line_parsed():
-            mesh = TriMesh(*parse(path, data))
-            validate_mesh(mesh)
+            verts, faces = parse(path, data)
+            try:
+                mesh = TriMesh(verts, faces)
+                validate_mesh(mesh)
+            except ValidationError as exc:  # load_mesh names the file
+                raise type(exc)(f"{path}: {exc}") from None
             return mesh
 
         arrays = bulk(data)
