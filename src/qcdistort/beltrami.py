@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, VanishingFzError
-from .mesh import TriMesh, _cross_2d, _face_coords, _require_area, face_areas, validate_mesh
+from .mesh import (TriMesh, _corner, _cross_2d, _dot, _face_columns, _require_area, face_areas,
+                   validate_mesh)
 
 # relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
 FZ_GUARD = 1e-14
@@ -54,11 +55,11 @@ class AffineMap2D:
 
     @property
     def fz(self) -> complex:
-        return complex(self.a + self.d, self.c - self.b) / 2.0
+        return complex(_wirtinger(self.a, self.b, self.c, self.d)[0])
 
     @property
     def fzbar(self) -> complex:
-        return complex(self.a - self.d, self.c + self.b) / 2.0
+        return complex(_wirtinger(self.a, self.b, self.c, self.d)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +120,20 @@ class BeltramiField:
         return int(self.folded.sum())
 
 
-def _one_face(*corners) -> np.ndarray:
-    """``_face_coords`` of the one-face mesh on ``corners``, if not degenerate."""
+def _one_face(*corners) -> list[np.ndarray]:
+    """``_face_columns`` of the one-face mesh on ``corners``, if not degenerate."""
     mesh = TriMesh(np.asarray(corners, dtype=np.float64), [[0, 1, 2]])
     _require_area(mesh, face_areas(mesh))
-    return _face_coords(mesh)
+    return _face_columns(mesh)
+
+
+def _pose(u, w):
+    """``(l1, x2, y2)``: the corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
+    l1 = np.sqrt(_dot(u, u))
+    x2 = _dot(u, w) / l1
+    t = x2 / l1
+    perp = [wc - t * uc for uc, wc in zip(u, w)]
+    return l1, x2, np.sqrt(_dot(perp, perp))
 
 
 def flatten_triangle(p0, p1, p2) -> np.ndarray:
@@ -137,49 +147,26 @@ def flatten_triangle(p0, p1, p2) -> np.ndarray:
     DegenerateFaceError
         If the triangle, as a one-face mesh, fails :func:`validate_mesh`.
     """
-    return _flatten_faces(_one_face(p0, p1, p2))[0]
+    l1, x2, y2 = (float(v[0]) for v in _pose(*_corner(_one_face(p0, p1, p2), 0)))
+    return np.array([[0.0, 0.0], [l1, 0.0], [x2, y2]])
 
 
-def _flatten_faces(tri: np.ndarray) -> np.ndarray:
-    """Vectorized canonical-pose flattening of valid (m, 3, k) triangles."""
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    l1 = np.linalg.norm(e1, axis=1)
-    x2 = (e1 * e2).sum(axis=1) / l1
-    perp = e2 - (x2 / l1)[:, None] * e1
-    y2 = np.linalg.norm(perp, axis=1)
-    out = np.zeros((tri.shape[0], 3, 2), dtype=np.float64)
-    out[:, 1, 0] = l1
-    out[:, 2, 0] = x2
-    out[:, 2, 1] = y2
-    return out
+def _planar_frame(mesh: TriMesh):
+    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane: x and y on
+    planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
+    u, w = _corner(_face_columns(mesh), 0)
+    if mesh.dimension == 2:
+        return (*u, *w)
+    l1, x2, y2 = _pose(u, w)
+    return l1, 0.0, x2, y2
 
 
-def _face_coords_2d(mesh: TriMesh) -> np.ndarray:
-    """Per-face planar coordinates, (m, 3, 2).
-
-    Planar meshes use their x and y (keeping signed orientation); 3D meshes
-    are flattened face-by-face in the canonical pose, which is
-    orientation-positive by construction.
-    """
-    tri = _face_coords(mesh)
-    return tri if mesh.dimension == 2 else _flatten_faces(tri)
-
-
-def _affine_arrays(src: np.ndarray, dst: np.ndarray):
-    """Vectorized affine coefficients mapping src triangles onto dst ones.
-
-    src, dst : (m, 3, 2), src valid.  Returns (a, b, c, d) arrays.
-    """
-    u = src[:, 1] - src[:, 0]
-    w = src[:, 2] - src[:, 0]
-    dx1, dy1 = u[:, 0], u[:, 1]
-    dx2, dy2 = w[:, 0], w[:, 1]
-    det = _cross_2d(u, w)
-    du1 = dst[:, 1, 0] - dst[:, 0, 0]
-    dv1 = dst[:, 1, 1] - dst[:, 0, 1]
-    du2 = dst[:, 2, 0] - dst[:, 0, 0]
-    dv2 = dst[:, 2, 1] - dst[:, 0, 1]
+def _affine_arrays(src, dst):
+    """Affine coefficients (a, b, c, d) sending the faces of one
+    :func:`_planar_frame` (valid) onto those of another."""
+    dx1, dy1, dx2, dy2 = src
+    du1, dv1, du2, dv2 = dst
+    det = _cross_2d((dx1, dy1), (dx2, dy2))
     a = (du1 * dy2 - du2 * dy1) / det
     b = (du2 * dx1 - du1 * dx2) / det
     c = (dv1 * dy2 - dv2 * dy1) / det
@@ -198,11 +185,11 @@ def affine_coefficients(src_tri, dst_tri) -> AffineMap2D:
         If the source triangle, as a one-face mesh, fails :func:`validate_mesh`.
     """
     src = _one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
-    dst = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 2)
-    a, b, c, d = (float(arr[0]) for arr in _affine_arrays(src, dst))
-    p = dst[0, 0, 0] - a * src[0, 0, 0] - b * src[0, 0, 1]
-    q = dst[0, 0, 1] - c * src[0, 0, 0] - d * src[0, 0, 1]
-    return AffineMap2D(a, b, c, d, float(p), float(q))
+    dst = np.asarray(dst_tri, dtype=np.float64).reshape(3, 2).T[:, None]  # x, y: (1, 3) each
+    frames = [[*u, *w] for u, w in (_corner(src, 0), _corner(dst, 0))]
+    a, b, c, d = (float(arr[0]) for arr in _affine_arrays(*frames))
+    (x, y), (p, q) = ([col[0, 0] for col in cols] for cols in (src, dst))
+    return AffineMap2D(a, b, c, d, float(p - a * x - b * y), float(q - c * x - d * y))
 
 
 def mu_from_affine(m: AffineMap2D) -> complex:
@@ -220,9 +207,13 @@ def mu_from_affine(m: AffineMap2D) -> complex:
     return complex(mu[0])
 
 
+def _wirtinger(a, b, c, d):
+    """``(f_z, f_zbar)`` of the Jacobian (a, b, c, d); scalars or arrays."""
+    return 0.5 * ((a + d) + 1j * (c - b)), 0.5 * ((a - d) + 1j * (c + b))
+
+
 def _mu_arrays(a, b, c, d):
-    fz = 0.5 * ((a + d) + 1j * (c - b))
-    fzb = 0.5 * ((a - d) + 1j * (c + b))
+    fz, fzb = _wirtinger(a, b, c, d)
     vanished = np.abs(fz) <= FZ_GUARD * (np.abs(fz) + np.abs(fzb))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
@@ -241,15 +232,13 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
     folded, with abs_mu = inf.
     """
-    m = mapping.n_faces
-    a, b, c, d = _affine_arrays(_face_coords_2d(mapping.source),
-                                _face_coords_2d(mapping.target))
+    a, b, c, d = _affine_arrays(_planar_frame(mapping.source),
+                                _planar_frame(mapping.target))
     mu, abs_mu, vanished = _mu_arrays(a, b, c, d)
     folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
 
     ok = ~folded
-    dil = np.full(m, np.nan)
-    eps = np.full(m, np.nan)
+    dil, eps = np.full((2, mapping.n_faces), np.nan)
     dil[ok] = dilatation(abs_mu[ok])
     eps[ok] = epsilon_mu(abs_mu[ok])
     return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)

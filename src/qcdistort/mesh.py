@@ -8,17 +8,18 @@ Conventions used throughout the package:
 * Corner angles are computed as ``atan2(|u x w|, u . w)``, which is stable
   near 0 and pi where ``acos`` is not.
 * The one degeneracy test: a face whose area (on the coordinates every
-  per-face formula reads, see :func:`_face_coords`) is at or below ``1e-12``
+  per-face formula reads, see :func:`_face_columns`) is at or below ``1e-12``
   times the squared bounding-box diagonal is degenerate, in any length unit.
 * n-gon faces in input files are fan-triangulated around their first vertex.
-* A mesh whose vertices all satisfy ``|z| <= 1e-12`` is treated as planar
-  (dimension 2), matching how flat meshes round-trip through 3D file formats.
+* A mesh with every ``|z| <= 1e-12`` times the bounding-box diagonal is planar
+  (dimension 2) in any length unit, as flat meshes read from 3D formats are.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 
-PLANAR_Z_TOL = 1e-12
+PLANAR_Z_FACTOR = 1e-12     # times the bbox diagonal
 AREA_EPS_FACTOR = 1e-12     # times (bbox diagonal)^2
 
 _LOAD_FORMATS = ("obj", "off")
@@ -55,18 +56,6 @@ _OFF_COMMENT = re.compile(rb"#[^\r\n]*")
 # longer tokens send a file to the line parsers (save_mesh writes at most 24)
 _BULK_TOKEN_BYTES = 32
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-def _cross_2d(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Signed u x w for stacks of 2D vectors (coordinates on the last axis)."""
-    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-
-
-def _cross_magnitude(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|u x w| for stacks of 2D or 3D vectors (coordinates on the last axis)."""
-    if u.shape[-1] == 2:
-        return np.abs(_cross_2d(u, w))
-    return np.linalg.norm(np.cross(u, w), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +114,10 @@ class TriMesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", faces)
         dim = 2
-        if verts.shape[1] == 3:
-            dim = 3
-            if verts.shape[0] == 0 or np.abs(verts[:, 2]).max() <= PLANAR_Z_TOL:
-                dim = 2
+        if verts.shape[1] == 3 and verts.shape[0]:
+            # hypot: the bbox diagonal without overflowing on huge coordinates
+            diagonal = math.hypot(*(verts.max(axis=0) - verts.min(axis=0)))
+            dim = 3 if np.abs(verts[:, 2]).max() > PLANAR_Z_FACTOR * diagonal else 2
         object.__setattr__(self, "dimension", dim)
 
     def __repr__(self):
@@ -157,10 +146,6 @@ class TriMesh:
         """Faces with area at or below this are degenerate (unit-free)."""
         return AREA_EPS_FACTOR * self.bbox_diagonal ** 2
 
-    def face_corners(self) -> np.ndarray:
-        """Vertex positions per face, shape (n_faces, 3, dim_of_storage)."""
-        return self.vertices[self.faces]
-
     @functools.cached_property
     def _valid(self) -> bool:
         # the passing verdict of validate_mesh; a raised error is not cached
@@ -168,16 +153,39 @@ class TriMesh:
         return True
 
 
-def _face_coords(mesh: TriMesh) -> np.ndarray:
-    """Per-face coordinates, (n_faces, 3, dimension): xy on planar meshes."""
-    return mesh.vertices[:, :mesh.dimension][mesh.faces]
+def _face_columns(mesh: TriMesh) -> list[np.ndarray]:
+    """Corner coordinates of every face, one (n_faces, 3) array per coordinate
+    read: x and y on planar meshes (even with a z column stored), else x, y, z."""
+    return [mesh.vertices[:, c][mesh.faces] for c in range(mesh.dimension)]
 
 
-def _corner_terms(tri: np.ndarray, k: int):
-    """``(u . w, |u x w|)`` at corner k, u and w running to the next corners."""
-    u = tri[:, (k + 1) % 3] - tri[:, k]
-    w = tri[:, (k + 2) % 3] - tri[:, k]
-    return (u * w).sum(axis=1), _cross_magnitude(u, w)
+# The column kernel: vectors are lists of coordinate arrays, and the products run per
+# component in the order of numpy's sum, cross and norm, so the values keep their bits.
+
+def _corner(cols, k: int):
+    """``(u, w)`` at corner k: ``u = P[k+1] - P[k]`` and ``w = P[k+2] - P[k]``."""
+    i, j = (k + 1) % 3, (k + 2) % 3
+    return [c[:, i] - c[:, k] for c in cols], [c[:, j] - c[:, k] for c in cols]
+
+
+def _dot(u, w) -> np.ndarray:
+    out = 0.0 + u[0] * w[0]  # numpy's sum starts at +0.0: -0.0 terms sum to +0.0
+    for a, b in zip(u[1:], w[1:]):
+        out += a * b
+    return out
+
+
+def _cross_2d(u, w):
+    """Signed u x w of 2D vectors given as (x, y)."""
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _cross_norm(u, w) -> np.ndarray:
+    """|u x w| of 2D or 3D vectors."""
+    if len(u) == 2:
+        return np.abs(_cross_2d(u, w))
+    cross = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], _cross_2d(u, w)]
+    return np.sqrt(_dot(cross, cross))
 
 
 def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
@@ -192,7 +200,7 @@ def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned area of every face (cross-product formula, xy if planar)."""
-    return 0.5 * _corner_terms(_face_coords(mesh), 0)[1]
+    return 0.5 * _cross_norm(*_corner(_face_columns(mesh), 0))
 
 
 def corner_angles(mesh: TriMesh) -> np.ndarray:
@@ -210,8 +218,8 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     DegenerateFaceError
         If a face fails the degeneracy test of :func:`validate_mesh`.
     """
-    tri = _face_coords(mesh)
-    terms = [_corner_terms(tri, k) for k in range(3)]
+    cols = _face_columns(mesh)
+    terms = [(_dot(u, w), _cross_norm(u, w)) for u, w in (_corner(cols, k) for k in range(3))]
     _require_area(mesh, 0.5 * terms[0][1])
     return np.column_stack([np.arctan2(cross, dot) for dot, cross in terms])
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import TriMesh, _corner_terms, _cross_2d, _face_coords, boundary_loops, validate_mesh
+from .mesh import (TriMesh, _corner, _cross_2d, _cross_norm, _dot, _face_columns, boundary_loops,
+                   validate_mesh)
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 
@@ -52,7 +53,7 @@ def _weight_matrix(mesh: TriMesh, kind: str):
     from scipy import sparse
 
     faces = mesh.faces
-    tri = _face_coords(mesh)
+    cols = _face_columns(mesh)
     rows_list, cols_list, vals_list = [], [], []
     for k in range(3):
         i = faces[:, (k + 1) % 3]
@@ -60,8 +61,8 @@ def _weight_matrix(mesh: TriMesh, kind: str):
         rows_list += [i, j]
         cols_list += [j, i]
         if kind == "cotangent":
-            dot, cross = _corner_terms(tri, k)
-            half_cot = 0.5 * (dot / cross)
+            u, w = _corner(cols, k)
+            half_cot = 0.5 * (_dot(u, w) / _cross_norm(u, w))
             vals_list += [half_cot, half_cot]
         else:
             vals_list += [np.ones(faces.shape[0])] * 2
@@ -155,8 +156,7 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
 
     # normalize global orientation: a boundary loop walked the "wrong" way
     # would reflect the whole embedding
-    tri = uv[mesh.faces]
-    if _cross_2d(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).sum() < 0:
+    if _cross_2d(*_corner(uv.T[:, mesh.faces], 0)).sum() < 0:
         uv[:, 1] = -uv[:, 1]
 
     return MeshMap(source=mesh, target=TriMesh(uv, mesh.faces))

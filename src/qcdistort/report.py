@@ -100,7 +100,9 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
     seq = values.tolist()
     n = len(seq)
     mean = math.fsum(seq) / n
-    var = math.fsum((x - mean) ** 2 for x in seq) / n
+    # float_power calls the C pow that Python's ``** 2`` calls: the squares keep
+    # their bits, where np.square and np.power differ in the last bit on some values
+    var = math.fsum(np.float_power(values - mean, 2.0).tolist()) / n
     return FieldStats(
         mean=mean, max=float(values.max()), min=float(values.min()),
         std=math.sqrt(var),

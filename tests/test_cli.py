@@ -192,7 +192,7 @@ class TestErrorExitCodes:
          "{path}:4: bad face index '99999999999999999999'"),
         ("v 0 0 0\nv 0 1 nan\nv 1 0 0\nf 1 2 3\n", 3,
          "{path}: vertex 1 has a non-finite coordinate"),
-        ("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-12\nf 1 2 3\n", 3,
+        ("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-19\nf 1 2 3\n", 3,
          "{path}: face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"),
     ], ids=["oversized-index", "non-finite-vertex", "collinear-in-xy"])
     def test_malformed_mesh_named_in_one_line(self, tmp_path, capsys, text, code, message):

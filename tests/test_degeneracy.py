@@ -1,8 +1,8 @@
 """The one degeneracy policy: a face whose area is at or below
 ``1e-12 * diag**2`` fails validation, and every face that passes gives
 finite fields.  Faces just above and just below the threshold, in each
-vertex layout the package reads (2 columns, 3 columns with |z| <= 1e-12,
-3D)."""
+vertex layout the package reads (2 columns, 3 columns with every |z| at most
+1e-12 times the bounding-box diagonal, 3D)."""
 
 import numpy as np
 import pytest
@@ -33,7 +33,8 @@ def corners(layout, h):
     if layout == "2-column":
         return np.array([[0, 0], [1, 0], [0.5, h], [0.5, -0.5]])
     if layout == "3-column-planar":
-        # tilted by up to 1e-12 in z: planar, but its 3D area is larger
+        # tilted by up to 1e-12 in z, under 1e-12 of the diagonal: planar,
+        # but its 3D area is larger
         return np.array([[0, 0, 0], [1, 0, 1e-12], [0.5, h, -1e-12], [0.5, -0.5, 0]])
     return np.array([[0, 0, 0], [1, 0, 1], [0.5, h, 0.5], [0.5, -0.5, 0.5]])
 
@@ -113,12 +114,20 @@ class TestNearThreshold:
 
 
 def test_collinear_in_xy_fails_at_load(tmp_path):
-    # planar (|z| <= 1e-12) and collinear in xy, but of 3D area 5e-19, far
-    # above its threshold 4e-24: validation used to pass it and
-    # face_beltrami to fail on it
+    # planar (|z| <= 1e-12 times the diagonal 2e-6) and collinear in xy
     path = tmp_path / "thin.obj"
-    path.write_text("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-12\nf 1 2 3\n")
+    path.write_text("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-19\nf 1 2 3\n")
     with pytest.raises(DegenerateFaceError) as info:
         load_mesh(path)
     assert info.value.face == 0
     assert str(info.value) == f"{path}: face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"
+
+
+def test_thin_3d_triangle_is_read_in_3d(tmp_path):
+    # a z of 1e-12 is 5e-7 of this triangle's diagonal, so it is a 3D face
+    # of area 5e-19, far above its threshold 4e-24
+    path = tmp_path / "thin.obj"
+    path.write_text("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-12\nf 1 2 3\n")
+    assert load_mesh(path).dimension == 3
+    assert main(["analyze", str(path), str(path), "--out", str(tmp_path / "r.json"),
+                 "--quiet"]) == 0

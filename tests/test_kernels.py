@@ -1,0 +1,393 @@
+"""The column kernels and the vectorised variance keep every bit.
+
+The per-face formulas read each coordinate as its own column and write
+their products out per component; the variance squares with
+``np.float_power``.  The references below are the implementations these
+replaced, kept as they were: per-face coordinates stacked on a last axis
+with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it, and a Python
+generator for the variance.  Meshes are drawn in the three vertex layouts
+the package reads (2 columns, 3 columns with z inside the planar tolerance,
+3D), with folded and anti-conformal target faces, repeated and signed-zero
+coordinates, and a sliver face near the degeneracy threshold.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from qcdistort import (
+    MeshMap,
+    TriMesh,
+    ValidationError,
+    affine_coefficients,
+    corner_angles,
+    dilatation,
+    epsilon_mu,
+    face_areas,
+    face_beltrami,
+    flatten_triangle,
+)
+from qcdistort.beltrami import FZ_GUARD, AffineMap2D
+from qcdistort.mesh import _require_area
+from qcdistort.parameterize import _weight_matrix
+from qcdistort.report import FieldStats, _fsum_stats
+
+LAYOUTS = ["2-column", "3-column-planar", "3d"]
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def ref_cross_2d(u, w):
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def ref_cross_magnitude(u, w):
+    if u.shape[-1] == 2:
+        return np.abs(ref_cross_2d(u, w))
+    return np.linalg.norm(np.cross(u, w), axis=-1)
+
+
+def ref_face_coords(mesh):
+    return mesh.vertices[:, :mesh.dimension][mesh.faces]
+
+
+def ref_corner_terms(tri, k):
+    u = tri[:, (k + 1) % 3] - tri[:, k]
+    w = tri[:, (k + 2) % 3] - tri[:, k]
+    return (u * w).sum(axis=1), ref_cross_magnitude(u, w)
+
+
+def ref_face_areas(mesh):
+    return 0.5 * ref_corner_terms(ref_face_coords(mesh), 0)[1]
+
+
+def ref_corner_angles(mesh):
+    tri = ref_face_coords(mesh)
+    terms = [ref_corner_terms(tri, k) for k in range(3)]
+    _require_area(mesh, 0.5 * terms[0][1])
+    return np.column_stack([np.arctan2(cross, dot) for dot, cross in terms])
+
+
+def ref_cotangent_matrix(mesh):
+    faces = mesh.faces
+    tri = ref_face_coords(mesh)
+    rows_list, cols_list, vals_list = [], [], []
+    for k in range(3):
+        i = faces[:, (k + 1) % 3]
+        j = faces[:, (k + 2) % 3]
+        rows_list += [i, j]
+        cols_list += [j, i]
+        dot, cross = ref_corner_terms(tri, k)
+        half_cot = 0.5 * (dot / cross)
+        vals_list += [half_cot, half_cot]
+    n = mesh.n_vertices
+    return sparse.coo_matrix(
+        (np.concatenate(vals_list),
+         (np.concatenate(rows_list), np.concatenate(cols_list))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def ref_one_face(*corners):
+    mesh = TriMesh(np.asarray(corners, dtype=np.float64), [[0, 1, 2]])
+    _require_area(mesh, ref_face_areas(mesh))
+    return ref_face_coords(mesh)
+
+
+def ref_flatten_faces(tri):
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    l1 = np.linalg.norm(e1, axis=1)
+    x2 = (e1 * e2).sum(axis=1) / l1
+    perp = e2 - (x2 / l1)[:, None] * e1
+    y2 = np.linalg.norm(perp, axis=1)
+    out = np.zeros((tri.shape[0], 3, 2), dtype=np.float64)
+    out[:, 1, 0] = l1
+    out[:, 2, 0] = x2
+    out[:, 2, 1] = y2
+    return out
+
+
+def ref_flatten_triangle(p0, p1, p2):
+    return ref_flatten_faces(ref_one_face(p0, p1, p2))[0]
+
+
+def ref_face_coords_2d(mesh):
+    tri = ref_face_coords(mesh)
+    return tri if mesh.dimension == 2 else ref_flatten_faces(tri)
+
+
+def ref_affine_arrays(src, dst):
+    u = src[:, 1] - src[:, 0]
+    w = src[:, 2] - src[:, 0]
+    dx1, dy1 = u[:, 0], u[:, 1]
+    dx2, dy2 = w[:, 0], w[:, 1]
+    det = ref_cross_2d(u, w)
+    du1 = dst[:, 1, 0] - dst[:, 0, 0]
+    dv1 = dst[:, 1, 1] - dst[:, 0, 1]
+    du2 = dst[:, 2, 0] - dst[:, 0, 0]
+    dv2 = dst[:, 2, 1] - dst[:, 0, 1]
+    a = (du1 * dy2 - du2 * dy1) / det
+    b = (du2 * dx1 - du1 * dx2) / det
+    c = (dv1 * dy2 - dv2 * dy1) / det
+    d = (dv2 * dx1 - dv1 * dx2) / det
+    return a, b, c, d
+
+
+def ref_affine_coefficients(src_tri, dst_tri):
+    src = ref_one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
+    dst = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 2)
+    a, b, c, d = (float(arr[0]) for arr in ref_affine_arrays(src, dst))
+    p = dst[0, 0, 0] - a * src[0, 0, 0] - b * src[0, 0, 1]
+    q = dst[0, 0, 1] - c * src[0, 0, 0] - d * src[0, 0, 1]
+    return AffineMap2D(a, b, c, d, float(p), float(q))
+
+
+def ref_mu_arrays(a, b, c, d):
+    fz = 0.5 * ((a + d) + 1j * (c - b))
+    fzb = 0.5 * ((a - d) + 1j * (c + b))
+    vanished = np.abs(fz) <= FZ_GUARD * (np.abs(fz) + np.abs(fzb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu = fzb / fz
+    mu = np.where(vanished, complex(np.nan, np.nan), mu)
+    abs_mu = np.abs(mu)
+    abs_mu[vanished] = np.inf
+    return mu, abs_mu, vanished
+
+
+def ref_face_beltrami(mapping):
+    m = mapping.n_faces
+    a, b, c, d = ref_affine_arrays(ref_face_coords_2d(mapping.source),
+                                   ref_face_coords_2d(mapping.target))
+    mu, abs_mu, vanished = ref_mu_arrays(a, b, c, d)
+    folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
+    ok = ~folded
+    dil = np.full(m, np.nan)
+    eps = np.full(m, np.nan)
+    dil[ok] = dilatation(abs_mu[ok])
+    eps[ok] = epsilon_mu(abs_mu[ok])
+    return mu, abs_mu, dil, eps, folded
+
+
+def ref_fsum_stats(values):
+    if values.size == 0:
+        return None
+    seq = values.tolist()
+    n = len(seq)
+    mean = math.fsum(seq) / n
+    var = math.fsum((x - mean) ** 2 for x in seq) / n
+    return FieldStats(mean=mean, max=float(values.max()), min=float(values.min()),
+                      std=math.sqrt(var))
+
+
+# ---------------------------------------------------------------------------
+# comparison helpers
+# ---------------------------------------------------------------------------
+
+
+def bits(arr):
+    arr = np.asarray(arr)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def outcome(fn, *args):
+    """The value's bits, or the type and message of what ``fn`` raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "face", None)
+    if isinstance(value, AffineMap2D):
+        return [float(v).hex() for v in (value.a, value.b, value.c, value.d,
+                                         value.p, value.q)]
+    if isinstance(value, FieldStats):
+        return [v.hex() for v in (value.mean, value.max, value.min, value.std)]
+    return bits(value)
+
+
+def csr_bits(matrix):
+    return bits(matrix.data), bits(matrix.indices), bits(matrix.indptr)
+
+
+# ---------------------------------------------------------------------------
+# mesh strategy
+# ---------------------------------------------------------------------------
+
+# up to 1e60 the squared cross products stay finite; 1e-80 reaches subnormals
+SCALES = [1.0, 1e-9, 3e7, 2.0 ** -40, 1e60, 1e-80]
+JITTER = st.one_of(st.sampled_from([0.0, -0.0, 0.125, -0.2]), st.floats(-0.2, 0.2))
+HEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1.0, 1.0))
+FLAT_Z = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-13, 1e-13))
+SLIVER_RATIOS = [None, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0]
+
+
+def _grid_faces(draw, rows, cols):
+    faces = []
+    for j in range(rows):
+        for i in range(cols):
+            a, b = j * (cols + 1) + i, j * (cols + 1) + i + 1
+            c, d = b + cols + 1, a + cols + 1
+            pair = [[a, b, c], [a, c, d]] if draw(st.booleans()) else [[a, b, d], [b, c, d]]
+            for face in pair:  # any rotation keeps the orientation
+                r = draw(st.integers(0, 2))
+                faces.append(face[r:] + face[:r])
+    return faces
+
+
+def _coordinate(draw, index, n, jitter, scale):
+    steps = np.asarray(draw(st.lists(jitter, min_size=n, max_size=n)))
+    # index 0 keeps the jitter's signed zero
+    return np.where(index == 0, steps * scale, (index + steps) * scale)
+
+
+def _z_column(draw, layout, n, scale):
+    if layout == "3-column-planar":
+        return np.asarray(draw(st.lists(FLAT_Z, min_size=n, max_size=n))) * scale
+    return np.asarray(draw(st.lists(HEIGHT, min_size=n, max_size=n))) * scale
+
+
+@st.composite
+def mesh_maps(draw, layout):
+    """``(source, target)`` on one grid connectivity, not validated.
+
+    The source is a jittered grid of 1 to 9 cells, two faces each, plus
+    possibly a detached sliver face inside its bounding box whose area is
+    0.5 to 2 times the degeneracy threshold.  The target is the source
+    mirrored in x (on a planar source f_z then vanishes on every face) or a
+    jittered grid in any layout, whose faces may fold.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from(SCALES))
+    n = (rows + 1) * (cols + 1)
+    ii, jj = (g.ravel() for g in np.meshgrid(np.arange(cols + 1), np.arange(rows + 1)))
+    faces = _grid_faces(draw, rows, cols)
+
+    def grid(layout, jitter):
+        xy = [_coordinate(draw, ii, n, jitter, scale), _coordinate(draw, jj, n, jitter, scale)]
+        if layout != "2-column":
+            xy.append(_z_column(draw, layout, n, scale))
+        return np.column_stack(xy)
+
+    src = grid(layout, JITTER)
+    ratio = draw(st.sampled_from(SLIVER_RATIOS))
+    if ratio is not None:
+        eps = TriMesh(src, faces).area_epsilon
+        base = 0.2 * scale
+        height = 2.0 * ratio * eps / base
+        x0, y0 = (cols / 2 - 0.1) * scale, rows / 2 * scale
+        sliver = np.array([[x0, y0], [x0 + base, y0], [x0 + base / 2, y0 + height]])
+        if src.shape[1] == 3:
+            sliver = np.column_stack([sliver, np.full(3, src[0, 2])])
+        faces = faces + [[n, n + 1, n + 2]]
+        src = np.vstack([src, sliver])
+
+    if draw(st.booleans()):
+        dst = src.copy()
+        dst[:, 0] = -dst[:, 0]
+    else:
+        wide = st.one_of(JITTER, st.floats(-0.9, 0.9))
+        dst = grid(draw(st.sampled_from(LAYOUTS)), wide)
+        if ratio is not None:  # the source's sliver, at a z inside the target's range
+            sliver = src[n:, :2]
+            if dst.shape[1] == 3:
+                sliver = np.column_stack([sliver, np.full(3, dst[0, 2])])
+            dst = np.vstack([dst, sliver])
+    source, target = TriMesh(src, faces), TriMesh(dst, faces)
+    if layout != "3d":
+        assert source.dimension == 2
+    return source, target
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+def check_mesh_formulas(mesh):
+    assert outcome(face_areas, mesh) == outcome(ref_face_areas, mesh)
+    assert outcome(corner_angles, mesh) == outcome(ref_corner_angles, mesh)
+    with np.errstate(all="ignore"):
+        assert csr_bits(_weight_matrix(mesh, "cotangent")) == csr_bits(ref_cotangent_matrix(mesh))
+
+
+def check_one_face_helpers(source, target, faces):
+    for face in faces:
+        corners = source.vertices[face]
+        assert outcome(flatten_triangle, *corners) == outcome(ref_flatten_triangle, *corners)
+        xy, uv = corners[:, :2], target.vertices[face][:, :2]
+        assert outcome(affine_coefficients, xy, uv) == outcome(ref_affine_coefficients, xy, uv)
+
+
+def check_beltrami_fields(mapping):
+    field = face_beltrami(mapping)
+    new = (field.mu, field.abs_mu, field.dilatation, field.eps_mu, field.folded)
+    for got, want in zip(new, ref_face_beltrami(mapping)):
+        assert bits(got) == bits(want)
+    for values in (field.abs_mu[~field.folded], field.eps_mu[~field.folded]):
+        assert outcome(_fsum_stats, values) == outcome(ref_fsum_stats, values)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_per_face_formulas_keep_every_bit(layout, data):
+    source, target = data.draw(mesh_maps(layout))
+    check_mesh_formulas(source)
+    check_mesh_formulas(target)
+    check_one_face_helpers(source, target, source.faces[-3:])
+    try:
+        mapping = MeshMap(source, target)
+    except ValidationError:
+        return  # a sliver below the threshold, or a target face collapsed
+    check_beltrami_fields(mapping)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_signed_zero_corner_keeps_its_bits(dim):
+    # at corner 0, u = (1, +0, +0) and w = (-0, -1, -1): every product is
+    # -0.0, and numpy's sum of them is +0.0
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, -1.0, -1.0]])[:, :dim]
+    mesh = TriMesh(corners, [[0, 1, 2]])
+    assert mesh.dimension == dim
+    check_mesh_formulas(mesh)
+    check_one_face_helpers(mesh, mesh, mesh.faces)
+    check_beltrami_fields(MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.1, math.pi]),
+                                 st.floats(0.0, 4.0)), min_size=0, max_size=60))
+def test_fsum_stats_match_generator_variance(values):
+    arr = np.asarray(values, dtype=np.float64)
+    assert outcome(_fsum_stats, arr) == outcome(ref_fsum_stats, arr)
+
+
+def test_fsum_stats_variance_squares_like_python(monkeypatch):
+    """Where ``np.square`` and ``** 2`` differ, the variance follows ``** 2``."""
+    d = np.random.default_rng(7).standard_normal(100_000)
+    python = np.array([x ** 2 for x in d.tolist()])
+    differ = d[np.square(d) != python][:60].tolist()
+    # the square root would hide a last-bit change, so std reads as variance
+    monkeypatch.setattr(math, "sqrt", lambda v: v)
+    for x in differ:
+        values = np.array([x, -x])  # mean 0, variance x ** 2
+        assert _fsum_stats(values).std.hex() == (x ** 2).hex()
+
+
+def test_float_power_squares_like_python():
+    """``np.float_power(d, 2.0)`` gives the bits of Python's ``d ** 2``."""
+    rng = np.random.default_rng(20261018)
+    d = np.concatenate([
+        rng.standard_normal(100_000),            # deviations from a mean
+        rng.random(50_000) * math.pi - 1.5,      # angle-sized fields
+        rng.standard_normal(50_000) * 10.0 ** rng.uniform(-150, 150, 50_000),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1.5, 3.0],
+    ])
+    squares = np.array([x ** 2 for x in d.tolist()])
+    assert np.float_power(d, 2.0).view(np.int64).tolist() == squares.view(np.int64).tolist()

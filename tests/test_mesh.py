@@ -21,6 +21,7 @@ from qcdistort import (
     export_colored_mesh,
     face_areas,
     face_beltrami,
+    flatten_triangle,
     load_mesh,
     save_mesh,
     tutte_disk,
@@ -71,6 +72,21 @@ class TestTriMesh:
         flat3d = single(np.column_stack([RIGHT, np.zeros(3)]))
         assert flat3d.dimension == 2
         assert single([[0, 0, 0], [1, 0, 0], [0, 0, 1]]).dimension == 3
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-13, 1.0, 1e12, 1e300])
+    def test_dimension_is_unit_free(self, scale):
+        # planar means every |z| <= 1e-12 times the bounding-box diagonal
+        upright = single(scale * np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1]]))
+        tilted = single(scale * np.array([[0, 0, 0], [1, 0, 1e-13], [0, 1, -1e-13]]))
+        assert (upright.dimension, tilted.dimension) == (3, 2)
+
+    def test_tiny_right_triangle_is_3d(self):
+        corners = [[0, 0, 0], [1e-13, 0, 0], [0, 0, 1e-13]]
+        mesh = single(corners)
+        assert mesh.dimension == 3
+        validate_mesh(mesh)
+        np.testing.assert_allclose(flatten_triangle(*corners),
+                                   [[0, 0], [1e-13, 0], [0, 1e-13]], rtol=1e-15, atol=0)
 
     def test_degenerate_face_rejected_by_validate(self):
         m = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
