@@ -6,7 +6,10 @@ outputs digested are:
 
 * ``analyze`` JSON report, per-face CSV and colored PLY of the
   ``analyze_export`` pair (OBJ source, OFF target), colored by ``abs_mu``
-  and again by ``eps_angle_t``;
+  and again by ``eps_angle_t``, with the pair read in three layouts: as
+  ``save_mesh`` writes it (``analyze/``), as common exporters write it
+  (``analyze-exporter/``), and with indented OBJ lines and a lower-case
+  ``off`` header (``analyze-indented/``);
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps.
@@ -21,6 +24,8 @@ another checkout, which makes a comparison with an earlier commit two runs:
 
 With ``--against`` the digests are compared with those saved in the file;
 every differing, missing or extra output is named and the exit code is 1.
+The three layouts hold the same meshes, so their outputs must be identical
+too: one that is not is named and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -38,6 +43,36 @@ _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 _WORK = b"<work>"
 
 
+def _exporter_layout(text: str, fmt: str) -> str:
+    """``save_mesh`` text as common exporters write it: OBJ with comments,
+    ``mtllib``/``o``/``usemtl``/``s`` directives, ``vt`` and ``vn`` lines and
+    ``v/vt/vn`` face tokens; OFF with comment lines."""
+    lines = text.splitlines()
+    if fmt == "off":
+        lines = ["# exported mesh", lines[0], "# counts"] + lines[1:] + ["# end"]
+    else:
+        verts = [line for line in lines if line.startswith("v ")]
+        faces = ["f " + " ".join(f"{t}/{t}/1" for t in line.split()[1:])
+                 for line in lines if line.startswith("f ")]
+        lines = (["# exported mesh", "mtllib m.mtl", "o Surface"] + verts
+                 + [f"vt {k % 3} {k % 2}" for k in range(len(verts))]
+                 + ["vn 0 0 1", "usemtl Material", "s off"] + faces)
+    return "\n".join(lines) + "\n"
+
+
+def _indented_layout(text: str, fmt: str) -> str:
+    """``save_mesh`` text with every OBJ line indented, or a lower-case OFF header."""
+    if fmt == "off":
+        return "off" + text[3:]
+    return "".join(" " + line for line in text.splitlines(keepends=True))
+
+
+# the input layouts of the analyze_export pair: the directory each is read
+# from, and how it is made from save_mesh output
+LAYOUTS = [("analyze", None), ("analyze-exporter", _exporter_layout),
+           ("analyze-indented", _indented_layout)]
+
+
 def _outputs(seed: int):
     """Yield ``(name, normalized bytes)`` for every output."""
     import inputs
@@ -53,20 +88,28 @@ def _outputs(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
-        def read(name: str) -> bytes:
-            data = (work / name).read_bytes().replace(str(work).encode(), _WORK)
+        def read(path: Path, root: Path = work) -> bytes:
+            data = path.read_bytes().replace(str(root).encode(), _WORK)
             return _TIMESTAMP.sub(b'"timestamp": ""', data)
 
         src, dst = inputs.analyze_export_pair(seed)
         save_mesh(src, work / "src.obj")
         save_mesh(dst, work / "dst.off")
-        for field in ("abs_mu", "eps_angle_t"):
-            outs = [f"r_{field}.json", f"f_{field}.csv", f"c_{field}.ply"]
-            cli(["analyze", str(work / "src.obj"), str(work / "dst.off"),
-                 "--out", str(work / outs[0]), "--csv", str(work / outs[1]),
-                 "--ply-out", str(work / outs[2]), "--field", field])
-            for name in outs:
-                yield f"analyze/{name}", read(name)
+        for layout, rewrite in LAYOUTS:
+            # the same file names in every layout's directory, which is
+            # normalised like the work directory
+            root = work / layout
+            root.mkdir()
+            for name in ("src.obj", "dst.off"):
+                text = (work / name).read_text()
+                (root / name).write_text(text if rewrite is None else rewrite(text, name[-3:]))
+            for field in ("abs_mu", "eps_angle_t"):
+                outs = [f"r_{field}.json", f"f_{field}.csv", f"c_{field}.ply"]
+                cli(["analyze", str(root / "src.obj"), str(root / "dst.off"),
+                     "--out", str(root / outs[0]), "--csv", str(root / outs[1]),
+                     "--ply-out", str(root / outs[2]), "--field", field])
+                for name in outs:
+                    yield f"{layout}/{name}", read(root / name, root)
 
         save_mesh(inputs.param_flatten_surface(seed), work / "surf.obj")
         for weights in ("uniform", "cotangent"):
@@ -74,7 +117,7 @@ def _outputs(seed: int):
             cli(["param", str(work / "surf.obj"), "-o", str(work / flat),
                  "--weights", weights, "--analyze"])
             for name in (flat, f"{flat}.report.json"):
-                yield f"param/{name}", read(name)
+                yield f"param/{name}", read(work / name)
 
     for name, src, dst in inputs.analyze_lib_maps(seed):
         report = summarize(MeshMap(src, dst), source_path=name, target_path=name)
@@ -107,19 +150,22 @@ def main(argv=None) -> int:
     for name, data in _outputs(args.seed):
         digests[name] = hashlib.sha256(data).hexdigest()
         print(f"{digests[name]}  {name}")
-    if args.against is None:
-        return 0
-
-    saved = _read_digests(args.against)
-    differing = [f"{name}: differs" for name in digests
-                 if name in saved and saved[name] != digests[name]]
-    differing += [f"{name}: missing here" for name in saved if name not in digests]
-    differing += [f"{name}: not in {args.against}" for name in digests if name not in saved]
+    differing = [f"{name}: differs from analyze/{name.split('/')[1]}" for name in digests
+                 if name.startswith("analyze-")
+                 and digests[name] != digests[f"analyze/{name.split('/')[1]}"]]
+    if args.against is not None:
+        saved = _read_digests(args.against)
+        differing += [f"{name}: differs" for name in digests
+                      if name in saved and saved[name] != digests[name]]
+        differing += [f"{name}: missing here" for name in saved if name not in digests]
+        differing += [f"{name}: not in {args.against}" for name in digests
+                      if name not in saved]
     for line in differing:
         print(line, file=sys.stderr)
     if differing:
         return 1
-    print(f"all {len(digests)} outputs identical to {args.against}", file=sys.stderr)
+    if args.against is not None:
+        print(f"all {len(digests)} outputs identical to {args.against}", file=sys.stderr)
     return 0
 
 

@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 import re
@@ -42,20 +41,14 @@ _SAVE_FORMATS = ("obj", "off", "ply")
 # rows per block of text written at once
 _WRITE_BLOCK_ROWS = 65_536
 
-# the bytes the bulk readers convert, once skipped OBJ lines and OFF
-# comments are gone; a file holding any other byte there is read line by line
-_OBJ_BULK_BYTES = b"0123456789+-.eE \t\r\nvf/"
-_OFF_BULK_BYTES = b"0123456789+-.eE \t\r\n"
-# an OBJ line the line parser skips, with the LF before it: a blank line, or
-# one whose first token is not "v" or "f" (comments, vn, vt, o, g, s, usemtl,
-# mtllib, ...).  The first byte must be printable ASCII, since str.split()
-# takes some other bytes for whitespace and would find a "v" or "f" behind them.
-_OBJ_SKIPPED = re.compile(rb"\n(?:(?:[!-eg-uw-~]|[vf][!-~])[^\n]*|[ \t]*\r?)(?=\n)")
-# an OFF comment runs to the end of its line, as the line parser reads it
-_OFF_COMMENT = re.compile(rb"#[^\r\n]*")
-# longer tokens send a file to the line parsers (save_mesh writes at most 24)
-_BULK_TOKEN_BYTES = 32
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# the code points str.split() takes for whitespace, those str.isspace() accepts
+_SPACE_CODES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+                8232, 8233, 8239, 8287, 12288)
+# whether each code point is whitespace; one past the end reads the last
+# entry, which is False
+_IS_SPACE = np.isin(np.arange(max(_SPACE_CODES) + 2), _SPACE_CODES)
+# code points looked up at once (take() makes an intp copy of its indices)
+_SPACE_BLOCK = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,227 +337,186 @@ def _resolve_format(path: str | os.PathLike, format: str | None, allowed) -> str
     return fmt
 
 
-def _text_lines(data: bytes):
-    # the lines open(path, "r", encoding="utf-8", errors="replace") yields
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+def _decode(data: bytes) -> str:
+    """The text of a file: UTF-8 with each invalid byte sequence replaced, a
+    leading BOM dropped, and CRLF and CR line ends read as LF."""
+    text = data.decode("utf-8-sig", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _index(tok: str) -> int:
-    """``int(tok)``, refused (ValueError) beyond the int64 range of face arrays."""
-    i = int(tok)
-    if not _INT64_MIN <= i <= _INT64_MAX:
-        raise ValueError(tok)
-    return i
+def _tokenize(text: str):
+    """``(tokens, heads, breaks)``: the tokens of ``text.split()`` as an object
+    array, the index of each line's first token, and the number of tokens
+    before each line break, found from where each token starts in the text."""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    space = np.ones(codes.size + 1, dtype=bool)  # space[i + 1]: is codes[i] whitespace
+    for i in range(0, codes.size, _SPACE_BLOCK):
+        _IS_SPACE.take(codes[i:i + _SPACE_BLOCK], mode="clip",
+                       out=space[i + 1:i + 1 + _SPACE_BLOCK])
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    breaks = np.searchsorted(starts, np.flatnonzero(codes == 10))
+    del codes, space, starts  # each about as large as the text
+    tokens = text.split()
+    heads = np.append(0, breaks[breaks < len(tokens)])  # sorted, with repeats
+    heads = heads[np.diff(heads, append=len(tokens)) > 0]
+    return np.fromiter(tokens, object, len(tokens)), heads, breaks
 
 
-def _fan_triangulate(polys: list[tuple[list[int], int]], path) -> np.ndarray:
-    faces = []
-    for indices, lineno in polys:
-        if len(indices) < 3:
-            raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-        for k in range(1, len(indices) - 1):
-            faces.append((indices[0], indices[k], indices[k + 1]))
-    return np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+def _message(path, breaks: np.ndarray, at, text: str) -> str:
+    """``text`` after the file and the 1-based line of token ``at``, given the
+    ``breaks`` of :func:`_tokenize`."""
+    return f"{path}:{np.searchsorted(breaks, at, side='right') + 1}: {text}"
 
 
-def _parse_obj(path, data: bytes):
-    vertices: list[list[float]] = []
-    polys: list[tuple[list[int], int]] = []
-    for lineno, raw in enumerate(_text_lines(data), 1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        key = parts[0]
-        if key == "v":
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + k)`` for each start ``s`` and length ``k``, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _convert(tokens, convert, dtype):
+    """``convert`` over the tokens into a ``dtype`` array, up to the first token
+    it refuses or the dtype cannot hold, and that token's index (the token
+    count if none): ``(values, n_converted)``."""
+    try:
+        return np.fromiter(map(convert, tokens), dtype, len(tokens)), len(tokens)
+    except (ValueError, OverflowError):
+        values = []
+        for tok in tokens:
             try:
-                coords = [float(tok) for tok in parts[1:4]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
-            if len(coords) < 2:
-                raise ParseError(f"{path}:{lineno}: vertex needs at least 2 coordinates")
-            while len(coords) < 3:
-                coords.append(0.0)
-            vertices.append(coords)
-        elif key == "f":
-            indices = []
-            for tok in parts[1:]:
-                head = tok.split("/", 1)[0]
-                try:
-                    i = _index(head)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
-                if i == 0:
-                    raise ParseError(f"{path}:{lineno}: face indices are 1-based")
-                indices.append(i - 1 if i > 0 else len(vertices) + i)
-            polys.append((indices, lineno))
-        # vn/vt/o/g/s/usemtl/mtllib/l and other directives are ignored
-    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    return verts, _fan_triangulate(polys, path)
+                values.append(dtype(convert(tok)))
+            except (ValueError, OverflowError):
+                break
+        return np.array(values, dtype), len(values)
 
 
-def _parse_off(path, data: bytes):
-    tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(_text_lines(data), 1):
-        body = raw.split("#", 1)[0]
-        tokens.extend((tok, lineno) for tok in body.split())
-    if not tokens or tokens[0][0].upper() != "OFF":
+def _fan(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Fan triangles ``(p[0], p[k], p[k + 1])`` of the polygons stored back to
+    back in ``indices``, ``counts[i]`` vertices each."""
+    first = np.cumsum(counts) - counts
+    n_tri = np.maximum(counts - 2, 0)
+    mid = _ranges(first + 1, n_tri)
+    return np.column_stack([indices[np.repeat(first, n_tri)], indices[mid], indices[mid + 1]])
+
+
+# The readers collect every error they find as (position, message) and raise
+# the first.  A token's error sits at the token's index; one found past the
+# last token of a line or of the file at that index plus 0.5.
+
+def _read_obj(path, data: bytes):
+    tokens, heads, breaks = _tokenize(_decode(data))
+    counts = np.diff(heads, append=len(tokens)) - 1  # the tokens after each line's first
+    keys = tokens[heads]
+    errors = []
+
+    v_heads = heads[keys == "v"]
+    v_counts = np.minimum(counts[keys == "v"], 3)
+    where = _ranges(v_heads + 1, v_counts)
+    coords, ok = _convert(tokens[where], float, np.float64)
+    if ok < len(where):
+        errors.append((where[ok], _message(path, breaks, where[ok], "bad vertex coordinate")))
+    short = np.flatnonzero(v_counts < 2)
+    if short.size:
+        at = v_heads[short[0]]
+        errors.append((at + v_counts[short[0]] + 0.5,
+                       _message(path, breaks, at, "vertex needs at least 2 coordinates")))
+
+    f_heads, f_counts = heads[keys == "f"], counts[keys == "f"]
+    where = _ranges(f_heads + 1, f_counts)
+    f_tokens = tokens[where]
+    # a face token's index is its text up to the first slash
+    heads_text = [tok.partition("/")[0] for tok in f_tokens] if b"/" in data else f_tokens
+    indices, ok = _convert(heads_text, int, np.int64)
+    if ok < len(where):
+        errors.append((where[ok], _message(path, breaks, where[ok],
+                                           f"bad face index {f_tokens[ok]!r}")))
+    zero = np.flatnonzero(indices == 0)
+    if zero.size:
+        at = where[zero[0]]
+        errors.append((at, _message(path, breaks, at, "face indices are 1-based")))
+    few = np.flatnonzero(f_counts < 3)
+    if few.size:  # raised only once the whole file has parsed
+        at = f_heads[few[0]]
+        errors.append((len(tokens) + at,
+                       _message(path, breaks, at, "face needs at least 3 vertices")))
+    if errors:
+        raise ParseError(min(errors)[1])
+
+    verts = np.zeros((len(v_heads), 3))
+    verts.reshape(-1)[_ranges(3 * np.arange(len(v_heads)), v_counts)] = coords
+    relative = indices < 0  # counts back from the last vertex defined before it
+    indices[relative] += 1 + np.searchsorted(v_heads, where[relative])
+    return verts, _fan(indices - 1, f_counts)
+
+
+def _read_off(path, data: bytes):
+    # a comment runs to the end of its line
+    tokens, heads, breaks = _tokenize(re.sub(r"#[^\n]*", "", _decode(data)))
+    n = len(tokens)
+    if not n or tokens[0].upper() != "OFF":
         raise ParseError(f"{path}:1: missing OFF header")
-    cursor = 1
 
     def end_of_file(kind):
-        return ParseError(f"{path}:{tokens[-1][1]}: unexpected end of file (wanted {kind})")
+        return _message(path, breaks, n - 1, f"unexpected end of file (wanted {kind})")
 
-    def take(kind, convert, line=None):  # the next token, from ``line`` if given
-        nonlocal cursor
-        if cursor >= len(tokens):
-            raise end_of_file(kind)
-        tok, lineno = tokens[cursor]
-        if line is not None and lineno != line:
-            raise ParseError(f"{path}:{line}: unexpected end of line (wanted {kind})")
-        cursor += 1
+    def bad(kind, at):
+        return _message(path, breaks, at, f"bad {kind} {tokens[at]!r}")
+
+    header = []
+    for at, kind in enumerate(("vertex count", "face count", "edge count"), 1):
+        if at >= n:
+            raise ParseError(end_of_file(kind))
         try:
-            return convert(tok)
+            header.append(int(tokens[at]))
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad {kind} {tok!r}") from None
-
-    n_vert = take("vertex count", int)
-    n_face = take("face count", int)
-    take("edge count", int)
+            raise ParseError(bad(kind, at)) from None
+    n_vert, n_face, _ = header
     if n_vert < 0 or n_face < 0:
         raise ParseError(f"{path}: negative element count in header")
-    if 3 * n_vert > len(tokens) - cursor:
-        # a header count the file cannot hold must not size the allocation
-        raise end_of_file("coordinate")
-    verts = np.empty((n_vert, 3), dtype=np.float64)
-    for i in range(n_vert):
-        for axis in range(3):
-            verts[i, axis] = take("coordinate", float)
-    polys: list[tuple[list[int], int]] = []
-    for _ in range(n_face):
-        lineno = tokens[cursor][1] if cursor < len(tokens) else tokens[-1][1]
-        size = take("face size", int)
-        if size < 3:
-            raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
-        polys.append(([take("face index", _index, lineno) for _ in range(size)], lineno))
-        # a face record ends with its line: drop what follows (face colors)
-        while cursor < len(tokens) and tokens[cursor][1] == lineno:
-            cursor += 1
-    return verts, _fan_triangulate(polys, path)
+    first = 4 + 3 * n_vert
+    if first > n:  # a header count the file cannot hold must not size the allocation
+        raise ParseError(end_of_file("coordinate"))
+    coords, ok = _convert(tokens[4:first], float, np.float64)
+    if ok < first - 4:
+        raise ParseError(bad("coordinate", 4 + ok))
 
+    # The first face record follows the coordinates; a record ends with its
+    # line (values after its indices, such as face colors, are dropped), so
+    # each later one starts a line.
+    starts = np.concatenate(([first], heads[heads > first]))
+    line_ends = np.append(starts[1:], n)
+    keep = min(n_face, int(np.count_nonzero(starts < n)))
+    starts, line_ends = starts[:keep], line_ends[:keep]
+    errors = [(n, end_of_file("face size"))] if keep < n_face else []
 
-def _short(tokens: list[bytes]) -> bool:
-    # np.array(tokens) sizes every cell to the longest token
-    return max(map(len, tokens)) <= _BULK_TOKEN_BYTES
-
-
-def _all_vf_lines(data: bytes) -> bool:
-    # every line of LF-ended data starts with "v " or "f "
-    starts = data.count(b"\nv ") + data.count(b"\nf ") + data.startswith((b"v ", b"f "))
-    return starts == data.count(b"\n")
-
-
-def _bulk_obj(data: bytes):
-    """``(vertices, faces)`` of a triangle OBJ file, else None.
-
-    After the lines the line parser skips (blank lines, comments and
-    directives other than ``v`` and ``f``) are dropped, every line must be
-    ``v x y z`` or ``f i j k`` with positive indices, made of number
-    characters, spaces and tabs, and ended by LF or CRLF; a face token may
-    carry slash parts (``7/2/5``, ``7//5``), which are ignored.  Any other
-    file, or any token the conversions refuse, gives None, and the caller
-    runs :func:`_parse_obj`, which alone raises and handles n-gons,
-    relative indices, extra vertex values and indented lines.  numpy
-    converts bytes tokens as Python's ``float`` and ``int`` do, so the
-    arrays equal the line parser's bit for bit.
-    """
-    if data.count(b"\r") != data.count(b"\r\n"):
-        return None  # a lone CR ends a line for the line parser
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    if not _all_vf_lines(data):
-        data = _OBJ_SKIPPED.sub(b"", b"\n" + data)[1:]
-        if not data or not _all_vf_lines(data):
-            return None
-    n_lines = data.count(b"\n")
-    if data.translate(None, _OBJ_BULK_BYTES):
-        return None
-    tokens = data.split()
-    # with a v/f keyword starting every line and 4n tokens, all v/f tokens
-    # sit in column 0 exactly when the number columns convert below
-    if len(tokens) != 4 * n_lines or not _short(tokens):
-        return None
-    rows = np.array(tokens).reshape(-1, 4)
-    is_v = rows[:, 0] == b"v"
-    is_f = rows[:, 0] == b"f"
-    if not (is_v | is_f).all():
-        return None
-    faces = rows[is_f, 1:]
-    if b"/" in data and faces.size:
-        # keep each face token up to its first slash, as the line parser
-        # does; a vertex token with a slash fails its conversion
-        text = faces.view(np.uint8).reshape(faces.size, -1)
-        text[np.maximum.accumulate(text == ord("/"), axis=1)] = 0
-    try:
-        verts = rows[is_v, 1:].astype(np.float64)
-        faces = faces.astype(np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if faces.size and faces.min() < 1:
-        return None
-    return verts, faces - 1
-
-
-def _records_on_own_lines(body: bytes, first: int) -> bool:
-    """Whether each 4-token record from token ``first`` on fills its own line,
-    in a ``body`` of tokens parted by bytes <= 32 (space, tab, CR, LF)."""
-    text = np.frombuffer(body, np.uint8)
-    gap = text <= 32
-    starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1  # tokens 1, 2, ...
-    records = starts[first - 1:].reshape(-1, 4)
-    if not records.size:
-        return True
-    tail = text[records[0, 0]:]
-    breaks = np.flatnonzero((tail == 10) | (tail == 13)) + records[0, 0]
-    # the line of each record's first and last token
-    line = np.searchsorted(breaks, records[:, ::3])
-    return bool((line[:, 0] == line[:, 1]).all() and (line[1:, 0] > line[:-1, 1]).all())
-
-
-def _bulk_off(data: bytes):
-    """``(vertices, faces)`` of a triangle OFF file, else None.
-
-    Comments are dropped first.  The file must then be the ``OFF`` token,
-    the three counts, the coordinates and ``3 i j k`` records with
-    non-negative indices, exactly ``3 + 3V + 4F`` number tokens after
-    ``OFF``, in any spacing and line layout (spaces, tabs, LF, CR) save
-    that each record fills its own line.  As with :func:`_bulk_obj`, every
-    other file goes to :func:`_parse_off`.
-    """
-    if b"#" in data:
-        data = _OFF_COMMENT.sub(b"", data)
-    tokens = data.split(maxsplit=1)
-    if not tokens or tokens[0] != b"OFF":
-        return None
-    body = tokens[1] if len(tokens) == 2 else b""
-    if body.translate(None, _OFF_BULK_BYTES):
-        return None
-    tokens = body.split()
-    try:
-        n_vert, n_face, _ = (int(tok) for tok in tokens[:3])
-    except ValueError:
-        return None
-    split = 3 + 3 * n_vert
-    if (n_vert < 0 or n_face < 0 or len(tokens) != split + 4 * n_face
-            or not _short(tokens) or not _records_on_own_lines(body, split)):
-        return None
-    try:
-        verts = np.array(tokens[3:split]).astype(np.float64).reshape(-1, 3)
-        records = np.array(tokens[split:]).astype(np.int64).reshape(-1, 4)
-    except (ValueError, OverflowError):
-        return None
-    if records.size and ((records[:, 0] != 3).any() or records[:, 1:].min() < 0):
-        return None
-    return verts, records[:, 1:]
+    sizes, ok = _convert(tokens[starts], int, np.int64)
+    if ok < keep:
+        try:  # beyond int64 but an integer: more indices than the line holds
+            sizes = np.append(sizes, n if int(tokens[starts[ok]]) > 0 else 0)
+            ok += 1
+        except ValueError:
+            errors.append((starts[ok], bad("face size", starts[ok])))
+        starts, line_ends, sizes = starts[:ok], line_ends[:ok], sizes[:ok]
+    small = np.flatnonzero(sizes < 3)
+    if small.size:
+        at = starts[small[0]]
+        errors.append((at, _message(path, breaks, at, "face needs at least 3 vertices")))
+    available = line_ends - starts - 1
+    counts = np.clip(sizes, 0, available)  # clamped before anything is allocated
+    where = _ranges(starts + 1, counts)
+    indices, ok = _convert(tokens[where], int, np.int64)
+    if ok < len(where):
+        errors.append((where[ok], bad("face index", where[ok])))
+    cut = np.flatnonzero(sizes > available)
+    if cut.size:
+        end = line_ends[cut[0]]
+        errors.append((end - 0.5, end_of_file("face index") if end == n else _message(
+            path, breaks, starts[cut[0]], "unexpected end of line (wanted face index)")))
+    if errors:
+        raise ParseError(min(errors)[1])
+    return coords.reshape(-1, 3), _fan(indices, counts)
 
 
 def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
@@ -580,11 +532,7 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     -------
     TriMesh
         Validated mesh.  Non-triangular faces are fan-triangulated; the
-        dimension is 2 when every ``|z| <= 1e-12``, else 3.
-
-    Triangle files in the forms :func:`_bulk_obj` and :func:`_bulk_off`
-    accept (among them everything :func:`save_mesh` writes) are converted
-    in bulk; every other file is read line by line, with the same result.
+        dimension is 2 when the mesh is planar (see :class:`TriMesh`), else 3.
 
     Raises
     ------
@@ -600,9 +548,7 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
         raise ParseError(f"{path}: {exc}") from None
     with open(path, "rb") as fh:
         data = fh.read()
-    bulk, parse = (_bulk_obj, _parse_obj) if fmt == "obj" else (_bulk_off, _parse_off)
-    arrays = bulk(data)
-    verts, faces = arrays if arrays is not None else parse(path, data)
+    verts, faces = (_read_obj if fmt == "obj" else _read_off)(path, data)
     try:
         mesh = TriMesh(verts, faces)
         validate_mesh(mesh)

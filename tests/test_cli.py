@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcdistort
 from qcdistort import load_mesh, save_mesh
 from qcdistort.cli import main
-from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron
+from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron, wavy_disk
+
+from mesh_text import MUTATIONS, mutate
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +256,72 @@ class TestMisc:
                      str(meshes / "disk.obj"), "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().out == ""
+
+
+_FILE = r"\S+\.(?:obj|off)"
+# the exit code and the message of each error the analyze and param commands
+# can end in, one pattern per raise site; every message names the file and
+# line, a face, an edge, a vertex or the solve
+ERROR_MESSAGES = [
+    (2, rf"{_FILE}:\d+: bad vertex coordinate"),
+    (2, rf"{_FILE}:\d+: vertex needs at least 2 coordinates"),
+    (2, rf"{_FILE}:\d+: bad face index '.*'"),
+    (2, rf"{_FILE}:\d+: face indices are 1-based"),
+    (2, rf"{_FILE}:\d+: face needs at least 3 vertices"),
+    (2, rf"{_FILE}:1: missing OFF header"),
+    (2, rf"{_FILE}:\d+: bad (?:vertex count|face count|edge count|coordinate|face size) '.*'"),
+    (2, rf"{_FILE}:\d+: unexpected end of file \(wanted (?:vertex count|face count|edge count"
+        r"|coordinate|face size|face index)\)"),
+    (2, rf"{_FILE}:\d+: unexpected end of line \(wanted face index\)"),
+    (2, rf"{_FILE}: negative element count in header"),
+    (3, rf"{_FILE}: vertex \d+ has a non-finite coordinate"),
+    (3, rf"{_FILE}: face \d+ has an out-of-range vertex index"),
+    (3, rf"{_FILE}: face \d+ has a repeated vertex index"),
+    (3, rf"{_FILE}: face \d+ is degenerate \(area \S+ <= \S+\)"),
+    (3, rf"{_FILE}: inconsistent face orientation across edge \(\d+, \d+\)"),
+    (3, r"connectivity mismatch: vertex counts differ \(\d+ vs \d+\)"),
+    (3, r"connectivity mismatch: face lists differ"),
+    (3, r"edge \(\d+, \d+\) is shared by \d+ faces"),
+    (3, r"boundary edges do not form closed loops; check face orientation"),
+    (3, r"expected exactly one boundary loop, found \d+"),
+    (3, r"Euler characteristic is -?\d+, expected 1 for a disk"),
+    (1, r"linear-system residual \S+ exceeds tolerance \S+"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for fmt in ("obj", "off"):
+        save_mesh(wavy_disk(60), root / f"clean.{fmt}")
+    return root
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(
+    st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+              st.integers(0, 3), st.integers(0, 10**6)),
+    min_size=1, max_size=3,
+))
+def test_mutated_input_ends_in_report_or_named_error(fuzz_dir, fmt, mutations):
+    """Every mutated input ends in exit 0 or in one ``error:`` line naming
+    what failed, under the exit code of its error type, never a traceback."""
+    clean = fuzz_dir / f"clean.{fmt}"
+    mutated = fuzz_dir / f"mutated.{fmt}"
+    mutated.write_bytes(mutate(clean.read_text(), mutations))
+    commands = [["analyze", str(clean), str(mutated), "--out", str(fuzz_dir / "r.json")]]
+    commands += [["param", str(mutated), "-o", str(fuzz_dir / "flat.obj"), "--weights",
+                  weights, "--analyze"] for weights in ("uniform", "cotangent")]
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--quiet"])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+        if code == 0:
+            continue
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, err.getvalue()
+        message = errors[0][len("error: "):]
+        assert any(re.fullmatch(pattern, message) and code == expected
+                   for expected, pattern in ERROR_MESSAGES), (code, message)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,16 @@ from qcdistort import (
     validate_mesh,
 )
 from qcdistort.synth import hemisphere, irregular_disk, tetrahedron, wavy_disk
+
+from mesh_text import (
+    COLORS,
+    MUTATIONS,
+    ODD_LINES,
+    _parse_obj,
+    _parse_off,
+    exporter_text,
+    mutate,
+)
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -399,66 +410,72 @@ class TestFileIO:
             save_mesh(single(RIGHT), tmp_path / "m.stl")
 
 
-# tokens and lines the mutations below splice into save_mesh output
-ODD_TOKENS = ["1_0", "nan", "inf", "+1", "1e3", "-0", "0x1", "1.5", ".", "", "v", "f",
-              "0", "-1", "-3", "4", "99999999999999999999", "1/1", "2//3", "\u00e9",
-              "0000000000000000000000000000000000001", "1E-2", "5."]
-ODD_LINES = ["", " ", "\t", "v", "f", "vn", "# comment", "  # indented", "# Cr\u00e9\u00e9",
-             "#\rv 0 0 0", "#\r1 2", "vt 0 0", "vn 0 0 1", "o Surface", "g\u00a0x", "s off",
-             "usemtl Material", "mtllib m.mtl", "f/1 2 3", "\tv 0 0 0", "\u00a0v 0 0 0",
-             "v\u00a00 0 0", "\x0cv 0 0 0", "\x1cf 1 2 3", "f 1 2 3 4", "OFF", "3 0 1 2"]
-SLASH_PARTS = ["/1", "/1/1", "//2", "/", "/x", "/-1"]
-# per-face colors: RGB integers, RGBA floats
-COLORS = [" 255 0 0", " 0.1 0.2 0.3 1.0"]
-MUTATIONS = ["indent", "tab", "space", "bare", "drop", "extra", "comment", "midcomment",
-             "slash", "token", "token", "line", "line", "nonascii", "crlf", "cr",
-             "unterminated", "colors", "join"]
+OFF_TRIANGLE = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
 
 
-def mutate(text, mutations):
-    lines = text.splitlines()
-    end, last = "\n", "\n"
-    for kind, at, slot, pick in mutations:
-        i = at % len(lines)
-        parts = lines[i].split()
-        if kind == "indent":
-            lines[i] = " " + lines[i]
-        elif kind == "tab":
-            lines[i] = lines[i].replace(" ", "\t", 1)
-        elif kind == "space":
-            lines[i] = lines[i].replace(" ", "  ", 1)
-        elif kind == "bare":
-            lines[i] = parts[0] if parts else ""
-        elif kind == "drop":
-            lines[i] = " ".join(parts[:-1])
-        elif kind == "extra":
-            lines[i] += f" {1 + pick % 5}"
-        elif kind == "colors":
-            lines[i] += COLORS[pick % len(COLORS)]
-        elif kind == "join" and i + 1 < len(lines):
-            lines[i:i + 2] = [lines[i] + " " + lines[i + 1]]
-        elif kind == "comment":
-            lines[i] += " # note"
-        elif kind == "midcomment" and parts:
-            parts.insert(slot % len(parts), "#x")
-            lines[i] = " ".join(parts)
-        elif kind == "slash" and parts:
-            parts[slot % len(parts)] += SLASH_PARTS[pick % len(SLASH_PARTS)]
-            lines[i] = " ".join(parts)
-        elif kind == "token" and parts:
-            parts[slot % len(parts)] = ODD_TOKENS[pick % len(ODD_TOKENS)]
-            lines[i] = " ".join(parts)
-        elif kind == "line":
-            lines.insert(i, ODD_LINES[pick % len(ODD_LINES)])
-        elif kind == "nonascii":
-            lines[i] += "\u00e9" if pick % 2 else "\u2028"
-        elif kind == "cr" and i + 1 < len(lines):
-            lines[i:i + 2] = [lines[i] + "\r" + lines[i + 1]]
-        elif kind == "crlf":
-            end = last = "\r\n"
-        elif kind == "unterminated":
-            last = ""
-    return (end.join(lines) + last).encode()
+# one case per message the readers raise, and the cases that set which of two
+# errors is raised
+PARSE_ERRORS = [
+    ("m.obj", "v 0 0 0\nv 1 zero 0\n", ":2: bad vertex coordinate"),
+    ("m.obj", "v 0 0 0\n\nv 1\n", ":3: vertex needs at least 2 coordinates"),
+    ("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x/1\n", ":4: bad face index 'x/1'"),
+    ("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 0 2\n", ":4: face indices are 1-based"),
+    ("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", ":4: face needs at least 3 vertices"),
+    # a short face is reported only once the whole file has parsed
+    ("m.obj", "v 0 0 0\nf 1 2\nv 1 0 0\nv 0 1 q\n", ":4: bad vertex coordinate"),
+    ("m.off", "3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", ":1: missing OFF header"),
+    ("m.off", "\n\nOFF\nx 1 0\n", ":4: bad vertex count 'x'"),
+    ("m.off", "OFF\n3 y 0\n", ":2: bad face count 'y'"),
+    ("m.off", "OFF\n3 1 z\n", ":2: bad edge count 'z'"),
+    ("m.off", "OFF\n3\n", ":2: unexpected end of file (wanted face count)"),
+    ("m.off", "OFF\n3 1 0\n0 0 0\n1 q 0\n0 1 0\n", ":4: bad coordinate 'q'"),
+    ("m.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n", ":4: unexpected end of file (wanted coordinate)"),
+    ("m.off", "OFF\n-3 1 0\n", ": negative element count in header"),
+    ("m.off", OFF_TRIANGLE + "3.0 0 1 2\n", ":6: bad face size '3.0'"),
+    ("m.off", OFF_TRIANGLE + "3 0 1 -\n", ":6: bad face index '-'"),
+    ("m.off", OFF_TRIANGLE + "2 0 1\n", ":6: face needs at least 3 vertices"),
+    ("m.off", OFF_TRIANGLE + "# no faces\n", ":5: unexpected end of file (wanted face size)"),
+    ("m.off", OFF_TRIANGLE + "3 0 1\n", ":6: unexpected end of file (wanted face index)"),
+    ("m.off", OFF_TRIANGLE + "3 0 1\n2\n", ":6: unexpected end of line (wanted face index)"),
+    # a huge face size fails at once, allocating nothing
+    ("m.off", OFF_TRIANGLE + "99999999999 0 1 2\n",
+     ":6: unexpected end of file (wanted face index)"),
+    ("m.off", OFF_TRIANGLE + "99999999999 0 1 2\n3 0 1 2\n",
+     ":6: unexpected end of line (wanted face index)"),
+    ("m.off", OFF_TRIANGLE + "99999999999999999999999 0 1 2\n",
+     ":6: unexpected end of file (wanted face index)"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", PARSE_ERRORS,
+                         ids=[f"{name[-3:]}-{message.split(': ')[1]}"
+                              for name, _, message in PARSE_ERRORS])
+def test_parse_error_names_file_and_line(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 2 2 0\nf 1 2 3\n"),
+    ("m.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n2 2 0\n3 0 1 2\n"),
+])
+def test_leading_bom_is_dropped(tmp_path, name, text):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert_same_arrays(loaded(marked), loaded(plain))
+    mesh = load_mesh(marked)
+    assert mesh.n_vertices == 4 and face_areas(mesh).tolist() == [0.5]
+
+
+def test_whitespace_table_is_str_isspace():
+    spaces = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert len(spaces) == 29 and set(qcdistort.mesh._SPACE_CODES) == spaces
+    table = qcdistort.mesh._IS_SPACE
+    assert set(np.flatnonzero(table).tolist()) == spaces and not table[-1]
 
 
 def outcome(load):
@@ -467,6 +484,11 @@ def outcome(load):
         mesh = load()
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
+    return mesh.vertices, mesh.faces
+
+
+def loaded(path):
+    mesh = load_mesh(path)
     return mesh.vertices, mesh.faces
 
 
@@ -481,57 +503,33 @@ def io_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("bulk")
 
 
-def exporter_text(text, fmt):
-    """save_mesh output in the layout common exporters write.
-
-    OBJ gets header comments, mtllib/o/usemtl/s directives, vt and vn
-    lines and ``v/vt/vn`` face tokens; OFF gets comment lines and a
-    trailing comment.  Both still hold a triangle mesh the bulk path reads.
-    """
-    lines = text.splitlines()
-    if fmt == "off":
-        return "\n".join(["# exported mesh", lines[0], "# counts"] + lines[1:]
-                         + ["# end"]) + "\n"
-    verts = [line for line in lines if line.startswith("v ")]
-    faces = ["f " + " ".join(f"{t}/{t}/1" for t in line.split()[1:])
-             for line in lines if line.startswith("f ")]
-    return "\n".join(
-        ["# exported mesh", "mtllib m.mtl", "o Surface"] + verts
-        + [f"vt {k % 3} {k % 2}" for k in range(len(verts))]
-        + ["vn 0 0 1", "usemtl Material", "s off"] + faces) + "\n"
+MUTATION_LISTS = st.lists(
+    st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+              st.integers(0, 3), st.integers(0, 10**6)),
+    max_size=3,
+)
 
 
 class TestBulkReader:
-    """The bulk OBJ/OFF reader agrees with the line parsers on every input."""
+    """``load_mesh`` reads every input as the line parsers in ``mesh_text`` do:
+    the same arrays bit for bit, or the same error with the same message."""
 
     @pytest.mark.parametrize("fmt", ["obj", "off"])
     @settings(max_examples=200, deadline=None)
-    @given(
-        mutations=st.lists(
-            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
-                      st.integers(0, 3), st.integers(0, 10**6)),
-            max_size=3,
-        ),
-    )
+    @given(mutations=MUTATION_LISTS)
     def test_agrees_with_line_parser(self, io_dir, fmt, mutations):
         plain = io_dir / f"plain.{fmt}"
         save_mesh(wavy_disk(12), plain)
-        self.check_agreement(io_dir, fmt, mutate(plain.read_text(), mutations), mutations)
+        self.check_agreement(io_dir, fmt, mutate(plain.read_text(), mutations))
 
     @pytest.mark.parametrize("fmt", ["obj", "off"])
     @settings(max_examples=200, deadline=None)
-    @given(
-        mutations=st.lists(
-            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
-                      st.integers(0, 3), st.integers(0, 10**6)),
-            max_size=3,
-        ),
-    )
+    @given(mutations=MUTATION_LISTS)
     def test_exporter_layout_agrees_with_line_parser(self, io_dir, fmt, mutations):
         plain = io_dir / f"plain.{fmt}"
         save_mesh(wavy_disk(12), plain)
         text = exporter_text(plain.read_text(), fmt)
-        self.check_agreement(io_dir, fmt, mutate(text, mutations), mutations)
+        self.check_agreement(io_dir, fmt, mutate(text, mutations))
 
     @pytest.mark.parametrize("layout", ["plain", "exporter"])
     @pytest.mark.parametrize("fmt", ["obj", "off"])
@@ -544,15 +542,17 @@ class TestBulkReader:
         n_lines = text.count("\n")
         for line in range(len(ODD_LINES)):
             for at in (0, 2, n_lines // 2, n_lines - 1):
-                mutations = [("line", at, 0, line)]
-                self.check_agreement(tmp_path, fmt, mutate(text, mutations), mutations)
+                self.check_agreement(tmp_path, fmt, mutate(text, [("line", at, 0, line)]))
 
     @pytest.mark.parametrize("fmt, layout", [
         ("obj", "crlf"), ("obj", "unterminated"), ("obj", "exporter"),
-        ("obj", "exporter-crlf"), ("obj", "normals-only"),
+        ("obj", "exporter-crlf"), ("obj", "normals-only"), ("obj", "indented"), ("obj", "bom"),
         ("off", "crlf"), ("off", "tabs"), ("off", "exporter"), ("off", "exporter-crlf"),
+        ("off", "lower-case"), ("off", "bom"),
     ])
     def test_documented_layouts_take_bulk_path(self, tmp_path, fmt, layout):
+        """Each layout the README names loads to the arrays of the file
+        ``save_mesh`` wrote, bit for bit."""
         plain = tmp_path / f"plain.{fmt}"
         save_mesh(wavy_disk(12), plain)
         text = plain.read_text()
@@ -565,14 +565,17 @@ class TestBulkReader:
         elif layout == "normals-only":
             text = re.sub(r"^f (\d+) (\d+) (\d+)$", r"f \1//\1 \2//\2 \3//\3", text,
                           flags=re.M)
+        elif layout == "indented":
+            text = "".join(" " + line for line in text.splitlines(keepends=True))
+        elif layout == "lower-case":
+            text = "off" + text[3:]
+        elif layout == "bom":
+            text = "\ufeff" + text
         if layout.endswith("crlf"):
             text = text.replace("\n", "\r\n")
-        data = text.encode()
-        parse = getattr(qcdistort.mesh, f"_parse_{fmt}")
-        arrays = getattr(qcdistort.mesh, f"_bulk_{fmt}")(data)
-        assert arrays is not None
-        assert_same_arrays(arrays, parse(plain, data))
-        assert_same_arrays(arrays, parse(plain, plain.read_bytes()))  # the same mesh
+        path = tmp_path / f"layout.{fmt}"
+        path.write_bytes(text.encode())
+        assert_same_arrays(loaded(path), loaded(plain))
 
     @pytest.mark.parametrize("colors", COLORS)
     def test_off_face_colors_are_dropped(self, tmp_path, colors):
@@ -583,11 +586,8 @@ class TestBulkReader:
         colored = lines[:-n_faces] + [line + colors for line in lines[-n_faces:]]
         path = tmp_path / "colored.off"
         path.write_text("\n".join(colored) + "\n")
-        data = path.read_bytes()
-        assert qcdistort.mesh._bulk_off(data) is None  # the line parser reads it
-        assert_same_arrays(qcdistort.mesh._parse_off(path, data),
-                           qcdistort.mesh._bulk_off(plain.read_bytes()))
-        self.check_agreement(tmp_path, "off", data, [("colors", 0, 0, 0)])
+        assert_same_arrays(loaded(path), loaded(plain))
+        self.check_agreement(tmp_path, "off", path.read_bytes())
 
     @pytest.mark.parametrize("text, message", [
         ("3 0 1 2 3 1 3 2\n", "{path}:7: unexpected end of file (wanted face size)"),
@@ -596,17 +596,15 @@ class TestBulkReader:
     def test_off_record_on_two_lines_or_sharing_one(self, tmp_path, text, message):
         path = tmp_path / "rec.off"
         path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n" + text)
-        assert qcdistort.mesh._bulk_off(path.read_bytes()) is None
         with pytest.raises(ParseError) as info:
             load_mesh(path)
         assert str(info.value) == message.format(path=path)
 
     @staticmethod
-    def check_agreement(io_dir, fmt, data, mutations):
+    def check_agreement(io_dir, fmt, data):
         path = io_dir / f"mutated.{fmt}"
         path.write_bytes(data)
-        bulk = getattr(qcdistort.mesh, f"_bulk_{fmt}")
-        parse = getattr(qcdistort.mesh, f"_parse_{fmt}")
+        parse = _parse_obj if fmt == "obj" else _parse_off
 
         def line_parsed():
             verts, faces = parse(path, data)
@@ -617,12 +615,6 @@ class TestBulkReader:
                 raise type(exc)(f"{path}: {exc}") from None
             return mesh
 
-        arrays = bulk(data)
-        if not mutations:
-            assert arrays is not None  # the unmutated layouts take the bulk path
-        if arrays is not None:
-            # never accepts what the line parser rejects; same bits otherwise
-            assert_same_arrays(arrays, parse(path, data))
         expected, actual = outcome(line_parsed), outcome(lambda: load_mesh(path))
         if isinstance(expected[0], type):
             assert actual == expected
