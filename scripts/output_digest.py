@@ -12,7 +12,9 @@ outputs digested are:
   ``off`` header (``analyze-indented/``);
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
-* ``report_json`` of each of the five ``analyze_lib`` maps.
+* ``report_json`` of each of the five ``analyze_lib`` maps;
+* ``theory --json --grid 2000`` stdout: the default battery, the single
+  case ``--k 2`` and the single case ``--k 2 --theta 1.0472``.
 
 Before hashing, ``meta.timestamp`` is blanked and the temporary directory
 the CLI runs write into is replaced by a fixed name, so two runs of the same
@@ -79,11 +81,13 @@ def _outputs(seed: int):
     from qcdistort import MeshMap, report_json, save_mesh, summarize
     from qcdistort.cli import main
 
-    def cli(args):
-        with contextlib.redirect_stdout(io.StringIO()):
+    def cli(args) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             code = main(args)
         if code != 0:
             raise SystemExit(f"qcdistort {' '.join(args)} exited {code}")
+        return out.getvalue()
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -123,6 +127,10 @@ def _outputs(seed: int):
         report = summarize(MeshMap(src, dst), source_path=name, target_path=name)
         text = report_json(report).encode()
         yield f"analyze_lib/{name}.json", _TIMESTAMP.sub(b'"timestamp": ""', text)
+
+    for name, case in [("default", []), ("k2", ["--k", "2"]),
+                       ("k2-theta1.0472", ["--k", "2", "--theta", "1.0472"])]:
+        yield f"theory/{name}.json", cli(["theory", "--json", "--grid", "2000", *case]).encode()
 
 
 def _read_digests(path: str) -> dict[str, str]:

@@ -79,8 +79,16 @@ class MeshMap:
                 "connectivity mismatch: vertex counts differ "
                 f"({self.source.n_vertices} vs {self.target.n_vertices})"
             )
-        if not np.array_equal(self.source.faces, self.target.faces):
-            raise ValidationError("connectivity mismatch: face lists differ")
+        src, dst = self.source.faces, self.target.faces
+        if len(src) != len(dst):
+            raise ValidationError(
+                f"connectivity mismatch: face counts differ ({len(src)} vs {len(dst)})"
+            )
+        differs = (src != dst).any(axis=1)
+        if differs.any():
+            f = int(np.argmax(differs))
+            raise ValidationError(f"connectivity mismatch: face {f} differs "
+                                  f"({src[f].tolist()} vs {dst[f].tolist()})")
         validate_mesh(self.source)
         validate_mesh(self.target)
 

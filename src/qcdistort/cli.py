@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .beltrami import MeshMap
 from .errors import (
@@ -35,14 +33,7 @@ from .report import (
     report_json,
     summarize,
 )
-from .theory import (
-    MIN_GRID,
-    TheoryCheck,
-    brute_force_max_distortion,
-    max_distortion_for_angle,
-    max_half_angle_deviation,
-    run_all_checks,
-)
+from .theory import MIN_GRID, deviation_suite, extremal_bisector_suite, run_all_checks
 
 _ANGLE_FIELDS = ("eps_angle_t", "eps_mu_t")
 
@@ -127,7 +118,9 @@ def _display_angle(value: float, degrees: bool) -> str:
     return f"{value:.6f} rad"
 
 
-def _print_summary(report, quiet: bool, degrees: bool = False) -> None:
+def _write_report(report, path, quiet: bool, degrees: bool = False) -> None:
+    """Write the JSON report and, unless quiet, print its summary and path."""
+    export_report(report, path, "json")
     if quiet:
         return
     print(f"faces: {report.face_count}   folded: {report.folded_count}   "
@@ -143,6 +136,13 @@ def _print_summary(report, quiet: bool, degrees: bool = False) -> None:
         else:
             mean, peak = f"{s.mean:.6f}", f"{s.max:.6f}"
         print(f"  {name:<12} mean {mean}   max {peak}")
+    print(f"report written to {path}")
+
+
+def _warn_folds(report) -> None:
+    if report.folded_count:
+        print(f"warning: {report.folded_count} folded faces "
+              f"(excluded from statistics)", file=sys.stderr)
 
 
 def run_analyze(args) -> int:
@@ -158,10 +158,7 @@ def run_analyze(args) -> int:
     if args.json:
         sys.stdout.write(report_json(rep))
     else:
-        export_report(rep, args.out, "json")
-        _print_summary(rep, args.quiet, args.degrees)
-        if not args.quiet:
-            print(f"report written to {args.out}")
+        _write_report(rep, args.out, args.quiet, args.degrees)
     if args.csv:
         export_report(rep, args.csv, "csv")
     if args.ply_out:
@@ -169,9 +166,7 @@ def run_analyze(args) -> int:
             mapping, args.field, args.ply_out,
             beltrami=rep.beltrami, angular=rep.angular,
         )
-    if rep.folded_count:
-        print(f"warning: {rep.folded_count} folded faces "
-              f"(excluded from statistics)", file=sys.stderr)
+    _warn_folds(rep)
     return 0
 
 
@@ -187,45 +182,9 @@ def run_param(args) -> int:
         print(f"flattened mesh written to {out}")
     if args.analyze:
         rep = summarize(mapping, source_path=args.source, target_path=out)
-        report_path = f"{out}.report.json"
-        export_report(rep, report_path, "json")
-        _print_summary(rep, args.quiet)
-        if not args.quiet:
-            print(f"report written to {report_path}")
-        if rep.folded_count:
-            print(f"warning: {rep.folded_count} folded faces", file=sys.stderr)
+        _write_report(rep, f"{out}.report.json", args.quiet)
+        _warn_folds(rep)
     return 0
-
-
-def _single_case_checks(args, grid: int) -> list[TheoryCheck]:
-    k = args.k
-    if args.theta is not None:
-        formula, _ = max_distortion_for_angle(args.theta, k)
-        grid_val, _ = brute_force_max_distortion(args.theta, k, grid)
-        diff = abs(formula - grid_val)
-        print(f"max distortion of theta={args.theta:.6g} at K={k:g}:")
-        print(f"  formula: {formula:.9f} rad")
-        print(f"  grid:    {grid_val:.9f} rad   (grid size {grid})")
-        print(f"  |difference| = {diff:.3e}")
-        return [TheoryCheck(
-            name=f"single case K={k:g} theta={args.theta:.6g}",
-            passed=diff <= 1e-5, observed=diff, tolerance=1e-5,
-            params={"dilatation": k, "theta": args.theta, "grid_size": grid},
-        )]
-    formula, theta_star = max_half_angle_deviation(k)
-    samples = max(10 * grid, 1_000_000)
-    thetas = np.linspace(1e-6, math.pi / 2 - 1e-6, samples)
-    grid_val = float((thetas - np.arctan(np.tan(thetas) / k)).max())
-    diff = abs(formula - grid_val)
-    print(f"max half-angle deviation at K={k:g}:")
-    print(f"  formula: {formula:.9f} rad (at half-angle {theta_star:.9f})")
-    print(f"  grid:    {grid_val:.9f} rad")
-    print(f"  |difference| = {diff:.3e}")
-    return [TheoryCheck(
-        name=f"single case K={k:g} deviation",
-        passed=diff <= 1e-6, observed=diff, tolerance=1e-6,
-        params={"dilatation": k, "grid_size": grid},
-    )]
 
 
 def run_theory(args) -> int:
@@ -237,10 +196,12 @@ def run_theory(args) -> int:
     if args.theta is not None and args.k is None:
         print("error: --theta requires --k", file=sys.stderr)
         return 2
-    if args.k is not None:
-        checks = _single_case_checks(args, grid)
-    else:
+    if args.k is None:
         checks = run_all_checks(seed=args.seed, grid_size=grid)
+    elif args.theta is None:
+        checks = deviation_suite((args.k,), max(10 * grid, 1_000_000))
+    else:
+        checks = extremal_bisector_suite((args.k,), (args.theta,), grid)
     if args.json:
         sys.stdout.write(json.dumps([c.as_dict() for c in checks], indent=2) + "\n")
     elif not args.quiet:
@@ -249,6 +210,10 @@ def run_theory(args) -> int:
             status = "PASS" if c.passed else "FAIL"
             print(f"{c.name:<{width}}  {status}  observed {c.observed:.3e} "
                   f"(tol {c.tolerance:.0e})")
+        if args.k is not None:  # c is the single case's one check
+            print(f"  formula: {c.params['formula']:.9f} rad")
+            print(f"  grid:    {c.params['grid']:.9f} rad")
+            print(f"  |difference| = {c.observed:.3e}")
     failed = [c for c in checks if not c.passed]
     for c in failed:
         print(f"FAILED: {c.name}: observed {c.observed:.6e} > tol "

@@ -62,16 +62,17 @@ class TriMesh:
     faces : array_like, shape (m, 3)
         Ordered vertex-index triples (0-based).
 
-    Construction performs the structural checks (index range, no repeated
-    vertex within a face); the geometric invariants (non-degenerate faces,
-    consistent combinatorial orientation) are enforced by
-    :func:`validate_mesh`, which file loading and map construction call;
-    its passing verdict is cached on the mesh.
+    Construction sets ``dimension`` and ``bbox_diagonal`` and performs the
+    structural checks (index range, no repeated vertex within a face); the
+    geometric invariants (non-degenerate faces, consistent combinatorial
+    orientation) are enforced by :func:`validate_mesh`, which file loading
+    and map construction call; its passing verdict is cached on the mesh.
     """
 
     vertices: np.ndarray = field(repr=False)
     faces: np.ndarray = field(repr=False)
     dimension: int = field(init=False)
+    bbox_diagonal: float = field(init=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64)
@@ -106,12 +107,14 @@ class TriMesh:
         faces.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", faces)
-        dim = 2
-        if verts.shape[1] == 3 and verts.shape[0]:
+        diagonal, dim = 0.0, 2
+        if verts.shape[0]:
             # hypot: the bbox diagonal without overflowing on huge coordinates
             diagonal = math.hypot(*(verts.max(axis=0) - verts.min(axis=0)))
-            dim = 3 if np.abs(verts[:, 2]).max() > PLANAR_Z_FACTOR * diagonal else 2
+            if verts.shape[1] == 3 and np.abs(verts[:, 2]).max() > PLANAR_Z_FACTOR * diagonal:
+                dim = 3
         object.__setattr__(self, "dimension", dim)
+        object.__setattr__(self, "bbox_diagonal", diagonal)
 
     def __repr__(self):
         return (
@@ -128,16 +131,10 @@ class TriMesh:
         return self.faces.shape[0]
 
     @property
-    def bbox_diagonal(self) -> float:
-        if self.n_vertices == 0:
-            return 0.0
-        extent = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(extent))
-
-    @property
     def area_epsilon(self) -> float:
         """Faces with area at or below this are degenerate (unit-free)."""
-        return AREA_EPS_FACTOR * self.bbox_diagonal ** 2
+        d = self.bbox_diagonal  # d * d, since a float's d ** 2 raises OverflowError past 1e154
+        return AREA_EPS_FACTOR * (d * d)
 
     @functools.cached_property
     def _valid(self) -> bool:
@@ -455,8 +452,10 @@ def _read_off(path, data: bytes):
     # a comment runs to the end of its line
     tokens, heads, breaks = _tokenize(re.sub(r"#[^\n]*", "", _decode(data)))
     n = len(tokens)
-    if not n or tokens[0].upper() != "OFF":
+    if not n:
         raise ParseError(f"{path}:1: missing OFF header")
+    if tokens[0].upper() != "OFF":
+        raise ParseError(_message(path, breaks, 0, "missing OFF header"))
 
     def end_of_file(kind):
         return _message(path, breaks, n - 1, f"unexpected end of file (wanted {kind})")

@@ -20,25 +20,23 @@ from .mesh import (TriMesh, _corner, _cross_2d, _cross_norm, _dot, _face_columns
                    validate_mesh)
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
+# max allowed infinity-norm residual of the linear system
+SOLVER_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
 class ParamConfig:
     """Options for :func:`tutte_disk`.
 
-    weights           "uniform" (fold-free by construction) or "cotangent"
-                      (discrete harmonic; folds possible and reported)
-    solver_tolerance  max allowed infinity-norm residual of the linear system
+    weights  "uniform" (fold-free by construction) or "cotangent"
+             (discrete harmonic; folds possible and reported)
     """
 
     weights: str = "uniform"
-    solver_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.weights not in WEIGHT_CHOICES:
             raise ValueError(f"weights must be one of {WEIGHT_CHOICES}")
-        if self.solver_tolerance <= 0:
-            raise ValueError("solver_tolerance must be positive")
 
 
 def _weight_matrix(mesh: TriMesh, kind: str):
@@ -108,7 +106,7 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     TopologyError
         Wrong boundary-loop count or Euler characteristic.
     SolverError
-        Linear-system residual above ``config.solver_tolerance``.
+        Linear-system residual above ``SOLVER_TOLERANCE``.
     """
     # scipy is imported here, not at module level, so that importing the
     # package for analysis alone does not pay for scipy.sparse
@@ -147,10 +145,9 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
         # disk; the NaN-safe residual check is the only failure detector
         solution = spsolve(a_ii, rhs).reshape(rhs.shape)
         residual = float(np.abs(a_ii @ solution - rhs).max())
-        if not residual <= config.solver_tolerance:
+        if not residual <= SOLVER_TOLERANCE:
             raise SolverError(
-                f"linear-system residual {residual:.3e} exceeds tolerance "
-                f"{config.solver_tolerance:.3e}"
+                f"linear-system residual {residual:.3e} exceeds tolerance {SOLVER_TOLERANCE:.3e}"
             )
         uv[interior] = solution
 

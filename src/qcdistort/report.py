@@ -262,15 +262,14 @@ def export_colored_mesh(
     mapping: MeshMap,
     field_name: str,
     path,
-    colormap_range=None,
     beltrami: BeltramiField | None = None,
     angular: AngularDistortionField | None = None,
 ) -> None:
     """Write the target mesh as ASCII PLY with per-face colors for a field.
 
     ``field_name`` is one of ``abs_mu``, ``eps_angle_t``, ``eps_mu_t``; the
-    colormap spans ``colormap_range`` (default [0, max over non-folded
-    faces]).  Precomputed fields can be passed to avoid recomputation.
+    colormap spans [0, max over non-folded faces].  Precomputed fields can
+    be passed to avoid recomputation.
 
     Raises
     ------
@@ -290,12 +289,7 @@ def export_colored_mesh(
     else:
         values = angular.face_avg
 
-    folded = beltrami.folded
-    if colormap_range is None:
-        ok = ~folded
-        hi = float(values[ok].max()) if ok.any() else 1.0
-        lo = 0.0
-    else:
-        lo, hi = float(colormap_range[0]), float(colormap_range[1])
-    colors = face_colors(values, folded, lo, hi)
+    ok = ~beltrami.folded
+    hi = float(values[ok].max()) if ok.any() else 1.0
+    colors = face_colors(values, beltrami.folded, 0.0, hi)
     _write_ply(path, mapping.target.vertices, mapping.faces, face_colors=colors)

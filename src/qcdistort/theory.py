@@ -381,7 +381,8 @@ def extremal_bisector_suite(
             checks.append(
                 TheoryCheck(
                     name=f"extremal bisector K={k:g} theta={theta:.6g}",
-                    passed=diff <= tol and axis_dist <= axis_tol,
+                    # at K = 1 every orientation is extremal
+                    passed=diff <= tol and (k == 1.0 or axis_dist <= axis_tol),
                     observed=diff,
                     tolerance=tol,
                     params={
@@ -412,8 +413,8 @@ def deviation_suite(
     thetas = (np.arange(samples) + 0.5) * (math.pi / 2.0) / samples
     tan_thetas = np.tan(thetas)
     for k in dilatations:
+        formula, _ = max_half_angle_deviation(k)  # checks K before the grid divides by it
         grid_max = float((thetas - np.arctan(tan_thetas / k)).max())
-        formula, _ = max_half_angle_deviation(k)
         mu = (k - 1.0) / (k + 1.0)
         diff = abs(grid_max - formula)
         pair = abs(2.0 * formula - epsilon_mu(mu))

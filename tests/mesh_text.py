@@ -80,7 +80,7 @@ def _parse_off(path, data: bytes):
         body = raw.split("#", 1)[0]
         tokens.extend((tok, lineno) for tok in body.split())
     if not tokens or tokens[0][0].upper() != "OFF":
-        raise ParseError(f"{path}:1: missing OFF header")
+        raise ParseError(f"{path}:{tokens[0][1] if tokens else 1}: missing OFF header")
     cursor = 1
 
     def end_of_file(kind):

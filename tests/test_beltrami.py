@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,8 +198,13 @@ class TestFaceBeltrami:
         a = wavy_disk(100)
         faces = a.faces.copy()
         faces[0] = faces[0][[1, 0, 2]]
-        with pytest.raises(ValidationError, match="connectivity mismatch"):
+        i, j, k = a.faces[0].tolist()
+        with pytest.raises(ValidationError, match=re.escape(
+                f"connectivity mismatch: face 0 differs ([{i}, {j}, {k}] vs [{j}, {i}, {k}])")):
             MeshMap(a, TriMesh(a.vertices, faces))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"connectivity mismatch: face counts differ ({a.n_faces} vs {a.n_faces - 1})")):
+            MeshMap(a, TriMesh(a.vertices, a.faces[:-1]))
 
 
 class TestScalarHelpers:

@@ -170,6 +170,27 @@ class TestTheory:
     def test_theta_without_k_rejected(self, capsys):
         assert main(["theory", "--theta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--k", "2"], "max half-angle deviation K=2"),
+        (["--k", "2", "--theta", "1.0472"], "extremal bisector K=2 theta=1.0472"),
+    ], ids=["k", "k-theta"])
+    def test_single_case_json_is_the_suite_check(self, capsys, argv, name):
+        code = main(["theory", "--grid", "2000", "--json", *argv])
+        assert code == 0
+        (check,) = json.loads(capsys.readouterr().out)
+        assert check["name"] == name and check["passed"]
+        assert {"formula", "grid"} <= check["params"].keys()
+
+    @pytest.mark.parametrize("argv", [[], ["--k", "2"], ["--k", "2", "--theta", "1.0472"]],
+                             ids=["default", "k", "k-theta"])
+    def test_quiet_prints_nothing(self, capsys, argv):
+        assert main(["--quiet", "theory", "--grid", "2000", *argv]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_undistorted_wedge_passes(self, capsys):
+        # at K = 1 every wedge orientation is extremal, so the axis test holds
+        assert main(["theory", "--k", "1", "--theta", "1"]) == 0
+
 
 class TestErrorExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -268,7 +289,7 @@ ERROR_MESSAGES = [
     (2, rf"{_FILE}:\d+: bad face index '.*'"),
     (2, rf"{_FILE}:\d+: face indices are 1-based"),
     (2, rf"{_FILE}:\d+: face needs at least 3 vertices"),
-    (2, rf"{_FILE}:1: missing OFF header"),
+    (2, rf"{_FILE}:\d+: missing OFF header"),
     (2, rf"{_FILE}:\d+: bad (?:vertex count|face count|edge count|coordinate|face size) '.*'"),
     (2, rf"{_FILE}:\d+: unexpected end of file \(wanted (?:vertex count|face count|edge count"
         r"|coordinate|face size|face index)\)"),
@@ -280,7 +301,8 @@ ERROR_MESSAGES = [
     (3, rf"{_FILE}: face \d+ is degenerate \(area \S+ <= \S+\)"),
     (3, rf"{_FILE}: inconsistent face orientation across edge \(\d+, \d+\)"),
     (3, r"connectivity mismatch: vertex counts differ \(\d+ vs \d+\)"),
-    (3, r"connectivity mismatch: face lists differ"),
+    (3, r"connectivity mismatch: (?:face counts differ \(\d+ vs \d+\)"
+        r"|face \d+ differs \(\[\d+, \d+, \d+\] vs \[\d+, \d+, \d+\]\))"),
     (3, r"edge \(\d+, \d+\) is shared by \d+ faces"),
     (3, r"boundary edges do not form closed loops; check face orientation"),
     (3, r"expected exactly one boundary loop, found \d+"),

@@ -91,6 +91,12 @@ class TestTriMesh:
         tilted = single(scale * np.array([[0, 0, 0], [1, 0, 1e-13], [0, 1, -1e-13]]))
         assert (upright.dimension, tilted.dimension) == (3, 2)
 
+    def test_huge_coordinates_never_overflow(self):
+        mesh = single(1e200 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1]]))
+        assert math.isfinite(mesh.bbox_diagonal)
+        with pytest.raises(ValidationError):  # not OverflowError
+            validate_mesh(mesh)
+
     def test_tiny_right_triangle_is_3d(self):
         corners = [[0, 0, 0], [1e-13, 0, 0], [0, 0, 1e-13]]
         mesh = single(corners)
@@ -456,6 +462,22 @@ def test_parse_error_names_file_and_line(tmp_path, name, text, message):
     with pytest.raises(ParseError) as info:
         load_mesh(path)
     assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("\n\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 3),  # the first token's line
+    ("", 1),
+    ("# no tokens\n\n", 1),
+], ids=["leading-blank-lines", "empty", "comment-only"])
+def test_missing_off_header_names_first_token_line(tmp_path, text, line):
+    path = tmp_path / "m.off"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}:{line}: missing OFF header"
+    with pytest.raises(ParseError) as info:
+        _parse_off(path, text.encode())
+    assert str(info.value) == f"{path}:{line}: missing OFF header"
 
 
 @pytest.mark.parametrize("name, text", [

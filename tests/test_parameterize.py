@@ -27,8 +27,6 @@ def signed_areas(mesh):
 def test_config_validation():
     with pytest.raises(ValueError):
         ParamConfig(weights="magic")
-    with pytest.raises(ValueError):
-        ParamConfig(solver_tolerance=0.0)
 
 
 def test_single_triangle():
