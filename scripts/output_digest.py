@@ -5,11 +5,15 @@ The inputs are those of ``perfbench/inputs.py`` for the given seed.  The
 outputs digested are:
 
 * ``analyze`` JSON report, per-face CSV and colored PLY of the
-  ``analyze_export`` pair (OBJ source, OFF target), colored by ``abs_mu``
-  and again by ``eps_angle_t``, with the pair read in three layouts: as
-  ``save_mesh`` writes it (``analyze/``), as common exporters write it
-  (``analyze-exporter/``), and with indented OBJ lines and a lower-case
-  ``off`` header (``analyze-indented/``);
+  ``analyze_export`` pair (OBJ source, OFF target), colored by each of
+  ``abs_mu``, ``eps_angle_t`` and ``eps_mu_t``, with the pair read in three
+  layouts: as ``save_mesh`` writes it (``analyze/``), as common exporters
+  write it (``analyze-exporter/``), and with indented OBJ lines and a
+  lower-case ``off`` header (``analyze-indented/``);
+* ``analyze --bins 7`` report of that pair (``bins7/``), and the report,
+  CSV and PLY of its source against the target mirrored in y
+  (``mirrored/``), where every face is folded and the stats and histograms
+  are null;
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps;
@@ -36,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -78,7 +83,7 @@ LAYOUTS = [("analyze", None), ("analyze-exporter", _exporter_layout),
 def _outputs(seed: int):
     """Yield ``(name, normalized bytes)`` for every output."""
     import inputs
-    from qcdistort import MeshMap, report_json, save_mesh, summarize
+    from qcdistort import MeshMap, TriMesh, report_json, save_mesh, summarize
     from qcdistort.cli import main
 
     def cli(args) -> str:
@@ -107,13 +112,26 @@ def _outputs(seed: int):
             for name in ("src.obj", "dst.off"):
                 text = (work / name).read_text()
                 (root / name).write_text(text if rewrite is None else rewrite(text, name[-3:]))
-            for field in ("abs_mu", "eps_angle_t"):
+            for field in ("abs_mu", "eps_angle_t", "eps_mu_t"):
                 outs = [f"r_{field}.json", f"f_{field}.csv", f"c_{field}.ply"]
                 cli(["analyze", str(root / "src.obj"), str(root / "dst.off"),
                      "--out", str(root / outs[0]), "--csv", str(root / outs[1]),
                      "--ply-out", str(root / outs[2]), "--field", field])
                 for name in outs:
                     yield f"{layout}/{name}", read(root / name, root)
+
+        cli(["analyze", str(work / "src.obj"), str(work / "dst.off"),
+             "--out", str(work / "r.json"), "--bins", "7"])
+        yield "bins7/r.json", read(work / "r.json")
+        mirrored = dst.vertices * [1.0, -1.0]
+        save_mesh(TriMesh(mirrored, dst.faces), work / "mirrored.off")
+        outs = ["r.json", "f.csv", "c.ply"]
+        cli(["analyze", str(work / "src.obj"), str(work / "mirrored.off"), "--out",
+             str(work / outs[0]), "--csv", str(work / outs[1]), "--ply-out", str(work / outs[2])])
+        if json.loads((work / outs[0]).read_text())["stats"]["abs_mu"] is not None:
+            raise SystemExit("the mirrored target left a face unfolded")
+        for name in outs:
+            yield f"mirrored/{name}", read(work / name)
 
         save_mesh(inputs.param_flatten_surface(seed), work / "surf.obj")
         for weights in ("uniform", "cotangent"):

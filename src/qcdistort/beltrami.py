@@ -252,25 +252,26 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)
 
 
+def _of_abs_mu(formula, abs_mu, caller: str):
+    """``formula(abs_mu)`` for a scalar or array whose values (NaN fails) all lie in [0, 1)."""
+    x = np.asarray(abs_mu, dtype=np.float64)
+    if not ((x >= 0) & (x < 1)).all():
+        raise DomainError(f"{caller} requires 0 <= |mu| < 1")
+    out = formula(x)
+    return float(out) if np.isscalar(abs_mu) or out.ndim == 0 else out
+
+
 def dilatation(abs_mu):
     """(1 + |mu|) / (1 - |mu|), for |mu| in [0, 1).
 
     Accepts scalars or arrays; raises DomainError outside the domain.
     """
-    x = np.asarray(abs_mu, dtype=np.float64)
-    if np.any(x < 0) or np.any(x >= 1):
-        raise DomainError("dilatation requires 0 <= |mu| < 1")
-    out = (1.0 + x) / (1.0 - x)
-    return float(out) if np.isscalar(abs_mu) or out.ndim == 0 else out
+    return _of_abs_mu(lambda x: (1.0 + x) / (1.0 - x), abs_mu, "dilatation")
 
 
 def epsilon_mu(abs_mu):
     """Angular-distortion bound 2*arcsin(|mu|) in radians, |mu| in [0, 1)."""
-    x = np.asarray(abs_mu, dtype=np.float64)
-    if np.any(x < 0) or np.any(x >= 1):
-        raise DomainError("epsilon_mu requires 0 <= |mu| < 1")
-    out = 2.0 * np.arcsin(x)
-    return float(out) if np.isscalar(abs_mu) or out.ndim == 0 else out
+    return _of_abs_mu(lambda x: 2.0 * np.arcsin(x), abs_mu, "epsilon_mu")
 
 
 def compose_mu(mu_f: complex, mu_g_of_f: complex, tau: complex) -> complex:
@@ -288,9 +289,9 @@ def compose_mu(mu_f: complex, mu_g_of_f: complex, tau: complex) -> complex:
     mu_f = complex(mu_f)
     mu_g_of_f = complex(mu_g_of_f)
     tau = complex(tau)
-    if abs(mu_f) >= 1 or abs(mu_g_of_f) >= 1:
+    if not (abs(mu_f) < 1 and abs(mu_g_of_f) < 1):
         raise DomainError("compose_mu requires both coefficients to have modulus < 1")
-    if abs(abs(tau) - 1.0) > 1e-9:
+    if not abs(abs(tau) - 1.0) <= 1e-9:
         raise DomainError("compose_mu requires |tau| = 1")
     if mu_g_of_f == 0:
         return mu_f

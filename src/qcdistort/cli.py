@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .mesh import load_mesh, save_mesh
-from .parameterize import ParamConfig, tutte_disk
+from .parameterize import WEIGHT_CHOICES, ParamConfig, tutte_disk
 from .report import (
     DEFAULT_BINS,
     FIELD_NAMES,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa.add_argument("source", help="disk-topology mesh (OBJ or OFF)")
     p_pa.add_argument("-o", "--output", metavar="PATH",
                       help="flattened OBJ path (default: <source stem>_flat.obj)")
-    p_pa.add_argument("--weights", choices=("uniform", "cotangent"), default="uniform")
+    p_pa.add_argument("--weights", choices=WEIGHT_CHOICES, default="uniform")
     p_pa.add_argument("--analyze", action="store_true",
                       help="also analyze source -> flat and write "
                            "<output>.report.json")

@@ -247,8 +247,6 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
         If the boundary edges do not chain into closed loops (inconsistent
         face orientation).
     """
-    if mesh.n_faces == 0:
-        return []
     half, inverse, counts = _edge_pass(mesh)
     shared = counts > 2
     if shared.any():
@@ -306,8 +304,6 @@ def validate_mesh(mesh: TriMesh) -> None:
 
 def _check_mesh(mesh: TriMesh) -> None:
     _require_area(mesh, face_areas(mesh))
-    if mesh.n_faces == 0:
-        return
     # a manifold edge is consistently oriented when exactly one of its two
     # half-edges runs from the lower to the higher vertex index; edges on
     # more than two faces are reported by the ops needing manifoldness
@@ -330,7 +326,7 @@ def _resolve_format(path: str | os.PathLike, format: str | None, allowed) -> str
         format = os.path.splitext(os.fspath(path))[1].lstrip(".")
     fmt = format.lower()
     if fmt not in allowed:
-        raise ValueError(f"unsupported mesh format {format!r}; expected one of {allowed}")
+        raise ValueError(f"unsupported format {format!r}; expected one of {allowed}")
     return fmt
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import (TriMesh, _corner, _cross_2d, _cross_norm, _dot, _face_columns, boundary_loops,
-                   validate_mesh)
+from .mesh import TriMesh, _corner, _cross_norm, _dot, _face_columns, boundary_loops, validate_mesh
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 # max allowed infinity-norm residual of the linear system
@@ -97,9 +96,9 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     Returns
     -------
     MeshMap
-        ``source`` is the input, ``target`` the planar embedding.  The
-        embedding's global orientation is normalized (total signed area
-        positive) so a reversed boundary loop cannot reflect the result.
+        ``source`` is the input, ``target`` the planar embedding.  Its
+        total signed area is positive: the boundary loop, walked the way
+        its faces induce, goes counter-clockwise round the unit circle.
 
     Raises
     ------
@@ -137,9 +136,9 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     if interior.size:
         weight = _weight_matrix(mesh, config.weights)
         lap = sparse.diags(np.asarray(weight.sum(axis=1)).ravel()) - weight
-        lap = lap.tocsr()
-        a_ii = lap[interior][:, interior].tocsc()
-        rhs = -lap[interior][:, b_idx] @ boundary_uv
+        lap = lap.tocsr()[interior]  # its interior rows
+        a_ii = lap[:, interior].tocsc()
+        rhs = -lap[:, b_idx] @ boundary_uv
         # a_ii is the Dirichlet block of a graph Laplacian (uniform) or of the
         # P1 stiffness matrix (cotangent), so it is nonsingular on a valid
         # disk; the NaN-safe residual check is the only failure detector
@@ -150,10 +149,4 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
                 f"linear-system residual {residual:.3e} exceeds tolerance {SOLVER_TOLERANCE:.3e}"
             )
         uv[interior] = solution
-
-    # normalize global orientation: a boundary loop walked the "wrong" way
-    # would reflect the whole embedding
-    if _cross_2d(*_corner(uv.T[:, mesh.faces], 0)).sum() < 0:
-        uv[:, 1] = -uv[:, 1]
-
     return MeshMap(source=mesh, target=TriMesh(uv, mesh.faces))

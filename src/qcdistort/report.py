@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import __version__
 from .angular import AngularDistortionField, corner_distortion
 from .beltrami import BeltramiField, MeshMap, face_beltrami
 from .errors import DomainError, EmptyInputError
-from .mesh import _blocks, _write_ply
+from .mesh import _blocks, _resolve_format, _write_ply
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -88,9 +87,16 @@ def histogram(values, bin_count: int, value_range=None):
         lo, hi = float(value_range[0]), float(value_range[1])
     if hi <= lo:
         hi = lo + 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
-    edges = np.linspace(lo, hi, bin_count + 1)
-    counts, _ = np.histogram(vals, bins=edges)
+    # numpy's edges are np.linspace(lo, hi, bin_count + 1)
+    counts, edges = np.histogram(vals, bins=bin_count, range=(lo, hi))
     return edges, counts
+
+
+def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField | None):
+    """The per-face array of ``name``, one of ``FIELD_NAMES``."""
+    if name == "eps_angle_t":
+        return angular.face_avg
+    return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
 def _fsum_stats(values: np.ndarray) -> FieldStats | None:
@@ -129,24 +135,12 @@ def summarize(
     ang = corner_distortion(mapping)
     ok = ~bf.folded
 
-    fields = {
-        "abs_mu": bf.abs_mu[ok],
-        "eps_angle_t": ang.face_avg[ok],
-        "eps_mu_t": bf.eps_mu[ok],
-    }
+    fields = {name: _field(name, bf, ang)[ok] for name in FIELD_NAMES}
     stats = {name: _fsum_stats(vals) for name, vals in fields.items()}
-    histograms = {}
-    for name, vals in fields.items():
-        if vals.size == 0:
-            histograms[name] = None
-        else:
-            edges, counts = histogram(vals, bins)
-            histograms[name] = (edges, counts)
-
-    violations = 0
-    if ok.any():
-        over = ang.corner[ok] > (bf.eps_mu[ok] + BOUND_TOL)[:, None]
-        violations = int(over.any(axis=1).sum())
+    histograms = {name: histogram(vals, bins) if vals.size else None
+                  for name, vals in fields.items()}
+    over = ang.corner[ok] > (bf.eps_mu[ok] + BOUND_TOL)[:, None]
+    violations = int(over.any(axis=1).sum())
 
     meta = {
         "source": source_path,
@@ -168,15 +162,10 @@ def summarize(
 
 def report_to_dict(report: DistortionReport) -> dict:
     """JSON-ready dict with a fixed key order (see README for the schema)."""
-    stats = {}
+    stats, hists = {}, {}
     for name in FIELD_NAMES:
-        s = report.stats.get(name)
-        stats[name] = None if s is None else {
-            "mean": s.mean, "max": s.max, "min": s.min, "std": s.std,
-        }
-    hists = {}
-    for name in FIELD_NAMES:
-        h = report.histograms.get(name)
+        s, h = report.stats.get(name), report.histograms.get(name)
+        stats[name] = None if s is None else asdict(s)
         hists[name] = None if h is None else {
             "bin_edges": [float(x) for x in h[0]],
             "counts": [int(x) for x in h[1]],
@@ -221,18 +210,13 @@ def export_report(report: DistortionReport, path, format: str | None = None) -> 
 
     Raises
     ------
-    OSError
+    ValueError, OSError
     """
-    if format is None:
-        format = os.path.splitext(os.fspath(path))[1].lstrip(".")
-    fmt = format.lower()
-    if fmt == "json":
+    if _resolve_format(path, format, ("json", "csv")) == "json":
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(report_json(report))
-    elif fmt == "csv":
-        _write_csv(report, path)
     else:
-        raise ValueError(f"unsupported report format {format!r}")
+        _write_csv(report, path)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -282,12 +266,7 @@ def export_colored_mesh(
     if field_name == "eps_angle_t" and angular is None:
         angular = corner_distortion(mapping)
 
-    if field_name == "abs_mu":
-        values = beltrami.abs_mu
-    elif field_name == "eps_mu_t":
-        values = beltrami.eps_mu
-    else:
-        values = angular.face_avg
+    values = _field(field_name, beltrami, angular)
 
     ok = ~beltrami.folded
     hi = float(values[ok].max()) if ok.any() else 1.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,11 +70,16 @@ class EllipseGeometry:
 
 def _check_model(model: LinearModel) -> tuple[float, float]:
     mag_a, mag_b = abs(model.A), abs(model.B)
-    if mag_a - mag_b <= MODEL_GUARD * (mag_a + mag_b):
+    if not mag_a - mag_b > MODEL_GUARD * (mag_a + mag_b):  # NaN fails too
         raise DegenerateModelError(
             f"model is not orientation-preserving: |A|={mag_a:.3e} <= |B|={mag_b:.3e}"
         )
     return mag_a, mag_b
+
+
+def _check_dilatation(dilatation: float) -> None:
+    if not 1.0 <= dilatation < math.inf:  # NaN fails too; K = inf is |mu| = 1
+        raise DomainError("dilatation must be >= 1 and finite")
 
 
 def principal_stretch(model: LinearModel) -> PrincipalStretch:
@@ -134,8 +139,7 @@ def image_angle_axis(theta: float, dilatation: float) -> float:
     """
     if not 0.0 < theta < math.pi / 2.0:
         raise DomainError("theta must lie in (0, pi/2)")
-    if dilatation < 1.0:
-        raise DomainError("dilatation must be >= 1")
+    _check_dilatation(dilatation)
     return math.atan(math.tan(theta) / dilatation)
 
 
@@ -155,8 +159,7 @@ def image_angle_general(alpha: float, beta: float, dilatation: float) -> float:
     ------
     DomainError
     """
-    if dilatation < 1.0:
-        raise DomainError("dilatation must be >= 1")
+    _check_dilatation(dilatation)
     half = math.pi / 2.0
     if not (-half < beta < alpha < half):
         raise DomainError("need -pi/2 < beta < alpha < pi/2")
@@ -224,8 +227,7 @@ def max_distortion_for_angle(theta: float, dilatation: float) -> tuple[float, fl
     """
     if not 0.0 < theta < math.pi:
         raise DomainError("theta must lie in (0, pi)")
-    if dilatation < 1.0:
-        raise DomainError("dilatation must be >= 1")
+    _check_dilatation(dilatation)
     if dilatation == 1.0:
         return 0.0, extremal_bisectors(theta)[0]
     best_delta, best_b = -1.0, 0.0
@@ -255,8 +257,7 @@ def brute_force_max_distortion(
     """
     if not 0.0 < theta < math.pi:
         raise DomainError("theta must lie in (0, pi)")
-    if dilatation < 1.0:
-        raise DomainError("dilatation must be >= 1")
+    _check_dilatation(dilatation)
     if grid_size < MIN_GRID:
         raise DomainError(f"grid_size must be >= {MIN_GRID}")
     alphas = -math.pi / 2.0 + (np.arange(grid_size) + 0.5) * (math.pi / grid_size)
@@ -285,8 +286,7 @@ def max_half_angle_deviation(dilatation: float) -> tuple[float, float]:
     ------
     DomainError
     """
-    if dilatation < 1.0:
-        raise DomainError("dilatation must be >= 1")
+    _check_dilatation(dilatation)
     k = dilatation
     return math.asin((k - 1.0) / (k + 1.0)), math.atan(math.sqrt(k))
 
@@ -306,13 +306,7 @@ class TheoryCheck:
     params: dict
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def tangent_ratio_suite(n_models: int = 1000, seed: int = 42) -> TheoryCheck:

@@ -239,6 +239,13 @@ class TestScalarHelpers:
         with pytest.raises(DomainError):
             epsilon_mu(1.0)
 
+    @pytest.mark.parametrize("func", [dilatation, epsilon_mu])
+    @pytest.mark.parametrize("abs_mu", [math.nan, np.array([0.2, math.nan]), math.inf],
+                             ids=["nan", "nan-in-array", "inf"])
+    def test_nan_and_inf_rejected(self, func, abs_mu):
+        with pytest.raises(DomainError, match=r"requires 0 <= \|mu\| < 1"):
+            func(abs_mu)
+
 
 class TestComposeMu:
     def test_conformal_second_map_exact(self):
@@ -280,6 +287,10 @@ class TestComposeMu:
             compose_mu(1.2, 0.1, 1)
         with pytest.raises(DomainError):
             compose_mu(0.1, 0.2, 2.0)
+        for args in [(complex(math.nan, 0), 0.1, 1), (0.1, complex(0, math.nan), 1),
+                     (0.1, 0.2, math.nan)]:
+            with pytest.raises(DomainError):
+                compose_mu(*args)
 
     def test_modulus_stays_below_one(self):
         out = compose_mu(0.9, 0.9j, cmath.exp(1.3j))

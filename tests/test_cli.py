@@ -92,6 +92,14 @@ class TestAnalyze:
                      "--frobnicate"])
         assert code == 2
 
+    def test_vertex_only_obj_reports_zero_faces(self, tmp_path, capsys):
+        path = tmp_path / "points.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+        assert main(["analyze", str(path), str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["face_count"] == 0 and data["bound_violations"] == 0
+        assert data["stats"]["abs_mu"] is None
+
     def test_folded_faces_warn_but_exit_zero(self, tmp_path, capsys):
         src = tmp_path / "src.obj"
         dst = tmp_path / "dst.obj"
@@ -197,7 +205,12 @@ class TestErrorExitCodes:
         ["analyze", "{disk}", "{disk}", "--bins", "0"],
         ["theory", "--k", "0.5"],
         ["theory", "--k", "2", "--theta", "4"],
+        ["theory", "--k", "nan"],
+        ["theory", "--k", "nan", "--theta", "1"],
+        ["theory", "--k", "inf"],
+        ["theory", "--k", "inf", "--theta", "1"],
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_domain_argument_exit_2(self, meshes, capsys, argv):
         code = main([a.format(disk=meshes / "disk.obj") for a in argv])
         assert code == 2

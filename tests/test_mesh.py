@@ -253,6 +253,13 @@ class TestBoundaryLoops:
     def test_closed_mesh(self):
         assert boundary_loops(tetrahedron()) == []
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_faces_validate_with_no_boundary(self, dim):
+        # the vectorised edge pass needs no special case for an empty face list
+        mesh = TriMesh(np.eye(3)[:, :dim], np.zeros((0, 3), dtype=np.int64))
+        validate_mesh(mesh)
+        assert boundary_loops(mesh) == []
+
     def test_two_triangles(self):
         m = TriMesh(
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],

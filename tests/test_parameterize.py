@@ -13,7 +13,8 @@ from qcdistort import (
     face_beltrami,
     tutte_disk,
 )
-from qcdistort.synth import flat_disk, hemisphere, irregular_disk, tetrahedron
+from qcdistort.parameterize import WEIGHT_CHOICES
+from qcdistort.synth import bumpy_disk, flat_disk, hemisphere, irregular_disk, tetrahedron
 
 
 def signed_areas(mesh):
@@ -93,6 +94,36 @@ def test_cotangent_beats_uniform_on_hemisphere():
 def test_closed_mesh_rejected():
     with pytest.raises(TopologyError):
         tutte_disk(tetrahedron())
+
+
+def test_zero_faces_rejected():
+    with pytest.raises(TopologyError, match="expected exactly one boundary loop, found 0"):
+        tutte_disk(TriMesh(np.eye(3)[:, :2], np.zeros((0, 3), dtype=np.int64)))
+
+
+# faces as given and reversed: the boundary loop follows the faces either way
+ORIENTED_DISKS = pytest.mark.parametrize("mesh", [
+    flat_disk(8), TriMesh(flat_disk(8).vertices, flat_disk(8).faces[:, ::-1]),
+    bumpy_disk(300), TriMesh(bumpy_disk(300).vertices, bumpy_disk(300).faces[:, ::-1]),
+], ids=["flat_disk", "flat_disk-reversed", "bumpy_disk", "bumpy_disk-reversed"])
+
+
+@ORIENTED_DISKS
+def test_uniform_embedding_is_positively_oriented(mesh):
+    assert (signed_areas(tutte_disk(mesh).target) > 0).all()
+
+
+@ORIENTED_DISKS
+@pytest.mark.parametrize("weights", WEIGHT_CHOICES)
+def test_signed_area_is_the_boundary_polygons(mesh, weights):
+    # the loop goes counter-clockwise round the unit circle, so the faces'
+    # signed areas sum to the polygon's, positive whatever the interior solve
+    uv = tutte_disk(mesh, ParamConfig(weights=weights)).target.vertices
+    (loop,) = boundary_loops(mesh)
+    x, y = uv[loop].T
+    polygon = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    assert polygon > 3.0  # near pi: the loop is close to the unit circle
+    assert signed_areas(TriMesh(uv, mesh.faces)).sum() == pytest.approx(polygon, rel=1e-12)
 
 
 def test_annulus_rejected():

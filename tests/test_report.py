@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcdistort.mesh
 import qcdistort.report
@@ -59,7 +62,33 @@ def reference_csv(report):
     return buf.getvalue().encode("ascii")
 
 
+def reference_histogram(values, bin_count, value_range=None):
+    """The explicit-edges form ``histogram`` replaced, kept as the reference."""
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    lo, hi = (0.0, float(vals.max())) if value_range is None else map(float, value_range)
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bin_count + 1)
+    return edges, np.histogram(vals, bins=edges)[0]
+
+
 class TestHistogram:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bins=st.integers(1, 64), lo=st.floats(-1e3, 1e3),
+           width=st.floats(1e-6, 1e3), ranged=st.booleans())
+    def test_matches_explicit_linspace_edges(self, data, bins, lo, width, ranged):
+        hi = lo + width
+        # values on every edge of the range, and values on both sides of it
+        edges = np.linspace(lo, hi, bins + 1).tolist()
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from(edges), st.floats(lo - width, hi + width)),
+            min_size=1, max_size=60))
+        value_range = (lo, hi) if ranged else None
+        got_edges, got_counts = histogram(values, bins, value_range)
+        want_edges, want_counts = reference_histogram(values, bins, value_range)
+        assert got_edges.tolist() == want_edges.tolist()
+        assert got_counts.tolist() == want_counts.tolist()
+
     def test_all_zero(self):
         edges, counts = histogram([0, 0, 0], 2, (0, 1))
         assert counts.tolist() == [3, 0]
@@ -142,6 +171,17 @@ class TestExports:
         assert data["stats"]["abs_mu"]["mean"] == squeeze_report.stats["abs_mu"].mean
         assert data["meta"]["source"] == "src.obj"
         assert set(data["histograms"]["eps_mu_t"]) == {"bin_edges", "counts"}
+
+    def test_format_from_extension_in_any_case(self, squeeze_report, tmp_path):
+        path = tmp_path / "r.JSON"
+        export_report(squeeze_report, path)
+        assert path.read_text() == report_json(squeeze_report)
+
+    def test_unsupported_format_named(self, squeeze_report, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(
+                "unsupported format 'txt'; expected one of ('json', 'csv')")):
+            export_report(squeeze_report, tmp_path / "r.txt")
+        assert not (tmp_path / "r.txt").exists()
 
     def test_json_matches_report_dict(self, squeeze_report):
         assert json.loads(report_json(squeeze_report)) == report_to_dict(squeeze_report)
@@ -230,6 +270,7 @@ def test_all_faces_folded_degrades_gracefully(tmp_path):
     mirrored = TriMesh([[0, 0], [1, 0], [0, -1]], [[0, 1, 2]])
     rep = summarize(MeshMap(src, mirrored))
     assert rep.folded_count == 1
+    assert rep.bound_violations == 0
     assert rep.stats["abs_mu"] is None
     assert rep.histograms["abs_mu"] is None
     data = json.loads(report_json(rep))
@@ -249,3 +290,21 @@ def test_field_stats_are_fsum_based(flat_mesh):
     rep = summarize(mapping)
     vals = rep.beltrami.abs_mu[~rep.beltrami.folded]
     assert rep.stats["abs_mu"].mean == math.fsum(vals.tolist()) / len(vals)
+
+
+@pytest.mark.parametrize("name, column", [
+    ("abs_mu", lambda rep: rep.beltrami.abs_mu),
+    ("eps_angle_t", lambda rep: rep.angular.face_avg),
+    ("eps_mu_t", lambda rep: rep.beltrami.eps_mu),
+])
+def test_each_field_reads_its_per_face_array(flat_mesh, tmp_path, name, column):
+    mapping = MeshMap(flat_mesh, scaled_map_target(flat_mesh, 1.0, 0.5))
+    rep = summarize(mapping)
+    vals = column(rep)
+    assert rep.stats[name].mean == math.fsum(vals.tolist()) / len(vals)
+    assert rep.stats[name].max == vals.max()
+    path = tmp_path / "c.ply"
+    export_colored_mesh(mapping, name, path)
+    rows = path.read_text().splitlines()[-flat_mesh.n_faces:]
+    want = face_colors(vals, rep.beltrami.folded, 0.0, float(vals.max()))
+    assert [row.split()[4:] for row in rows] == want.astype(str).tolist()

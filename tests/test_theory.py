@@ -63,6 +63,10 @@ class TestPrincipalStretch:
     def test_degenerate_model(self):
         with pytest.raises(DegenerateModelError):
             principal_stretch(LinearModel(1.0, 1.0))
+        for model in [LinearModel(complex(math.nan, 0), 0.5), LinearModel(1.0, math.nan)]:
+            for func in (principal_stretch, ellipse_geometry):
+                with pytest.raises(DegenerateModelError):
+                    func(model)
 
     @settings(max_examples=60, deadline=None)
     @given(model=models)
@@ -274,3 +278,18 @@ class TestSuites:
         checks = run_all_checks(seed=7, grid_size=2000)
         assert all(c.passed for c in checks)
         assert {type(c.observed) for c in checks} == {float}
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("call", [
+    lambda k: image_angle_axis(0.5, k),
+    lambda k: image_angle_general(0.5, 0.2, k),
+    lambda k: max_distortion_for_angle(1.0, k),
+    lambda k: brute_force_max_distortion(1.0, k, 1000),
+    lambda k: max_half_angle_deviation(k),
+], ids=["image_angle_axis", "image_angle_general", "max_distortion_for_angle",
+        "brute_force_max_distortion", "max_half_angle_deviation"])
+def test_dilatation_outside_one_to_inf_rejected(call, k):
+    # K = inf is |mu| = 1, and NaN fails the "reject unless inside" guard
+    with pytest.raises(DomainError, match="dilatation must be >= 1 and finite"):
+        call(k)
