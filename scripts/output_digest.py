@@ -13,7 +13,9 @@ outputs digested are:
 * ``analyze --bins 7`` report of that pair (``bins7/``), and the report,
   CSV and PLY of its source against the target mirrored in y
   (``mirrored/``), where every face is folded and the stats and histograms
-  are null;
+  are null, and the report and CSV of that source against itself moved by
+  a seeded relative jitter of 1e-9 (``near-identity/``), whose ``|mu|`` and
+  distortions sit many binades below those of the other maps;
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps;
@@ -45,6 +47,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 _WORK = b"<work>"
@@ -132,6 +136,16 @@ def _outputs(seed: int):
             raise SystemExit("the mirrored target left a face unfolded")
         for name in outs:
             yield f"mirrored/{name}", read(work / name)
+        jitter = np.random.default_rng(seed).standard_normal(src.vertices.shape)
+        save_mesh(TriMesh(src.vertices * (1.0 + 1e-9 * jitter), src.faces), work / "near.off")
+        outs = ["r.json", "f.csv"]
+        cli(["analyze", str(work / "src.obj"), str(work / "near.off"),
+             "--out", str(work / outs[0]), "--csv", str(work / outs[1])])
+        abs_mu = json.loads((work / outs[0]).read_text())["stats"]["abs_mu"]
+        if abs_mu is None or not 0.0 < abs_mu["max"] < 1e-4:
+            raise SystemExit("the near-identity target is not near the identity")
+        for name in outs:
+            yield f"near-identity/{name}", read(work / name)
 
         save_mesh(inputs.param_flatten_surface(seed), work / "surf.obj")
         for weights in ("uniform", "cotangent"):

@@ -5,9 +5,9 @@ excluded from statistics, histograms, and the bound check; their count is
 reported separately; in CSV rows their dilatation / bound cells are left
 empty; in colored PLY exports they get the sentinel color magenta.
 
-Aggregation is deterministic: values are reduced in face-index order with
-exactly-rounded (compensated) summation, so reports are byte-identical
-across runs.
+Aggregation is deterministic: every sum is the exact sum of its values
+rounded once, which no order of the values can change, so reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -87,9 +87,12 @@ def histogram(values, bin_count: int, value_range=None):
         lo, hi = float(value_range[0]), float(value_range[1])
     if hi <= lo:
         hi = lo + 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
-    # numpy's edges are np.linspace(lo, hi, bin_count + 1)
-    counts, edges = np.histogram(vals, bins=bin_count, range=(lo, hi))
-    return edges, counts
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"histogram range [{lo!r}, {hi!r}] is not finite")
+    edges = np.linspace(lo, hi, bin_count + 1)  # the edges np.histogram builds
+    if not (edges[:-1] < edges[1:]).all():
+        raise DomainError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {bin_count} bins")
+    return edges, np.histogram(vals, bins=bin_count, range=(lo, hi))[0]
 
 
 def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField | None):
@@ -99,16 +102,53 @@ def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField |
     return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """The exact sum of a 1-D float64 array rounded once: ``math.fsum``'s bits.
+
+    A finite double is an integer mantissa below ``2 ** 53`` times
+    ``2 ** (e - 1075)``, ``e`` its biased exponent (1 for subnormals).  The
+    signed mantissas are summed per exponent in chunks ``w`` bits wide, with
+    ``n < 2 ** (53 - w)`` values, so every partial sum is an integer below
+    ``2 ** 53`` and every bucket total is exact.  The buckets are joined as
+    Python ints and the total is rounded once, as ``math.fsum`` rounds
+    (Shewchuk 1997).
+
+    Raises
+    ------
+    DomainError
+        On a NaN or an infinity, whose exponent field is ``0x7FF``.
+    """
+    bits = values.view(np.int64)
+    exp = (bits >> 52) & 0x7FF
+    if exp.max(initial=0) == 0x7FF:
+        i = int(np.argmax(exp == 0x7FF))
+        raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} at index {i}")
+    mant = bits & (2 ** 52 - 1) | np.minimum(exp, 1) << 52
+    exp = np.maximum(exp, 1)
+    lo = int(exp.min(initial=0x7FF))  # no values: a zero total at any scale
+    exp -= lo
+    w = 53 - values.size.bit_length()
+    total = 0
+    for shift in range(0, 53, w):
+        part = np.copysign((mant >> shift) & ((1 << w) - 1), values)
+        buckets = np.bincount(exp, weights=part)
+        nonzero = np.flatnonzero(buckets)
+        for k, chunk_sum in zip(nonzero.tolist(), buckets[nonzero].tolist()):
+            total += int(chunk_sum) << (k + shift)
+    # int to float and int / int both round correctly, half to even
+    scale = lo - 1075
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 def _fsum_stats(values: np.ndarray) -> FieldStats | None:
-    """Mean/max/min/std via exactly-rounded sequential summation."""
+    """Mean/max/min/std from exactly rounded sums."""
     if values.size == 0:
         return None
-    seq = values.tolist()
-    n = len(seq)
-    mean = math.fsum(seq) / n
+    n = values.size
+    mean = _exact_sum(values) / n
     # float_power calls the C pow that Python's ``** 2`` calls: the squares keep
     # their bits, where np.square and np.power differ in the last bit on some values
-    var = math.fsum(np.float_power(values - mean, 2.0).tolist()) / n
+    var = _exact_sum(np.float_power(values - mean, 2.0)) / n
     return FieldStats(
         mean=mean, max=float(values.max()), min=float(values.min()),
         std=math.sqrt(var),
@@ -130,7 +170,14 @@ def summarize(
     ``bound_violations`` counts non-folded faces where some corner's angular
     distortion exceeds the face bound by more than 1e-9; zero is the healthy
     state.
+
+    Raises
+    ------
+    DomainError
+        When ``bins`` is below 1, whether or not any face is unfolded.
     """
+    if bins < 1:
+        raise DomainError("bins must be >= 1")
     bf = face_beltrami(mapping)
     ang = corner_distortion(mapping)
     ok = ~bf.folded

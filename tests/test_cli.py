@@ -217,6 +217,16 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_bins_checked_on_an_all_folded_map(self, meshes, tmp_path, capsys):
+        disk = flat_disk(6)
+        mirrored = tmp_path / "mirrored.obj"
+        save_mesh(qcdistort.TriMesh(disk.vertices * [1.0, -1.0], disk.faces), mirrored)
+        argv = ["analyze", str(meshes / "other.obj"), str(mirrored), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["abs_mu"] is None
+        assert main([*argv, "--bins", "0"]) == 2
+        assert capsys.readouterr().err == "error: bins must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "{root}/a.ply", "{root}/a.ply"],
         ["param", "{root}/a.stl"],

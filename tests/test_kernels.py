@@ -8,10 +8,12 @@ with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it, and a Python
 generator for the variance.  Meshes are drawn in the three vertex layouts
 the package reads (2 columns, 3 columns with z inside the planar tolerance,
 3D), with folded and anti-conformal target faces, repeated and signed-zero
-coordinates, and a sliver face near the degeneracy threshold.
+coordinates, and a sliver face near the degeneracy threshold.  The
+statistics' vectorised exact sum is held to ``math.fsum``, bit for bit.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qcdistort import (
+    DomainError,
     MeshMap,
     TriMesh,
     ValidationError,
@@ -34,7 +37,7 @@ from qcdistort import (
 from qcdistort.beltrami import FZ_GUARD, AffineMap2D
 from qcdistort.mesh import _require_area
 from qcdistort.parameterize import _weight_matrix
-from qcdistort.report import FieldStats, _fsum_stats
+from qcdistort.report import FieldStats, _exact_sum, _fsum_stats
 
 LAYOUTS = ["2-column", "3-column-planar", "3d"]
 
@@ -391,3 +394,67 @@ def test_float_power_squares_like_python():
     ])
     squares = np.array([x ** 2 for x in d.tolist()])
     assert np.float_power(d, 2.0).view(np.int64).tolist() == squares.view(np.int64).tolist()
+
+
+# finite doubles: the whole range, subnormals, signed zeros and values near +-1e300
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-306, 1e-306),
+    st.floats(1e299, 1e301).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 2.0 ** -53]),
+)
+# the lengths at which n.bit_length(), and with it the chunk width, steps
+LENGTHS = [1, 2, 3, 4, 255, 256, 257, 65_535, 65_536, 65_537]
+
+
+@st.composite
+def float_lists(draw):
+    pattern = draw(st.lists(FINITE, min_size=1, max_size=6))
+    length = draw(st.one_of(st.sampled_from(LENGTHS), st.integers(0, 40)))
+    xs = (pattern * (length // len(pattern) + 1))[:length]
+    if draw(st.booleans()):
+        # exact cancellations, as in [x, y, -x]
+        xs += draw(st.lists(FINITE, max_size=3)) + [-x for x in xs[::-2]]
+    return xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=float_lists())
+def test_exact_sum_has_fsum_bits(xs):
+    try:
+        want = math.fsum(xs)
+    except OverflowError:
+        return  # math.fsum returns no value to match
+    assert _exact_sum(np.array(xs, dtype=np.float64)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("xs", [
+    [],
+    [-0.0],                                    # math.fsum's zero is +0.0
+    [1.0, 2.0 ** -53],                         # a tie, rounded to even
+    [1.0, 2.0 ** -53, 2.0 ** -105],            # just above the tie
+    [5e-324, 1e-310, -2.5e-320] * 100,         # subnormals only
+    [2.2250738585072014e-308, -5e-324],        # a normal minus a subnormal
+    # one exponent's values overflow a double summed alone; the total does not
+    [1.7e308, -8e307, -8e307, 1.5e308],
+], ids=["empty", "negative-zero", "tie", "above-tie", "subnormals", "normal-subnormal",
+        "cancel-near-max"])
+def test_exact_sum_fixed_cases(xs):
+    assert _exact_sum(np.array(xs, dtype=np.float64)).hex() == math.fsum(xs).hex()
+
+
+def test_fsum_stats_on_a_benchmark_sized_field():
+    """49,909 values over twelve binades, as many as a benchmark map has faces."""
+    rng = np.random.default_rng(49_909)
+    values = np.abs(rng.standard_normal(49_909)) * 10.0 ** rng.uniform(-12, 0, 49_909)
+    assert outcome(_fsum_stats, values) == outcome(ref_fsum_stats, values)
+
+
+@pytest.mark.parametrize("xs, message", [
+    ([math.nan], "cannot sum the non-finite value nan at index 0"),
+    ([1.0, math.inf], "cannot sum the non-finite value inf at index 1"),
+    ([1.0, 2.0, -math.inf, math.nan], "cannot sum the non-finite value -inf at index 2"),
+])
+def test_exact_sum_rejects_non_finite_values(xs, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _exact_sum(np.array(xs))

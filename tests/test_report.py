@@ -113,6 +113,21 @@ class TestHistogram:
         with pytest.raises(DomainError):
             histogram([1.0], 0)
 
+    def test_non_finite_values_name_the_range(self):
+        with pytest.raises(DomainError, match=re.escape("histogram range [0.0, nan] is not finite")):
+            histogram([0.0, math.nan], 50)
+
+    def test_subnormal_range_too_narrow_for_the_bins(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "histogram range [0.0, 5e-324] is too narrow for 50 bins")):
+            histogram([0.0, 5e-324], 50)
+
+    def test_widened_range_too_narrow_for_the_bins(self):
+        # lo + 1.0 == lo at 1e20, so the degenerate range cannot be widened
+        with pytest.raises(DomainError, match=re.escape(
+                "histogram range [1e+20, 1e+20] is too narrow for 50 bins")):
+            histogram([1e20], 50, value_range=(1e20, 1e20))
+
 
 class TestSummarize:
     def test_identity_all_zero(self, flat_mesh):
