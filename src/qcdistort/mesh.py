@@ -142,6 +142,14 @@ class TriMesh:
         _check_mesh(self)
         return True
 
+    @functools.cached_property
+    def _edges(self):
+        # the edge pass of boundary_loops, kept read-only for the Tutte solve's weights
+        edges = _edge_pass(self)
+        for array in edges:
+            array.flags.writeable = False
+        return edges
+
 
 def _face_columns(mesh: TriMesh) -> list[np.ndarray]:
     """Corner coordinates of every face, one (n_faces, 3) array per coordinate
@@ -247,7 +255,7 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
         If the boundary edges do not chain into closed loops (inconsistent
         face orientation).
     """
-    half, inverse, counts = _edge_pass(mesh)
+    half, inverse, counts = mesh._edges
     shared = counts > 2
     if shared.any():
         # the lowest-numbered such edge, named by its sorted vertex pair

@@ -70,7 +70,7 @@ def histogram(values, bin_count: int, value_range=None):
     """Uniform-bin histogram over ``value_range`` (default [0, max]).
 
     Values equal to the upper edge land in the last bin; values outside the
-    range are excluded.  Returns (bin_edges, counts).
+    range are excluded, non-finite ones raise.  Returns (bin_edges, counts).
 
     Raises
     ------
@@ -92,6 +92,9 @@ def histogram(values, bin_count: int, value_range=None):
     edges = np.linspace(lo, hi, bin_count + 1)  # the edges np.histogram builds
     if not (edges[:-1] < edges[1:]).all():
         raise DomainError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {bin_count} bins")
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise DomainError(f"cannot histogram the non-finite value {float(vals[i])!r} at index {i}")
     return edges, np.histogram(vals, bins=bin_count, range=(lo, hi))[0]
 
 

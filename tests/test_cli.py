@@ -9,12 +9,11 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcdistort
-from qcdistort import load_mesh, save_mesh
+from qcdistort import load_mesh, parameterize, save_mesh
 from qcdistort.cli import main
 from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron, wavy_disk
 
@@ -142,12 +141,23 @@ class TestParam:
         assert report["bound_violations"] == 0
 
     def test_failed_solve_exit_1(self, meshes, tmp_path, capsys, monkeypatch):
-        # scipy returns NaN instead of raising on a singular matrix
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                            lambda a, b: np.full(b.shape, np.nan))
+        # a solve that returns NaN is caught by the residual check
+        monkeypatch.setattr(parameterize, "_multifrontal_solve",
+                            lambda rows, cols, vals, b, points: np.full(b.shape, np.nan))
         code = main(["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "f.obj")])
         assert code == 1
         assert "residual" in capsys.readouterr().err
+
+    def test_singular_solve_exit_1(self, meshes, tmp_path, capsys, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(parameterize, "_multifrontal_solve", singular)
+        code = main(["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "f.obj")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: linear solve failed: Singular matrix"]
+        assert not (tmp_path / "f.obj").exists()
 
 
 class TestTheory:
@@ -283,16 +293,26 @@ class TestMisc:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_import_leaves_scipy_out(self):
-        # analyze needs no scipy; only param's solve imports it
+    def test_import_leaves_scipy_out(self, meshes, tmp_path):
+        # no command imports scipy: only synth's Delaunay needs it
         src = os.path.dirname(os.path.dirname(qcdistort.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, qcdistort.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = f"import sys, qcdistort.cli; {scipy_modules}"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
+        # a whole param --analyze run, both weights
+        for weights in ("uniform", "cotangent"):
+            argv = ["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "flat.obj"),
+                    "--weights", weights, "--analyze", "--quiet"]
+            code = (f"import sys; from qcdistort.cli import main; code = main({argv!r}); "
+                    f"{scipy_modules}; sys.exit(code)")
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=60, check=True)
+            assert done.stdout.strip() == "[]"
+            assert (tmp_path / "flat.obj.report.json").exists()
 
     def test_quiet_suppresses_summary(self, meshes, tmp_path, capsys):
         out = tmp_path / "rep.json"

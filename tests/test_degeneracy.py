@@ -22,7 +22,7 @@ from qcdistort import (
     validate_mesh,
 )
 from qcdistort.cli import main
-from qcdistort.parameterize import _weight_matrix
+from qcdistort.parameterize import _edge_weights
 
 LAYOUTS = ["2-column", "3-column-planar", "3d"]
 ABOVE, BELOW = 1 + 1e-6, 1 - 1e-6
@@ -72,7 +72,7 @@ class TestNearThreshold:
         assert not field.folded.any()
         assert np.isfinite(corner_distortion(mapping).corner).all()
         assert np.isfinite(corner_angles(mesh)).all()
-        assert np.isfinite(_weight_matrix(mesh, "cotangent").data).all()
+        assert np.isfinite(_edge_weights(mesh, "cotangent")).all()
         one = near_threshold(layout, ABOVE, n_faces=1)
         assert np.isfinite(flatten_triangle(*one.vertices)).all()
         if layout != "3d":

@@ -36,7 +36,7 @@ from qcdistort import (
 )
 from qcdistort.beltrami import FZ_GUARD, AffineMap2D
 from qcdistort.mesh import _require_area
-from qcdistort.parameterize import _weight_matrix
+from qcdistort.parameterize import _edge_weights
 from qcdistort.report import FieldStats, _exact_sum, _fsum_stats
 
 LAYOUTS = ["2-column", "3-column-planar", "3d"]
@@ -93,6 +93,19 @@ def ref_cotangent_matrix(mesh):
     return sparse.coo_matrix(
         (np.concatenate(vals_list),
          (np.concatenate(rows_list), np.concatenate(cols_list))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def edge_weight_matrix(mesh, kind):
+    """The symmetric CSR matrix of ``_edge_weights``: each undirected edge's
+    weight at (i, j) and at (j, i)."""
+    half, inverse, _ = mesh._edges
+    i, j = half[np.unique(inverse, return_index=True)[1]].T  # one half-edge per edge
+    weights = _edge_weights(mesh, kind)
+    n = mesh.n_vertices
+    return sparse.coo_matrix(
+        (np.concatenate([weights, weights]), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(n, n),
     ).tocsr()
 
@@ -316,7 +329,7 @@ def check_mesh_formulas(mesh):
     assert outcome(face_areas, mesh) == outcome(ref_face_areas, mesh)
     assert outcome(corner_angles, mesh) == outcome(ref_corner_angles, mesh)
     with np.errstate(all="ignore"):
-        assert csr_bits(_weight_matrix(mesh, "cotangent")) == csr_bits(ref_cotangent_matrix(mesh))
+        assert csr_bits(edge_weight_matrix(mesh, "cotangent")) == csr_bits(ref_cotangent_matrix(mesh))
 
 
 def check_one_face_helpers(source, target, faces):
@@ -361,6 +374,17 @@ def test_signed_zero_corner_keeps_its_bits(dim):
     check_mesh_formulas(mesh)
     check_one_face_helpers(mesh, mesh, mesh.faces)
     check_beltrami_fields(MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces)))
+
+
+def test_lone_negative_zero_weight_keeps_its_sign():
+    # at corner 0, u = (1, 0) and w = (-5e-324, 1): the cotangent is
+    # -5e-324 and half of it rounds to -0.0, the only term of edge (1, 2)
+    mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [-5e-324, 1.0]], [[0, 1, 2]])
+    half, inverse, _ = mesh._edges
+    weight = _edge_weights(mesh, "cotangent")[inverse[1]]  # half-edge 1 is (1, 2)
+    assert half[1].tolist() == [1, 2]
+    assert weight == 0 and math.copysign(1.0, weight) == -1.0
+    check_mesh_formulas(mesh)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from qcdistort import (
     ParamConfig,
@@ -13,8 +12,16 @@ from qcdistort import (
     face_beltrami,
     tutte_disk,
 )
-from qcdistort.parameterize import WEIGHT_CHOICES
-from qcdistort.synth import bumpy_disk, flat_disk, hemisphere, irregular_disk, tetrahedron
+from qcdistort import parameterize
+from qcdistort.parameterize import LEAF_SIZE, SOLVER_TOLERANCE, WEIGHT_CHOICES
+from qcdistort.synth import (
+    bumpy_disk,
+    flat_disk,
+    hemisphere,
+    irregular_disk,
+    tetrahedron,
+    triangulate,
+)
 
 
 def signed_areas(mesh):
@@ -153,11 +160,75 @@ def test_edge_count_from_faces_and_boundary(mesh):
 
 
 def test_failed_solve_raises_solver_error(monkeypatch):
-    # scipy returns NaN instead of raising on a singular matrix
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                        lambda a, b: np.full(b.shape, np.nan))
+    # a solve that returns NaN is caught by the residual check
+    monkeypatch.setattr(parameterize, "_multifrontal_solve",
+                        lambda rows, cols, vals, b, points: np.full(b.shape, np.nan))
     with pytest.raises(SolverError, match="residual"):
         tutte_disk(flat_disk(4))
+
+
+def test_singular_front_raises_solver_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(parameterize, "_multifrontal_solve", singular)
+    with pytest.raises(SolverError, match=r"^linear solve failed: Singular matrix$") as info:
+        tutte_disk(flat_disk(4))
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def tiny_disk(n_interior):
+    """Twelve boundary vertices on the unit circle round ``n_interior``
+    sunflower points inside radius 0.9, Delaunay-triangulated."""
+    angle = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    t = np.arange(n_interior) + 0.5
+    radius = 0.9 * np.sqrt(t / n_interior)
+    spin = np.pi * (3.0 - np.sqrt(5.0)) * t
+    points = np.vstack([np.column_stack([np.cos(angle), np.sin(angle)]),
+                        radius[:, None] * np.column_stack([np.cos(spin), np.sin(spin)])])
+    mesh = TriMesh(points, triangulate(points))
+    assert mesh.n_vertices - len(boundary_loops(mesh)[0]) == n_interior
+    return mesh
+
+
+def dirichlet_block(mesh, weights):
+    """The interior block ``A`` of the weighted Laplacian of a disk, dense,
+    and the right-hand side ``b`` for random boundary positions."""
+    half, inverse, _ = mesh._edges
+    i, j = half[np.unique(inverse, return_index=True)[1]].T  # one half-edge per edge
+    w = parameterize._edge_weights(mesh, weights)
+    n = mesh.n_vertices
+    laplacian = np.zeros((n, n))
+    np.add.at(laplacian, (i, j), -w)
+    np.add.at(laplacian, (j, i), -w)
+    laplacian[np.diag_indices(n)] = -laplacian.sum(axis=1)
+    (loop,) = boundary_loops(mesh)
+    interior = np.setdiff1d(np.arange(n), loop)
+    uv = np.random.default_rng(5).standard_normal((len(loop), 2))
+    return laplacian[np.ix_(interior, interior)], -laplacian[np.ix_(interior, loop)] @ uv, interior
+
+
+SOLVER_MESHES = {
+    "flat_disk": lambda: flat_disk(12),
+    "hemisphere": lambda: hemisphere(14),
+    "irregular_disk": lambda: irregular_disk(900),
+    "one_interior": lambda: tiny_disk(1),
+    "leaf_size": lambda: tiny_disk(LEAF_SIZE),
+    "leaf_size_plus_one": lambda: tiny_disk(LEAF_SIZE + 1),
+}
+
+
+@pytest.mark.parametrize("weights", WEIGHT_CHOICES)
+@pytest.mark.parametrize("name", SOLVER_MESHES)
+def test_multifrontal_solve_agrees_with_dense_solve(name, weights):
+    mesh = SOLVER_MESHES[name]()
+    dense, b, interior = dirichlet_block(mesh, weights)
+    rows, cols = np.nonzero(dense)
+    got = parameterize._multifrontal_solve(rows, cols, dense[rows, cols], b,
+                                           mesh.vertices[interior])
+    want = np.linalg.solve(dense, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(dense @ got - b).max() <= SOLVER_TOLERANCE
 
 
 def test_determinism_bit_identical():

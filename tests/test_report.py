@@ -117,6 +117,16 @@ class TestHistogram:
         with pytest.raises(DomainError, match=re.escape("histogram range [0.0, nan] is not finite")):
             histogram([0.0, math.nan], 50)
 
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan, 0.5], "cannot histogram the non-finite value nan at index 0"),
+        ([0.5, 0.25, -math.inf], "cannot histogram the non-finite value -inf at index 2"),
+        ([0.5, math.inf, math.nan], "cannot histogram the non-finite value inf at index 1"),
+    ])
+    def test_non_finite_values_in_an_explicit_range_name_the_value(self, values, message):
+        # values outside the range are excluded, but NaN is not outside it
+        with pytest.raises(DomainError, match=re.escape(message)):
+            histogram(values, 4, (0, 1))
+
     def test_subnormal_range_too_narrow_for_the_bins(self):
         with pytest.raises(DomainError, match=re.escape(
                 "histogram range [0.0, 5e-324] is too narrow for 50 bins")):
