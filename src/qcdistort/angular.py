@@ -42,9 +42,11 @@ def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
     :func:`qcdistort.mesh.corner_angles`).  Folded faces get ordinary
     values too: the angles of a flipped triangle are well defined.
     """
-    signed = corner_angles(mapping.target) - corner_angles(mapping.source)
-    corner = np.abs(signed)
-    return AngularDistortionField(
-        corner=corner, signed_corner=signed, face_avg=corner.mean(axis=1)
-    )
+    return _angular_field(corner_angles(mapping.target).T - corner_angles(mapping.source).T)
+
+
+def _angular_field(signed: np.ndarray) -> AngularDistortionField:
+    """The field of the signed distortions ``signed[k, f]`` at corner k of face f."""
+    c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
+    return AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0)
 

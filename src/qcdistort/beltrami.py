@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, VanishingFzError
-from .mesh import (TriMesh, _corner, _cross_2d, _dot, _face_columns, _require_area, face_areas,
-                   validate_mesh)
+from .mesh import (TriMesh, _corner, _corner_pass, _cross_2d, _dot, _face_columns, _require_area,
+                   face_areas, validate_mesh)
 
 # relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
 FZ_GUARD = 1e-14
@@ -84,9 +84,8 @@ class MeshMap:
             raise ValidationError(
                 f"connectivity mismatch: face counts differ ({len(src)} vs {len(dst)})"
             )
-        differs = (src != dst).any(axis=1)
-        if differs.any():
-            f = int(np.argmax(differs))
+        if not np.array_equal(src, dst):
+            f = int(np.argmax((src != dst).any(axis=1)))
             raise ValidationError(f"connectivity mismatch: face {f} differs "
                                   f"({src[f].tolist()} vs {dst[f].tolist()})")
         validate_mesh(self.source)
@@ -135,13 +134,13 @@ def _one_face(*corners) -> list[np.ndarray]:
     return _face_columns(mesh)
 
 
-def _pose(u, w):
-    """``(l1, x2, y2)``: the corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
+def _pose(u, w, uw):
+    """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
     l1 = np.sqrt(_dot(u, u))
-    x2 = _dot(u, w) / l1
+    x2 = uw / l1
     t = x2 / l1
     perp = [wc - t * uc for uc, wc in zip(u, w)]
-    return l1, x2, np.sqrt(_dot(perp, perp))
+    return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
 
 
 def flatten_triangle(p0, p1, p2) -> np.ndarray:
@@ -155,18 +154,14 @@ def flatten_triangle(p0, p1, p2) -> np.ndarray:
     DegenerateFaceError
         If the triangle, as a one-face mesh, fails :func:`validate_mesh`.
     """
-    l1, x2, y2 = (float(v[0]) for v in _pose(*_corner(_one_face(p0, p1, p2), 0)))
-    return np.array([[0.0, 0.0], [l1, 0.0], [x2, y2]])
+    l1, _, x2, y2 = _pose(*_corner(_one_face(p0, p1, p2), 0)[:3])
+    return np.array([[0.0, 0.0], [l1[0], 0.0], [x2[0], y2[0]]])
 
 
-def _planar_frame(mesh: TriMesh):
-    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane: x and y on
-    planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
-    u, w = _corner(_face_columns(mesh), 0)
-    if mesh.dimension == 2:
-        return (*u, *w)
-    l1, x2, y2 = _pose(u, w)
-    return l1, 0.0, x2, y2
+def _planar_frame(mesh: TriMesh, u, w, uw, _cross):
+    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane from corner 0's terms:
+    x and y on planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
+    return (*u, *w) if mesh.dimension == 2 else _pose(u, w, uw)
 
 
 def _affine_arrays(src, dst):
@@ -194,7 +189,7 @@ def affine_coefficients(src_tri, dst_tri) -> AffineMap2D:
     """
     src = _one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
     dst = np.asarray(dst_tri, dtype=np.float64).reshape(3, 2).T[:, None]  # x, y: (1, 3) each
-    frames = [[*u, *w] for u, w in (_corner(src, 0), _corner(dst, 0))]
+    frames = [[*u, *w] for u, w, *_ in (_corner(src, 0), _corner(dst, 0))]
     a, b, c, d = (float(arr[0]) for arr in _affine_arrays(*frames))
     (x, y), (p, q) = ([col[0, 0] for col in cols] for cols in (src, dst))
     return AffineMap2D(a, b, c, d, float(p - a * x - b * y), float(q - c * x - d * y))
@@ -240,13 +235,18 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
     folded, with abs_mu = inf.
     """
-    a, b, c, d = _affine_arrays(_planar_frame(mapping.source),
-                                _planar_frame(mapping.target))
+    return _beltrami_field(*(_planar_frame(mesh, *next(_corner_pass(mesh)))
+                             for mesh in (mapping.source, mapping.target)))
+
+
+def _beltrami_field(src, dst) -> BeltramiField:
+    """The field of the map sending the faces of one :func:`_planar_frame` onto another's."""
+    a, b, c, d = _affine_arrays(src, dst)
     mu, abs_mu, vanished = _mu_arrays(a, b, c, d)
     folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
 
     ok = ~folded
-    dil, eps = np.full((2, mapping.n_faces), np.nan)
+    dil, eps = np.full((2, len(mu)), np.nan)
     dil[ok] = dilatation(abs_mu[ok])
     eps[ok] = epsilon_mu(abs_mu[ok])
     return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)

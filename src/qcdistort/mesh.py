@@ -83,11 +83,9 @@ class TriMesh:
             raise ValidationError("vertices must have shape (n, 2) or (n, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValidationError("faces must have shape (m, 3)")
-        finite = np.isfinite(verts).all(axis=1)
-        if not finite.all():
-            raise ValidationError(
-                f"vertex {int(np.argmin(finite))} has a non-finite coordinate"
-            )
+        if not np.isfinite(verts).all():
+            bad = int(np.argmin(np.isfinite(verts).all(axis=1)))
+            raise ValidationError(f"vertex {bad} has a non-finite coordinate")
         if faces.size:
             if faces.min() < 0 or faces.max() >= verts.shape[0]:
                 bad = int(np.argmax((faces < 0) | (faces >= verts.shape[0]), axis=None) // 3)
@@ -161,9 +159,18 @@ def _face_columns(mesh: TriMesh) -> list[np.ndarray]:
 # component in the order of numpy's sum, cross and norm, so the values keep their bits.
 
 def _corner(cols, k: int):
-    """``(u, w)`` at corner k: ``u = P[k+1] - P[k]`` and ``w = P[k+2] - P[k]``."""
+    """``(u, w, u . w, |u x w|)`` at corner k: ``u = P[k+1] - P[k]`` and ``w = P[k+2] - P[k]``."""
     i, j = (k + 1) % 3, (k + 2) % 3
-    return [c[:, i] - c[:, k] for c in cols], [c[:, j] - c[:, k] for c in cols]
+    # w is not -(P[k] - P[k+2]): that flips signed zeros, which reach mu via the planar frame
+    u, w = [c[:, i] - c[:, k] for c in cols], [c[:, j] - c[:, k] for c in cols]
+    return u, w, _dot(u, w), _cross_norm(u, w)
+
+
+def _corner_pass(mesh: TriMesh):
+    """:func:`_corner` at corners 0, 1 and 2 of every face from one :func:`_face_columns`,
+    each corner built only when the previous one is taken."""
+    cols = _face_columns(mesh)
+    return (_corner(cols, k) for k in range(3))
 
 
 def _dot(u, w) -> np.ndarray:
@@ -198,7 +205,17 @@ def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned area of every face (cross-product formula, xy if planar)."""
-    return 0.5 * _cross_norm(*_corner(_face_columns(mesh), 0))
+    return 0.5 * next(_corner_pass(mesh))[3]
+
+
+def _angle_rows(mesh: TriMesh, corner_0):
+    """``(corner_0(mesh, *corner 0's terms), angles)``, ``angles[k, f]`` at corner k of face f."""
+    angles = np.empty((3, mesh.n_faces))
+    for k, terms in enumerate(_corner_pass(mesh)):
+        first = corner_0(mesh, *terms) if k == 0 else first
+        np.arctan2(terms[3], terms[2], out=angles[k])
+        del terms  # one corner's arrays alive at a time: holding all three can thrash the heap
+    return first, angles
 
 
 def corner_angles(mesh: TriMesh) -> np.ndarray:
@@ -216,10 +233,7 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     DegenerateFaceError
         If a face fails the degeneracy test of :func:`validate_mesh`.
     """
-    cols = _face_columns(mesh)
-    terms = [(_dot(u, w), _cross_norm(u, w)) for u, w in (_corner(cols, k) for k in range(3))]
-    _require_area(mesh, 0.5 * terms[0][1])
-    return np.column_stack([np.arctan2(cross, dot) for dot, cross in terms])
+    return _angle_rows(mesh, lambda mesh, u, w, dot, cross: _require_area(mesh, 0.5 * cross))[1].T
 
 
 def _edge_pass(mesh: TriMesh):
@@ -263,7 +277,7 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
         raise NonManifoldEdgeError(
             f"edge ({i}, {j}) is shared by {int(counts.max())} faces"
         )
-    border = half[counts[inverse] == 1]
+    border = half[np.flatnonzero(counts[inverse] == 1)]
 
     successors: dict[int, list[int]] = {}
     for i, j in border.tolist():

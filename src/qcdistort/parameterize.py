@@ -21,7 +21,7 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import TriMesh, _corner, _cross_norm, _dot, _face_columns, boundary_loops, validate_mesh
+from .mesh import TriMesh, _corner_pass, boundary_loops, validate_mesh
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 # max allowed infinity-norm residual of the linear system
@@ -52,10 +52,8 @@ def _edge_weights(mesh: TriMesh, kind: str) -> np.ndarray:
     _, inverse, counts = mesh._edges
     if kind == "uniform":
         return np.ones(counts.size)
-    cols = _face_columns(mesh)
-    # the half-edges (f0, f1), (f1, f2), (f2, f0) face corners 2, 0, 1
-    half_cot = np.concatenate([0.5 * (_dot(u, w) / _cross_norm(u, w))
-                               for u, w in (_corner(cols, k) for k in (2, 0, 1))])
+    c0, c1, c2 = (0.5 * (dot / cross) for _, _, dot, cross in _corner_pass(mesh))
+    half_cot = np.concatenate([c2, c0, c1])  # half-edges (f0, f1), (f1, f2), (f2, f0)
     weights = np.bincount(inverse, half_cot, counts.size)
     # bincount adds from +0.0: an edge whose every term is -0.0 sums to -0.0
     negative_zero = inverse[(half_cot == 0) & np.signbit(half_cot)]

@@ -20,10 +20,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .angular import AngularDistortionField, corner_distortion
-from .beltrami import BeltramiField, MeshMap, face_beltrami
+from .angular import AngularDistortionField, _angular_field
+from .beltrami import BeltramiField, MeshMap, _beltrami_field, _planar_frame
 from .errors import DomainError, EmptyInputError
-from .mesh import _blocks, _resolve_format, _write_ply
+from .mesh import _angle_rows, _blocks, _resolve_format, _write_ply
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -158,6 +158,14 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
     )
 
 
+def _fields(mapping: MeshMap):
+    """The Beltrami and angular distortion fields of a map from one corner pass per mesh."""
+    src, angles = _angle_rows(mapping.source, _planar_frame)
+    dst, signed = _angle_rows(mapping.target, _planar_frame)
+    signed -= angles  # target minus source
+    return _beltrami_field(src, dst), _angular_field(signed)
+
+
 def summarize(
     mapping: MeshMap,
     bins: int = DEFAULT_BINS,
@@ -167,8 +175,9 @@ def summarize(
     """Full distortion report of a mesh map.
 
     Computes the per-face Beltrami field and the angular distortion field,
-    then aggregates |mu|, the face-averaged angular distortion, and the
-    per-face bound 2*arcsin(|mu|) over the non-folded faces.
+    both from one pass over the face corners of each mesh, then aggregates
+    |mu|, the face-averaged angular distortion, and the per-face bound
+    2*arcsin(|mu|) over the non-folded faces.
 
     ``bound_violations`` counts non-folded faces where some corner's angular
     distortion exceeds the face bound by more than 1e-9; zero is the healthy
@@ -181,16 +190,15 @@ def summarize(
     """
     if bins < 1:
         raise DomainError("bins must be >= 1")
-    bf = face_beltrami(mapping)
-    ang = corner_distortion(mapping)
+    bf, ang = _fields(mapping)
     ok = ~bf.folded
 
     fields = {name: _field(name, bf, ang)[ok] for name in FIELD_NAMES}
     stats = {name: _fsum_stats(vals) for name, vals in fields.items()}
     histograms = {name: histogram(vals, bins) if vals.size else None
                   for name, vals in fields.items()}
-    over = ang.corner[ok] > (bf.eps_mu[ok] + BOUND_TOL)[:, None]
-    violations = int(over.any(axis=1).sum())
+    # each face's largest corner against its bound; a folded face's NaN bound never counts
+    violations = int(np.count_nonzero(np.maximum.reduce(ang.corner.T) > bf.eps_mu + BOUND_TOL))
 
     meta = {
         "source": source_path,
@@ -238,8 +246,7 @@ def _write_csv(report: DistortionReport, path) -> None:
     # no cell needs quoting, so these are the bytes of csv.writer's default
     # dialect: comma-separated cells, CRLF row ends, floats as repr
     bf, ang = report.beltrami, report.angular
-    columns = (bf.abs_mu, bf.dilatation, bf.eps_mu, ang.face_avg,
-               ang.corner[:, 0], ang.corner[:, 1], ang.corner[:, 2])
+    columns = (bf.abs_mu, bf.dilatation, bf.eps_mu, ang.face_avg, *ang.corner.T)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("face_id,abs_mu,k,eps_mu,eps_angle_t,corner_0,corner_1,corner_2,folded\r\n")
         for start, stop in _blocks(report.face_count):
@@ -288,7 +295,7 @@ def face_colors(values: np.ndarray, folded: np.ndarray, lo: float, hi: float) ->
     rgb = np.zeros((len(values), 3), dtype=np.uint8)
     rgb[:, 0] = _round_half_away(255.0 * t)
     rgb[:, 2] = _round_half_away(255.0 * (1.0 - t))
-    rgb[folded] = FOLDED_COLOR
+    rgb[np.flatnonzero(folded)] = FOLDED_COLOR
     return rgb
 
 
@@ -311,10 +318,8 @@ def export_colored_mesh(
     """
     if field_name not in FIELD_NAMES:
         raise ValueError(f"field must be one of {FIELD_NAMES}")
-    if beltrami is None:
-        beltrami = face_beltrami(mapping)
-    if field_name == "eps_angle_t" and angular is None:
-        angular = corner_distortion(mapping)
+    if beltrami is None or (field_name == "eps_angle_t" and angular is None):
+        beltrami, angular = _fields(mapping)
 
     values = _field(field_name, beltrami, angular)
 

@@ -9,9 +9,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _corner_pass, _cross_2d
+
+try:
+    from scipy.spatial import Delaunay
+except ImportError as exc:
+    raise ImportError("qcdistort.synth needs scipy: pip install 'qcdistort[synth]'") from exc
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -41,12 +45,8 @@ def triangulate(points: np.ndarray) -> np.ndarray:
 
     Hull slivers with near-zero area (relative to the extent) are dropped.
     """
-    tri = Delaunay(points)
-    faces = tri.simplices.astype(np.int64)
-    p = points[faces]
-    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
+    faces = Delaunay(points).simplices.astype(np.int64)
+    det = _cross_2d(*next(_corner_pass(TriMesh(points, faces)))[:2])  # twice the signed area
     flip = det < 0
     faces[flip] = faces[flip][:, [0, 2, 1]]
     extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
@@ -151,12 +151,8 @@ def perturbed_target(mesh: TriMesh, rng: np.random.Generator, scale: float = 0.2
     disp /= max(np.linalg.norm(disp, axis=1).max(), 1e-30)
     step = scale * min_edge
     for _ in range(60):
-        target = verts2 + step * disp
-        tri = target[mesh.faces]
-        det = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
-            tri[:, 2, 0] - tri[:, 0, 0]
-        ) * (tri[:, 1, 1] - tri[:, 0, 1])
-        if det.min() > 1e-12:
-            return TriMesh(target, mesh.faces)
+        target = TriMesh(verts2 + step * disp, mesh.faces)
+        if _cross_2d(*next(_corner_pass(target))[:2]).min() > 1e-12:
+            return target
         step *= 0.5
     raise RuntimeError("could not build a fold-free perturbation")

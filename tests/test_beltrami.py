@@ -205,6 +205,10 @@ class TestFaceBeltrami:
         with pytest.raises(ValidationError, match=re.escape(
                 f"connectivity mismatch: face counts differ ({a.n_faces} vs {a.n_faces - 1})")):
             MeshMap(a, TriMesh(a.vertices, a.faces[:-1]))
+        faces = a.faces.copy()
+        faces[[3, 7]] = faces[[3, 7]][:, [1, 2, 0]]  # the same faces, rotated
+        with pytest.raises(ValidationError, match=r"^connectivity mismatch: face 3 differs "):
+            MeshMap(a, TriMesh(a.vertices, faces))
 
 
 class TestScalarHelpers:

@@ -314,6 +314,19 @@ class TestMisc:
             assert done.stdout.strip() == "[]"
             assert (tmp_path / "flat.obj.report.json").exists()
 
+    def test_synth_without_scipy_names_the_extra(self):
+        src = os.path.dirname(os.path.dirname(qcdistort.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        # a None entry in sys.modules makes every import of scipy fail
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "try:\n    import qcdistort.synth\n"
+                "except ImportError as exc:\n    print(exc)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == ("qcdistort.synth needs scipy: "
+                                       "pip install 'qcdistort[synth]'")
+
     def test_quiet_suppresses_summary(self, meshes, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["--quiet", "analyze", str(meshes / "disk.obj"),

@@ -4,11 +4,14 @@ The per-face formulas read each coordinate as its own column and write
 their products out per component; the variance squares with
 ``np.float_power``.  The references below are the implementations these
 replaced, kept as they were: per-face coordinates stacked on a last axis
-with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it, and a Python
-generator for the variance.  Meshes are drawn in the three vertex layouts
-the package reads (2 columns, 3 columns with z inside the planar tolerance,
-3D), with folded and anti-conformal target faces, repeated and signed-zero
-coordinates, and a sliver face near the degeneracy threshold.  The
+with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it, corner fields
+as ``(m, 3)`` columns with ``mean(axis=1)`` and a row mask for the bound
+check, and a Python generator for the variance.  ``summarize``'s fields
+are held to them as well as the public field functions.  Meshes are drawn
+in the three vertex layouts the package reads (2 columns, 3 columns with z
+inside the planar tolerance, 3D), with folded and anti-conformal target
+faces, repeated and signed-zero coordinates, and a sliver face near the
+degeneracy threshold.  The
 statistics' vectorised exact sum is held to ``math.fsum``, bit for bit.
 """
 
@@ -21,6 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import qcdistort.angular
+import qcdistort.beltrami
+import qcdistort.mesh
+import qcdistort.report
 from qcdistort import (
     DomainError,
     MeshMap,
@@ -28,16 +35,18 @@ from qcdistort import (
     ValidationError,
     affine_coefficients,
     corner_angles,
+    corner_distortion,
     dilatation,
     epsilon_mu,
     face_areas,
     face_beltrami,
     flatten_triangle,
+    summarize,
 )
 from qcdistort.beltrami import FZ_GUARD, AffineMap2D
 from qcdistort.mesh import _require_area
 from qcdistort.parameterize import _edge_weights
-from qcdistort.report import FieldStats, _exact_sum, _fsum_stats
+from qcdistort.report import BOUND_TOL, FieldStats, _exact_sum, _fsum_stats
 
 LAYOUTS = ["2-column", "3-column-planar", "3d"]
 
@@ -189,6 +198,17 @@ def ref_face_beltrami(mapping):
     dil[ok] = dilatation(abs_mu[ok])
     eps[ok] = epsilon_mu(abs_mu[ok])
     return mu, abs_mu, dil, eps, folded
+
+
+def ref_corner_distortion(mapping):
+    signed = ref_corner_angles(mapping.target) - ref_corner_angles(mapping.source)
+    corner = np.abs(signed)
+    return corner, signed, corner.mean(axis=1)
+
+
+def ref_bound_violations(corner, eps_mu, folded, tol):
+    ok = ~folded
+    return int((corner[ok] > (eps_mu[ok] + tol)[:, None]).any(axis=1).sum())
 
 
 def ref_fsum_stats(values):
@@ -349,6 +369,25 @@ def check_beltrami_fields(mapping):
         assert outcome(_fsum_stats, values) == outcome(ref_fsum_stats, values)
 
 
+def check_summary_fields(mapping):
+    """``summarize``'s per-face fields and violation count, and the fields of
+    ``corner_distortion``, against the references."""
+    with np.errstate(all="ignore"):
+        report = summarize(mapping)
+        angular = corner_distortion(mapping)
+        mu, abs_mu, dil, eps_mu, folded = ref_face_beltrami(mapping)
+        corner, signed, face_avg = ref_corner_distortion(mapping)
+    bf = report.beltrami
+    pairs = {"mu": (bf.mu, mu), "abs_mu": (bf.abs_mu, abs_mu), "dilatation": (bf.dilatation, dil),
+             "eps_mu": (bf.eps_mu, eps_mu), "folded": (bf.folded, folded)}
+    for name, want in (("corner", corner), ("signed_corner", signed), ("face_avg", face_avg)):
+        pairs[name] = (getattr(report.angular, name), want)
+        pairs[f"corner_distortion {name}"] = (getattr(angular, name), want)
+    for name, (got, want) in pairs.items():
+        assert bits(got) == bits(want), name
+    assert report.bound_violations == ref_bound_violations(corner, eps_mu, folded, BOUND_TOL)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -362,6 +401,44 @@ def test_per_face_formulas_keep_every_bit(layout, data):
     except ValidationError:
         return  # a sliver below the threshold, or a target face collapsed
     check_beltrami_fields(mapping)
+    check_summary_fields(mapping)
+
+
+# non-negative corner values with zeros, ties and a subnormal
+CORNER_VALUE = st.one_of(st.sampled_from([0.0, 5e-324, 0.1, 1.0, math.pi]),
+                         st.floats(0.0, 4.0), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(CORNER_VALUE, min_size=3, max_size=3), min_size=1, max_size=40),
+       tie=st.booleans())
+def test_three_corner_mean_has_mean_bits(rows, tie):
+    c = np.array(rows, dtype=np.float64)
+    if tie:
+        c[:, 2] = c[:, 0]
+    c0, c1, c2 = c.T
+    assert bits(((c0 + c1) + c2) / 3.0) == bits(c.mean(axis=1))
+
+
+def test_summarize_gathers_each_mesh_once(monkeypatch):
+    """One corner pass per mesh: ``summarize`` reads each mesh's face
+    coordinates once (the field functions it used to call read them twice)."""
+    mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 3, 2]])
+    target = TriMesh(mesh.vertices * [1.0, 0.5], mesh.faces)
+    mapping = MeshMap(mesh, target)  # validation reads the coordinates too
+    real = qcdistort.mesh._face_columns
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (qcdistort.mesh, qcdistort.beltrami, qcdistort.angular, qcdistort.report):
+        if hasattr(module, "_face_columns"):
+            monkeypatch.setattr(module, "_face_columns", spy)
+    summarize(mapping)
+    assert len(calls) == 2
+    assert calls[0] is mesh and calls[1] is target
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -373,7 +450,9 @@ def test_signed_zero_corner_keeps_its_bits(dim):
     assert mesh.dimension == dim
     check_mesh_formulas(mesh)
     check_one_face_helpers(mesh, mesh, mesh.faces)
-    check_beltrami_fields(MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces)))
+    mapping = MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces))
+    check_beltrami_fields(mapping)
+    check_summary_fields(mapping)
 
 
 def test_lone_negative_zero_weight_keeps_its_sign():

@@ -186,6 +186,25 @@ class TestSummarize:
         eps_mean = rep.stats["eps_mu_t"].mean
         assert 2 * mu_mean <= eps_mean <= 2 * mu_mean * (1 + mu_max**2)
 
+    @pytest.mark.parametrize("tol", [-1.0, "median"])
+    def test_bound_violations_match_the_row_mask(self, flat_mesh, monkeypatch, tol):
+        target = scaled_map_target(flat_mesh, 1.3, 0.7).vertices.copy()
+        target[40] = target[0] + 1.5 * (target[0] - target[40])  # folds faces around 40
+        mapping = MeshMap(flat_mesh, TriMesh(target, flat_mesh.faces))
+        rep = summarize(mapping)
+        bf, ang = rep.beltrami, rep.angular
+        ok = ~bf.folded
+        assert 0 < bf.folded_count < flat_mesh.n_faces
+        if tol == "median":  # a slack that only some corners exceed
+            tol = -float(np.median(bf.eps_mu[ok] - ang.corner[ok].max(axis=1)))
+        monkeypatch.setattr(qcdistort.report, "BOUND_TOL", tol)
+        want = int((ang.corner[ok] > (bf.eps_mu[ok] + tol)[:, None]).any(axis=1).sum())
+        assert summarize(mapping).bound_violations == want
+        assert 0 < want < ok.sum()
+        # folded faces, whose eps_mu is NaN, would add to the count if read as 0
+        with_folded = (ang.corner.max(axis=1) > np.nan_to_num(bf.eps_mu) + tol).sum()
+        assert with_folded > want
+
 
 class TestExports:
     def test_json_roundtrip(self, squeeze_report, tmp_path):
