@@ -66,8 +66,8 @@ class AffineMap2D:
 class MeshMap:
     """A piecewise-linear map f: source -> target as a vertex correspondence.
 
-    Both meshes must be valid and share the face list element-wise; the map
-    sends source vertex i to target vertex i.
+    Both meshes must be valid and share the face list element-wise, and so
+    the source's edge table; the map sends source vertex i to target vertex i.
     """
 
     source: TriMesh
@@ -88,6 +88,7 @@ class MeshMap:
             f = int(np.argmax((src != dst).any(axis=1)))
             raise ValidationError(f"connectivity mismatch: face {f} differs "
                                   f"({src[f].tolist()} vs {dst[f].tolist()})")
+        vars(self.target)["_edges"] = self.source._edges  # replacing the target's own, if any
         validate_mesh(self.source)
         validate_mesh(self.target)
 
@@ -217,7 +218,8 @@ def _wirtinger(a, b, c, d):
 
 def _mu_arrays(a, b, c, d):
     fz, fzb = _wirtinger(a, b, c, d)
-    vanished = np.abs(fz) <= FZ_GUARD * (np.abs(fz) + np.abs(fzb))
+    abs_fz = np.abs(fz)
+    vanished = abs_fz <= FZ_GUARD * (abs_fz + np.abs(fzb))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
     mu = np.where(vanished, complex(np.nan, np.nan), mu)

@@ -28,6 +28,7 @@ from qcdistort import (
     tutte_disk,
     validate_mesh,
 )
+from qcdistort.cli import main
 from qcdistort.synth import hemisphere, irregular_disk, tetrahedron, wavy_disk
 
 from mesh_text import (
@@ -155,6 +156,35 @@ class TestTriMesh:
         assert len(checked) == 2
         flat = tutte_disk(src)
         assert len(checked) == 3 and checked[2] is flat.target
+
+    def test_one_edge_pass_per_face_list(self, tmp_path, monkeypatch):
+        passes = []
+        edge_pass = qcdistort.mesh._edge_pass
+        monkeypatch.setattr(qcdistort.mesh, "_edge_pass",
+                            lambda mesh: passes.append(mesh) or edge_pass(mesh))
+        surface, flat = tmp_path / "hemi.obj", tmp_path / "flat.obj"
+        save_mesh(hemisphere(6), surface)
+        for analyze in ([], ["--analyze"]):
+            passes.clear()
+            assert main(["param", str(surface), "-o", str(flat), "--quiet", *analyze]) == 0
+            assert len(passes) == 1
+        passes.clear()
+        assert main(["analyze", str(surface), str(flat), "--json"]) == 0
+        assert len(passes) == 2  # one per file read
+
+        passes.clear()
+        tutte_disk(hemisphere(6))
+        assert len(passes) == 1
+        passes.clear()
+        src = hemisphere(6)
+        mapping = MeshMap(src, TriMesh(2.0 * src.vertices, src.faces))
+        assert len(passes) == 1
+        assert mapping.target._edges is src._edges
+        assert not any(array.flags.writeable for array in src._edges)
+        # a table the target built itself is replaced, so one stays alive per map
+        target = TriMesh(2.0 * src.vertices, src.faces)
+        validate_mesh(target)
+        assert MeshMap(src, target).target._edges is src._edges
 
 
 class TestCornerAngles:
@@ -287,6 +317,14 @@ class TestBoundaryLoops:
         m = TriMesh(verts, [[2, 1, 0], [0, 1, 3], [0, 1, 4]])
         with pytest.raises(NonManifoldEdgeError) as info:
             boundary_loops(m)
+        assert str(info.value) == "edge (0, 1) is shared by 3 faces"
+
+    def test_non_manifold_error_counts_the_named_edge(self):
+        # edge (5, 6) is on four faces, edge (0, 1), the one named, on three
+        verts = np.random.default_rng(0).normal(size=(11, 3))
+        faces = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [5, 6, 7], [6, 5, 8], [5, 6, 9], [6, 5, 10]]
+        with pytest.raises(NonManifoldEdgeError) as info:
+            boundary_loops(TriMesh(verts, faces))
         assert str(info.value) == "edge (0, 1) is shared by 3 faces"
 
 
