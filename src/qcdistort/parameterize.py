@@ -119,10 +119,13 @@ def _multifrontal_solve(rows, cols, vals, rhs, points) -> np.ndarray:
     row, col, val, b = row[keep], col[keep], vals[keep], rhs[perm]
     start = np.searchsorted(owner[row], np.arange(bounds.size))
     slot, handed, factors = np.empty(n, dtype=np.int64), [[] for _ in bounds[1:]], []
+    marked = np.zeros(n, dtype=bool)  # the current front's boundary, cleared after use
     for t, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         k, lo, hi = e - s, start[t], start[t + 1]
         later = np.concatenate([col[lo:hi]] + [boundary for boundary, _ in handed[t]])
-        boundary = np.unique(later[later >= e])
+        marked[later[later >= e]] = True
+        boundary = np.flatnonzero(marked[e:]) + e  # ascending, each vertex once
+        marked[boundary] = False
         m = k + boundary.size
         slot[s:e], slot[boundary] = np.arange(k), np.arange(k, m)  # places in the front
         front = np.zeros((m, m + width))

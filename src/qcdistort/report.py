@@ -6,8 +6,9 @@ reported separately; in CSV rows their dilatation / bound cells are left
 empty; in colored PLY exports they get the sentinel color magenta.
 
 Aggregation is deterministic: every sum is the exact sum of its values
-rounded once, which no order of the values can change, so reports are
-byte-identical across runs.
+rounded once, which no order of the values can change, and the variance
+sums IEEE squares, which are correctly rounded and so need no libm, so
+reports are byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -105,42 +106,50 @@ def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField |
     return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
+# values per bincount pass: at most 2 ** 26 integer parts below 2 ** 27 keep
+# every partial sum of a bucket an integer below 2 ** 53, which a double holds
+_SUM_SLICE = 2 ** 26
+
+
 def _exact_sum(values: np.ndarray) -> float:
     """The exact sum of a 1-D float64 array rounded once: ``math.fsum``'s bits.
 
-    A finite double is an integer mantissa below ``2 ** 53`` times
-    ``2 ** (e - 1075)``, ``e`` its biased exponent (1 for subnormals).  The
-    signed mantissas are summed per exponent in chunks ``w`` bits wide, with
-    ``n < 2 ** (53 - w)`` values, so every partial sum is an integer below
-    ``2 ** 53`` and every bucket total is exact.  The buckets are joined as
-    Python ints and the total is rounded once, as ``math.fsum`` rounds
-    (Shewchuk 1997).
+    ``np.frexp`` writes a finite double, subnormals included, as ``m * 2 ** e``
+    with ``0.5 <= |m| < 1`` (``m = e = 0`` for a zero), so ``M = m * 2 ** 26``
+    has at most 26 integer and 27 fraction bits.  ``hi = trunc(M)`` and ``lo =
+    (M - hi) * 2 ** 27`` are then exact integers, ``|hi| < 2 ** 26`` and ``|lo|
+    < 2 ** 27``, and the value is ``(hi * 2 ** 27 + lo) * 2 ** (e - 53)``.
+    ``np.bincount`` sums each part per exponent over slices of at most
+    ``_SUM_SLICE`` values, so every bucket total is exact.  The buckets are
+    joined as Python ints in units of ``2 ** -1126``, the least ``2 ** (e -
+    53)``, and the total is rounded once, as ``math.fsum`` rounds (Shewchuk
+    1997).
 
     Raises
     ------
     DomainError
-        On a NaN or an infinity, whose exponent field is ``0x7FF``.
+        On a NaN or an infinity.
     """
-    bits = values.view(np.int64)
-    exp = (bits >> 52) & 0x7FF
-    if exp.max(initial=0) == 0x7FF:
-        i = int(np.argmax(exp == 0x7FF))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} at index {i}")
-    mant = bits & (2 ** 52 - 1) | np.minimum(exp, 1) << 52
-    exp = np.maximum(exp, 1)
-    lo = int(exp.min(initial=0x7FF))  # no values: a zero total at any scale
-    exp -= lo
-    w = 53 - values.size.bit_length()
     total = 0
-    for shift in range(0, 53, w):
-        part = np.copysign((mant >> shift) & ((1 << w) - 1), values)
-        buckets = np.bincount(exp, weights=part)
-        nonzero = np.flatnonzero(buckets)
-        for k, chunk_sum in zip(nonzero.tolist(), buckets[nonzero].tolist()):
-            total += int(chunk_sum) << (k + shift)
-    # int to float and int / int both round correctly, half to even
-    scale = lo - 1075
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    for start in range(0, values.size, _SUM_SLICE):
+        m, e = np.frexp(values[start:start + _SUM_SLICE])
+        np.ldexp(m, 26, out=m)
+        hi = np.trunc(m)
+        m -= hi
+        lo = np.ldexp(m, 27, out=m)
+        least = int(e.min())
+        e -= least
+        hi_sums, lo_sums = np.bincount(e, weights=hi), np.bincount(e, weights=lo)
+        nonzero = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+        for k, hi_sum, lo_sum in zip(nonzero.tolist(), hi_sums[nonzero].tolist(),
+                                     lo_sums[nonzero].tolist()):
+            total += ((int(hi_sum) << 27) + int(lo_sum)) << (k + least - 53 + 1126)
+    # int / int rounds correctly, half to even
+    return total / (1 << 1126)
 
 
 def _fsum_stats(values: np.ndarray) -> FieldStats | None:
@@ -149,9 +158,9 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
         return None
     n = values.size
     mean = _exact_sum(values) / n
-    # float_power calls the C pow that Python's ``** 2`` calls: the squares keep
-    # their bits, where np.square and np.power differ in the last bit on some values
-    var = _exact_sum(np.float_power(values - mean, 2.0)) / n
+    # IEEE multiplication rounds each square correctly, so its bits are the same
+    # on every platform, where libm's pow may differ in the last bit
+    var = _exact_sum(np.square(values - mean)) / n
     return FieldStats(
         mean=mean, max=float(values.max()), min=float(values.min()),
         std=math.sqrt(var),

@@ -314,6 +314,21 @@ class TestMisc:
             assert done.stdout.strip() == "[]"
             assert (tmp_path / "flat.obj.report.json").exists()
 
+    @pytest.mark.parametrize("weights", ["uniform", "cotangent"])
+    def test_param_leaves_numpy_ma_out(self, meshes, tmp_path, weights):
+        # np.unique without return_* flags asks np.ma.is_masked, importing numpy.ma
+        src = os.path.dirname(os.path.dirname(qcdistort.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["param", str(meshes / "hemi.obj"), "-o", str(tmp_path / "flat.obj"),
+                "--weights", weights, "--analyze", "--quiet"]
+        code = (f"import sys; from qcdistort.cli import main; code = main({argv!r}); "
+                f"print('numpy.ma' in sys.modules); sys.exit(code)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+        assert (tmp_path / "flat.obj.report.json").exists()
+
     def test_synth_without_scipy_names_the_extra(self):
         src = os.path.dirname(os.path.dirname(qcdistort.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

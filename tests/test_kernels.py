@@ -2,21 +2,23 @@
 
 The per-face formulas read each coordinate as its own column and write
 their products out per component; the variance squares with
-``np.float_power``.  The references below are the implementations these
-replaced, kept as they were: per-face coordinates stacked on a last axis
-with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it, corner fields
-as ``(m, 3)`` columns with ``mean(axis=1)`` and a row mask for the bound
-check, and a Python generator for the variance.  ``summarize``'s fields
-are held to them as well as the public field functions.  Meshes are drawn
-in the three vertex layouts the package reads (2 columns, 3 columns with z
-inside the planar tolerance, 3D), with folded and anti-conformal target
-faces, repeated and signed-zero coordinates, and a sliver face near the
-degeneracy threshold.  The
-statistics' vectorised exact sum is held to ``math.fsum``, bit for bit.
+``np.square``, whose IEEE products are correctly rounded.  The references
+below are the implementations these replaced: per-face coordinates stacked
+on a last axis with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it,
+corner fields as ``(m, 3)`` columns with ``mean(axis=1)`` and a row mask
+for the bound check, and a Python generator for the variance, which
+squares with ``*`` as the package does.  ``summarize``'s fields are held to
+them as well as the public field functions.  Meshes are drawn in the three
+vertex layouts the package reads (2 columns, 3 columns with z inside the
+planar tolerance, 3D), with folded and anti-conformal target faces,
+repeated and signed-zero coordinates, and a sliver face near the
+degeneracy threshold.  The statistics' vectorised exact sum is held to
+``math.fsum``, bit for bit, and the squares to ``Fraction``.
 """
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,7 +219,7 @@ def ref_fsum_stats(values):
     seq = values.tolist()
     n = len(seq)
     mean = math.fsum(seq) / n
-    var = math.fsum((x - mean) ** 2 for x in seq) / n
+    var = math.fsum((x - mean) * (x - mean) for x in seq) / n
     return FieldStats(mean=mean, max=float(values.max()), min=float(values.min()),
                       std=math.sqrt(var))
 
@@ -474,20 +476,21 @@ def test_fsum_stats_match_generator_variance(values):
     assert outcome(_fsum_stats, arr) == outcome(ref_fsum_stats, arr)
 
 
-def test_fsum_stats_variance_squares_like_python(monkeypatch):
-    """Where ``np.square`` and ``** 2`` differ, the variance follows ``** 2``."""
+def test_fsum_stats_variance_squares_correctly_rounded(monkeypatch):
+    """Where libm's ``** 2`` and ``x * x`` differ, the variance is the correctly
+    rounded square."""
     d = np.random.default_rng(7).standard_normal(100_000)
     python = np.array([x ** 2 for x in d.tolist()])
-    differ = d[np.square(d) != python][:60].tolist()
+    differ = d[d * d != python][:60].tolist()
     # the square root would hide a last-bit change, so std reads as variance
     monkeypatch.setattr(math, "sqrt", lambda v: v)
     for x in differ:
         values = np.array([x, -x])  # mean 0, variance x ** 2
-        assert _fsum_stats(values).std.hex() == (x ** 2).hex()
+        assert _fsum_stats(values).std.hex() == float(Fraction(x) ** 2).hex()
 
 
-def test_float_power_squares_like_python():
-    """``np.float_power(d, 2.0)`` gives the bits of Python's ``d ** 2``."""
+def test_square_is_correctly_rounded():
+    """``np.square(d)`` is the exact square of ``d`` rounded once."""
     rng = np.random.default_rng(20261018)
     d = np.concatenate([
         rng.standard_normal(100_000),            # deviations from a mean
@@ -495,8 +498,8 @@ def test_float_power_squares_like_python():
         rng.standard_normal(50_000) * 10.0 ** rng.uniform(-150, 150, 50_000),
         [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1.5, 3.0],
     ])
-    squares = np.array([x ** 2 for x in d.tolist()])
-    assert np.float_power(d, 2.0).view(np.int64).tolist() == squares.view(np.int64).tolist()
+    squares = np.array([float(Fraction(x) ** 2) for x in d.tolist()])
+    assert np.square(d).view(np.int64).tolist() == squares.view(np.int64).tolist()
 
 
 # finite doubles: the whole range, subnormals, signed zeros and values near +-1e300
@@ -529,6 +532,30 @@ def test_exact_sum_has_fsum_bits(xs):
     except OverflowError:
         return  # math.fsum returns no value to match
     assert _exact_sum(np.array(xs, dtype=np.float64)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@settings(max_examples=60, deadline=None)
+@given(xs=float_lists())
+def test_exact_sum_in_slices_has_fsum_bits(size, xs):
+    """Slices of ``size`` values, each bincount pass over one slice, give the
+    bits of the whole array summed at once."""
+    try:
+        want = math.fsum(xs)
+    except OverflowError:
+        return
+    lengths, real_bincount = [], np.bincount
+
+    def bincount(e, weights):
+        lengths.append(e.size)
+        return real_bincount(e, weights=weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcdistort.report, "_SUM_SLICE", size)
+        patch.setattr(np, "bincount", bincount)
+        got = _exact_sum(np.array(xs, dtype=np.float64))
+    assert got.hex() == want.hex()
+    assert max(lengths, default=0) <= size
 
 
 @pytest.mark.parametrize("xs", [
