@@ -20,7 +20,8 @@ outputs digested are:
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps;
 * ``theory --json --grid 2000`` stdout: the default battery, the single
-  case ``--k 2`` and the single case ``--k 2 --theta 1.0472``.
+  case ``--k 2``, the single case ``--k 2 --theta 1.0472`` and the single
+  case ``--k 3 --theta 1.5707963267947966``, the double just below pi/2.
 
 Before hashing, ``meta.timestamp`` is blanked and the temporary directory
 the CLI runs write into is replaced by a fixed name, so two runs of the same
@@ -161,7 +162,9 @@ def _outputs(seed: int):
         yield f"analyze_lib/{name}.json", _TIMESTAMP.sub(b'"timestamp": ""', text)
 
     for name, case in [("default", []), ("k2", ["--k", "2"]),
-                       ("k2-theta1.0472", ["--k", "2", "--theta", "1.0472"])]:
+                       ("k2-theta1.0472", ["--k", "2", "--theta", "1.0472"]),
+                       ("k3-theta1.5707963267947966",
+                        ["--k", "3", "--theta", "1.5707963267947966"])]:
         yield f"theory/{name}.json", cli(["theory", "--json", "--grid", "2000", *case]).encode()
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcdistort
-from qcdistort import load_mesh, parameterize, save_mesh
+from qcdistort import load_mesh, parameterize, save_mesh, theory
 from qcdistort.cli import main
 from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron, wavy_disk
 
@@ -209,6 +209,24 @@ class TestTheory:
         # at K = 1 every wedge orientation is extremal, so the axis test holds
         assert main(["theory", "--k", "1", "--theta", "1"]) == 0
 
+    def test_failed_line_names_the_broken_criterion(self, capsys):
+        # the sweep is flat to double precision near its maximum, so its
+        # argmax is off the axis while formula and grid agree
+        assert main(["--quiet", "theory", "--k", "1.0000000001", "--theta", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("FAILED: extremal bisector K=1 theta=1: "
+                               "bisector_axis_distance ")
+        assert "> axis_tolerance 6.28319e-05;" in line
+        assert "0.000000e+00 > tol" not in line
+
+    def test_failed_line_names_a_formula_mismatch(self, capsys, monkeypatch):
+        real = theory.max_distortion_for_angle
+        monkeypatch.setattr(theory, "max_distortion_for_angle",
+                            lambda theta, k: (real(theta, k)[0] + 1e-3, 0.0))
+        assert main(["--quiet", "theory", "--k", "2", "--theta", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "theta=1: observed 1.0" in line and "> tol 1e-05;" in line
+
 
 class TestErrorExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -219,6 +237,7 @@ class TestErrorExitCodes:
         ["theory", "--k", "nan", "--theta", "1"],
         ["theory", "--k", "inf"],
         ["theory", "--k", "inf", "--theta", "1"],
+        ["theory", "--seed", "-1"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_domain_argument_exit_2(self, meshes, capsys, argv):

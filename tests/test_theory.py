@@ -214,6 +214,33 @@ class TestMaxDistortion:
         with pytest.raises(DomainError):
             brute_force_max_distortion(1.0, 2.0, 10)
 
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 2.9])
+    def test_conformal_returns_first_placement(self, theta):
+        assert max_distortion_for_angle(theta, 1.0) == (0.0, -math.tan(theta / 2))
+
+    # max(theta - 2 atan(t/3), 2 atan(3 t) - theta), t = tan(theta/2), for the
+    # doubles nearest pi/2 -+ 1e-13, evaluated offline with 50 digits
+    @pytest.mark.parametrize("theta, exact", [
+        (math.pi / 2 - 1e-13, 0.92729521800165222495),
+        (math.pi / 2 + 1e-13, 0.92729521800165217596),
+    ], ids=["below", "above"])
+    def test_next_to_the_right_angle_within_4_ulp(self, theta, exact):
+        delta, _ = max_distortion_for_angle(theta, 3.0)
+        assert abs(delta - exact) <= 4 * math.ulp(exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.01, math.pi - 0.01), k=st.floats(1.0, 1e4))
+    def test_returned_wedge_attains_delta(self, theta, k):
+        # map the wedge (atan b, atan b + theta) by (x, y/K) and measure its
+        # image with atan2, as the grid oracle does
+        delta, b = max_distortion_for_angle(theta, k)
+        alpha = math.atan(b)
+        u = (math.cos(alpha), math.sin(alpha) / k)
+        w = (math.cos(alpha + theta), math.sin(alpha + theta) / k)
+        phi = math.atan2(abs(u[0] * w[1] - u[1] * w[0]), u[0] * w[0] + u[1] * w[1])
+        assert abs(abs(phi - theta) - delta) <= 1e-12
+        assert abs(max_distortion_for_angle(math.pi - theta, k)[0] - delta) <= 1e-12
+
 
 class TestMaxHalfAngleDeviation:
     def test_conformal(self):
