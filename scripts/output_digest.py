@@ -19,9 +19,12 @@ outputs digested are:
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps;
-* ``theory --json --grid 2000`` stdout: the default battery, the single
-  case ``--k 2``, the single case ``--k 2 --theta 1.0472`` and the single
-  case ``--k 3 --theta 1.5707963267947966``, the double just below pi/2.
+* ``theory --json --grid 2000`` exit code and stdout: the default battery
+  and the single cases ``--k 2``, ``--k 2 --theta 1.0472``, ``--k 3 --theta
+  1.5707963267947966`` (the double just below pi/2), ``--k 1.0000000001
+  --theta 1`` and ``--k 1e308 --theta 1`` (orientation sweeps flat to double
+  precision) and ``--k 1e16`` (where (K-1)/(K+1) rounds to 1).  A theory
+  case may exit non-zero; its digest covers ``exit <code>`` and the stdout.
 
 Before hashing, ``meta.timestamp`` is blanked and the temporary directory
 the CLI runs write into is replaced by a fixed name, so two runs of the same
@@ -91,13 +94,17 @@ def _outputs(seed: int):
     from qcdistort import MeshMap, TriMesh, report_json, save_mesh, summarize
     from qcdistort.cli import main
 
-    def cli(args) -> str:
+    def run(args) -> tuple[int, str]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(args)
+        return code, out.getvalue()
+
+    def cli(args) -> str:
+        code, out = run(args)
         if code != 0:
             raise SystemExit(f"qcdistort {' '.join(args)} exited {code}")
-        return out.getvalue()
+        return out
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -161,11 +168,13 @@ def _outputs(seed: int):
         text = report_json(report).encode()
         yield f"analyze_lib/{name}.json", _TIMESTAMP.sub(b'"timestamp": ""', text)
 
-    for name, case in [("default", []), ("k2", ["--k", "2"]),
-                       ("k2-theta1.0472", ["--k", "2", "--theta", "1.0472"]),
-                       ("k3-theta1.5707963267947966",
-                        ["--k", "3", "--theta", "1.5707963267947966"])]:
-        yield f"theory/{name}.json", cli(["theory", "--json", "--grid", "2000", *case]).encode()
+    for case in [[], ["--k", "2"], ["--k", "2", "--theta", "1.0472"],
+                 ["--k", "3", "--theta", "1.5707963267947966"],
+                 ["--k", "1.0000000001", "--theta", "1"], ["--k", "1e308", "--theta", "1"],
+                 ["--k", "1e16"]]:
+        name = "-".join(f"{a[2:]}{b}" for a, b in zip(case[::2], case[1::2])) or "default"
+        code, out = run(["theory", "--json", "--grid", "2000", *case])
+        yield f"theory/{name}.json", f"exit {code}\n{out}".encode()
 
 
 def _read_digests(path: str) -> dict[str, str]:

@@ -33,8 +33,7 @@ from .report import (
     report_json,
     summarize,
 )
-from .theory import (_PARAM_CRITERIA, MIN_GRID, deviation_suite, extremal_bisector_suite,
-                     run_all_checks)
+from .theory import MIN_GRID, deviation_suite, extremal_bisector_suite, run_all_checks
 
 _ANGLE_FIELDS = ("eps_angle_t", "eps_mu_t")
 
@@ -212,15 +211,12 @@ def run_theory(args) -> int:
             print(f"{c.name:<{width}}  {status}  observed {c.observed:.3e} "
                   f"(tol {c.tolerance:.0e})")
         if args.k is not None:  # c is the single case's one check
-            print(f"  formula: {c.params['formula']:.9f} rad")
-            print(f"  grid:    {c.params['grid']:.9f} rad")
-            print(f"  |difference| = {c.observed:.3e}")
+            print(f"  formula:  {c.params['formula']:.9f} rad")
+            print(f"  attained: {c.params['attained']:.9f} rad")
+            print(f"  grid:     {c.params['grid']:.9f} rad")
     failed = [c for c in checks if not c.passed]
-    for c in failed:  # name the first criterion the check breaks
-        criteria = [("observed", c.observed, "tol", c.tolerance)] + [
-            (v, c.params[v], t, c.params[t]) for v, t in _PARAM_CRITERIA if v in c.params]
-        name, value, tol_name, tol = next(x for x in criteria if not x[1] <= x[3])
-        print(f"FAILED: {c.name}: {name} {value:.6e} > {tol_name} {tol:.6g}; "
+    for c in failed:
+        print(f"FAILED: {c.name}: observed {c.observed:.6e} > tol {c.tolerance:.6g}; "
               f"params {c.params}", file=sys.stderr)
     return 1 if failed else 0
 

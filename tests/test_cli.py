@@ -206,26 +206,41 @@ class TestTheory:
         assert capsys.readouterr() == ("", "")
 
     def test_undistorted_wedge_passes(self, capsys):
-        # at K = 1 every wedge orientation is extremal, so the axis test holds
+        # at K = 1 every wedge orientation is extremal, so the sweep is flat
         assert main(["theory", "--k", "1", "--theta", "1"]) == 0
 
-    def test_failed_line_names_the_broken_criterion(self, capsys):
-        # the sweep is flat to double precision near its maximum, so its
-        # argmax is off the axis while formula and grid agree
-        assert main(["--quiet", "theory", "--k", "1.0000000001", "--theta", "1"]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("FAILED: extremal bisector K=1 theta=1: "
-                               "bisector_axis_distance ")
-        assert "> axis_tolerance 6.28319e-05;" in line
-        assert "0.000000e+00 > tol" not in line
+    @pytest.mark.parametrize("argv", [
+        ["--k", "1.0000000001", "--theta", "1"],
+        ["--k", "1e308", "--theta", "1"],
+        ["--k", "1e16"],
+    ], ids=["flat-near-1", "flat-huge-k", "mu-rounds-to-1"])
+    def test_correct_formulas_pass_at_extreme_k(self, capsys, argv):
+        # the sweep's argmax is arbitrary where it is flat to double
+        # precision, and (K-1)/(K+1) rounds to 1 from K = 1e16 on
+        assert main(["--quiet", "theory", *argv]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_failed_line_names_a_formula_mismatch(self, capsys, monkeypatch):
         real = theory.max_distortion_for_angle
         monkeypatch.setattr(theory, "max_distortion_for_angle",
-                            lambda theta, k: (real(theta, k)[0] + 1e-3, 0.0))
+                            lambda theta, k: (real(theta, k)[0] + 1e-3, real(theta, k)[1]))
         assert main(["--quiet", "theory", "--k", "2", "--theta", "1"]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert "theta=1: observed 1.0" in line and "> tol 1e-05;" in line
+
+    def test_right_value_on_the_wrong_wedge_fails(self, capsys, monkeypatch):
+        real = theory.max_distortion_for_angle
+
+        def other_wedge(theta, k):
+            delta, b = real(theta, k)
+            b_max, b_min = theory.extremal_bisectors(theta)
+            return delta, b_min if b == b_max else b_max
+
+        monkeypatch.setattr(theory, "max_distortion_for_angle", other_wedge)
+        assert main(["--quiet", "theory", "--k", "2", "--theta", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("FAILED: extremal bisector K=2 theta=1: observed 1.9")
+        assert "'dilatation': 2.0, 'theta': 1.0," in line
 
 
 class TestErrorExitCodes:

@@ -137,6 +137,16 @@ class TestImageAngles:
         measured = math.atan2(abs(u[0] * w[1] - u[1] * w[0]), float(u @ w))
         assert phi == pytest.approx(measured, abs=1e-12)
 
+    def test_general_beyond_the_square_root_of_the_largest_double(self):
+        # atan(K (tan 1 - tan 0.5) / (K^2 + tan 1 tan 0.5)) at 50 digits; K * K
+        # overflows
+        assert image_angle_general(1.0, 0.5, 1e200) == pytest.approx(
+            1.0111052348111117e-200, rel=1e-15, abs=0.0)
+
+    @given(theta=st.floats(1e-9, math.pi / 2 - 1e-9), k=st.floats(1.0, 1e300))
+    def test_axis_is_the_quotient_of_tangents(self, theta, k):
+        assert image_angle_axis(theta, k) == math.atan(math.tan(theta) / k)
+
     def test_general_rejects_straddling(self):
         with pytest.raises(DomainError):
             image_angle_general(0.4, -0.2, 2.0)
@@ -300,6 +310,22 @@ class TestSuites:
     def test_deviation_suite_passes(self):
         checks = deviation_suite(samples=200_000)
         assert all(c.passed for c in checks)
+
+    # K log-uniform over [1, 1e6], or one of the extremes: next to 1, where
+    # the sweep is flat, and huge, where (K-1)/(K+1) rounds to 1
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(1e-3, math.pi - 1e-3), k=st.one_of(
+        st.floats(0.0, math.log(1e6)).map(math.exp),
+        st.sampled_from([1.0, 1.0 + 1e-15, 1.0 + 1e-10, 1e12, 1e100, 1e308])))
+    def test_grid_suites_pass_at_grid_2000(self, theta, k):
+        checks = (extremal_bisector_suite((k,), (theta,), 2000)
+                  + deviation_suite((k,), 1_000_000))
+        assert all(c.passed for c in checks), checks
+
+    def test_passed_is_observed_within_tolerance(self):
+        checks = run_all_checks(seed=7, grid_size=2000)
+        checks += extremal_bisector_suite((1.0000000001, 1e308), (1.0,), 2000)
+        assert all(c.passed == (c.observed <= c.tolerance) for c in checks)
 
     def test_run_all(self):
         checks = run_all_checks(seed=7, grid_size=2000)
