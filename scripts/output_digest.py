@@ -23,8 +23,10 @@ outputs digested are:
   and the single cases ``--k 2``, ``--k 2 --theta 1.0472``, ``--k 3 --theta
   1.5707963267947966`` (the double just below pi/2), ``--k 1.0000000001
   --theta 1`` and ``--k 1e308 --theta 1`` (orientation sweeps flat to double
-  precision) and ``--k 1e16`` (where (K-1)/(K+1) rounds to 1).  A theory
-  case may exit non-zero; its digest covers ``exit <code>`` and the stdout.
+  precision), ``--k 1e12`` (where the arcsin form of the maximal deviation
+  is 63,000 ulp off) and ``--k 1e16`` (where (K-1)/(K+1) rounds to 1).  A
+  theory case may exit non-zero; its digest covers ``exit <code>`` and the
+  stdout.
 
 Before hashing, ``meta.timestamp`` is blanked and the temporary directory
 the CLI runs write into is replaced by a fixed name, so two runs of the same
@@ -171,7 +173,7 @@ def _outputs(seed: int):
     for case in [[], ["--k", "2"], ["--k", "2", "--theta", "1.0472"],
                  ["--k", "3", "--theta", "1.5707963267947966"],
                  ["--k", "1.0000000001", "--theta", "1"], ["--k", "1e308", "--theta", "1"],
-                 ["--k", "1e16"]]:
+                 ["--k", "1e12"], ["--k", "1e16"]]:
         name = "-".join(f"{a[2:]}{b}" for a, b in zip(case[::2], case[1::2])) or "default"
         code, out = run(["theory", "--json", "--grid", "2000", *case])
         yield f"theory/{name}.json", f"exit {code}\n{out}".encode()

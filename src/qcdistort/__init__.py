@@ -55,11 +55,9 @@ from .report import (
     summarize,
 )
 from .theory import (
-    EllipseGeometry,
     LinearModel,
     PrincipalStretch,
     brute_force_max_distortion,
-    ellipse_geometry,
     extremal_bisectors,
     image_angle_axis,
     image_angle_general,

@@ -45,15 +45,6 @@ class AffineMap2D:
                          self.c * x + self.d * y + self.q], axis=-1)
 
     @property
-    def jacobian_det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def orientation_sign(self) -> int:
-        det = self.jacobian_det
-        return (det > 0) - (det < 0)
-
-    @property
     def fz(self) -> complex:
         return complex(_wirtinger(self.a, self.b, self.c, self.d)[0])
 
@@ -254,13 +245,17 @@ def _beltrami_field(src, dst) -> BeltramiField:
     return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)
 
 
+def _float_if_0d(out):
+    """``out`` as a float if it is 0-d: a scalar call of an array formula returns a float."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _of_abs_mu(formula, abs_mu, caller: str):
     """``formula(abs_mu)`` for a scalar or array whose values (NaN fails) all lie in [0, 1)."""
     x = np.asarray(abs_mu, dtype=np.float64)
     if not ((x >= 0) & (x < 1)).all():
         raise DomainError(f"{caller} requires 0 <= |mu| < 1")
-    out = formula(x)
-    return float(out) if np.isscalar(abs_mu) or out.ndim == 0 else out
+    return _float_if_0d(formula(x))
 
 
 def dilatation(abs_mu):

@@ -5,17 +5,19 @@ along one direction and |A| - |B| along the perpendicular one.  This module
 evaluates the closed-form consequences (how angles transform, where the
 distortion of a wedge is extremal, the maximal half-angle deviation), each
 paired with a deterministic brute-force grid oracle so the formulas can be
-verified numerically rather than trusted.
+verified numerically rather than trusted.  The four closed forms take
+arrays as well as scalars: a scalar call is the 0-d case of the same numpy
+code and returns floats, as :func:`qcdistort.dilatation` does.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .beltrami import _float_if_0d
 from .errors import DegenerateModelError, DomainError
 
 # relative margin below which |A| and |B| are considered equal
@@ -25,13 +27,13 @@ MIN_GRID = 1000
 
 @dataclass(frozen=True)
 class LinearModel:
-    """w = A z + B conj(z) with complex coefficients."""
+    """w = A z + B conj(z), with complex A and B or complex arrays (a model per element)."""
 
     A: complex
     B: complex
 
     def mu(self) -> complex:
-        """Beltrami coefficient: f_z = A, f_zbar = B, so mu = B / A."""
+        """Beltrami coefficient of a scalar model: f_z = A, f_zbar = B, so mu = B / A."""
         return complex(self.B) / complex(self.A)
 
     def apply(self, z: complex) -> complex:
@@ -40,14 +42,16 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class PrincipalStretch:
-    """Stretch decomposition of a linear model.
+    """Stretch decomposition of a linear model (floats, or arrays for an array model).
 
     lambda_x        maximal stretch factor, |A| + |B|
     lambda_y        minimal stretch factor, |A| - |B|
     max_direction   direction of maximal stretch in the source plane
-                    (= arg(mu)/2), radians
+                    (= arg(mu)/2 modulo pi), radians
     image_rotation  direction the maximal-stretch axis maps to, radians
     dilatation      lambda_x / lambda_y = (1 + |mu|) / (1 - |mu|)
+
+    A small circle maps to an ellipse with these semi-axes and directions.
     """
 
     lambda_x: float
@@ -57,19 +61,20 @@ class PrincipalStretch:
     dilatation: float
 
 
-@dataclass(frozen=True)
-class EllipseGeometry:
-    """Image of an infinitesimal circle: principal directions and factors."""
-
-    mag_direction: float
-    mag_factor: float
-    shrink_direction: float
-    shrink_factor: float
-
-
-def _check_dilatation(dilatation: float) -> None:
-    if not 1.0 <= dilatation < math.inf:  # NaN fails too; K = inf is |mu| = 1
+def _check_dilatation(dilatation) -> np.ndarray:
+    """``dilatation`` as an array, if every element lies in [1, inf)."""
+    k = np.asarray(dilatation, dtype=np.float64)
+    if not ((1.0 <= k) & (k < math.inf)).all():  # NaN fails too; K = inf is |mu| = 1
         raise DomainError("dilatation must be >= 1 and finite")
+    return k
+
+
+def _check_theta(theta) -> np.ndarray:
+    """``theta`` as an array, if every element lies in (0, pi)."""
+    t = np.asarray(theta, dtype=np.float64)
+    if not ((0.0 < t) & (t < math.pi)).all():  # NaN fails too
+        raise DomainError("theta must lie in (0, pi)")
+    return t
 
 
 def principal_stretch(model: LinearModel) -> PrincipalStretch:
@@ -77,44 +82,25 @@ def principal_stretch(model: LinearModel) -> PrincipalStretch:
 
     Writing arg A = t_A and arg B = t_B, rotating the source plane by
     (t_B - t_A)/2 and the image plane by (t_A + t_B)/2 diagonalizes the
-    model to (x, y) -> ((|A|+|B|) x, (|A|-|B|) y).
+    model to (x, y) -> ((|A|+|B|) x, (|A|-|B|) y).  A model whose A and B
+    are arrays gives one decomposition per element, as arrays.
 
     Raises
     ------
     DegenerateModelError
-        If |A| <= |B| (orientation not preserved).
+        If |A| <= |B| (orientation not preserved) for any element; the
+        message names the first such model's |A| and |B|.
     """
-    mag_a, mag_b = abs(model.A), abs(model.B)
-    if not mag_a - mag_b > MODEL_GUARD * (mag_a + mag_b):  # NaN fails too
-        raise DegenerateModelError(
-            f"model is not orientation-preserving: |A|={mag_a:.3e} <= |B|={mag_b:.3e}"
-        )
-    t_a, t_b = cmath.phase(model.A), cmath.phase(model.B)
+    mag_a, mag_b = np.broadcast_arrays(np.abs(model.A), np.abs(model.B))
+    bad = ~(mag_a - mag_b > MODEL_GUARD * (mag_a + mag_b))  # NaN fails too
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise DegenerateModelError("model is not orientation-preserving: "
+                                   f"|A|={mag_a.flat[i]:.3e} <= |B|={mag_b.flat[i]:.3e}")
+    t_a, t_b = np.angle(model.A), np.angle(model.B)
     lam_x, lam_y = mag_a + mag_b, mag_a - mag_b
-    return PrincipalStretch(
-        lambda_x=lam_x,
-        lambda_y=lam_y,
-        max_direction=0.5 * (t_b - t_a),
-        image_rotation=0.5 * (t_a + t_b),
-        dilatation=lam_x / lam_y,
-    )
-
-
-def ellipse_geometry(model: LinearModel) -> EllipseGeometry:
-    """Directions and factors of maximal magnification and shrinkage.
-
-    An infinitesimal circle maps to an ellipse whose long axis lies along
-    arg(mu)/2 and whose short axis is perpendicular, with the factors
-    |A| + |B| and |A| - |B| of :func:`principal_stretch`.
-    """
-    stretch = principal_stretch(model)
-    mag_dir = 0.5 * cmath.phase(model.mu())
-    return EllipseGeometry(
-        mag_direction=mag_dir,
-        mag_factor=stretch.lambda_x,
-        shrink_direction=mag_dir + math.pi / 2.0,
-        shrink_factor=stretch.lambda_y,
-    )
+    return PrincipalStretch(*map(_float_if_0d, (
+        lam_x, lam_y, 0.5 * (t_b - t_a), 0.5 * (t_a + t_b), lam_x / lam_y)))
 
 
 def image_angle_axis(theta: float, dilatation: float) -> float:
@@ -159,7 +145,7 @@ def image_angle_general(alpha: float, beta: float, dilatation: float) -> float:
     return math.atan((ta - tb) / (dilatation + ta * tb / dilatation))
 
 
-def extremal_bisectors(theta: float) -> tuple[float, float]:
+def extremal_bisectors(theta) -> tuple[float, float]:
     """Tangents of the wedge orientations extremizing the image angle.
 
     For a wedge of opening theta with one side at angle arctan(b) from the
@@ -170,19 +156,19 @@ def extremal_bisectors(theta: float) -> tuple[float, float]:
         b2 =  cot(theta/2)   (bisector on the minimal-stretch axis)
 
     Evaluated through the half-angle identities, which stay finite at
-    theta = pi/2 where n blows up (there b1, b2 = -1, 1).
+    theta = pi/2 where n blows up (there b1, b2 = -1, 1).  An array theta
+    gives two arrays; a scalar, two floats.
 
     Raises
     ------
     DomainError
+        If any theta lies outside (0, pi).
     """
-    if not 0.0 < theta < math.pi:
-        raise DomainError("theta must lie in (0, pi)")
-    t_half = math.tan(theta / 2.0)
-    return -t_half, 1.0 / t_half
+    t_half = np.tan(_check_theta(theta) / 2.0)
+    return _float_if_0d(-t_half), _float_if_0d(1.0 / t_half)
 
 
-def max_distortion_for_angle(theta: float, dilatation: float) -> tuple[float, float]:
+def max_distortion_for_angle(theta, dilatation) -> tuple[float, float]:
     """Largest distortion of an angle theta over all wedge orientations.
 
     With t = tan(theta/2), the wedge bisected by the maximal-stretch axis
@@ -197,22 +183,24 @@ def max_distortion_for_angle(theta: float, dilatation: float) -> tuple[float, fl
     its b, the tangent of the wedge's first side.  Swapping t and 1/t swaps
     the two, so delta(theta) = delta(pi - theta); the maximum over theta is
     2 arcsin((K-1)/(K+1)) = 2 arcsin|mu|, at theta = 2 arctan(sqrt(K)).
+    Array theta and K broadcast and give two arrays; scalars, two floats.
 
     Raises
     ------
     DomainError
+        If any theta lies outside (0, pi) or any K outside [1, inf).
     """
     b_max, b_min = extremal_bisectors(theta)
-    _check_dilatation(dilatation)
+    k = _check_dilatation(dilatation)
     t = -b_max
     # (K-1)/K and 1/K rather than K-1 and K, whose products with t overflow
     # near the largest double
-    shrink = (dilatation - 1.0) / dilatation
-    delta_max = 2.0 * math.atan(t * shrink / (1.0 + t * t / dilatation))
-    delta_min = 2.0 * math.atan(t * shrink / (1.0 / dilatation + t * t))
-    if delta_max >= delta_min:
-        return delta_max, b_max
-    return delta_min, b_min
+    shrink = (k - 1.0) / k
+    delta_max = 2.0 * np.arctan(t * shrink / (1.0 + t * t / k))
+    delta_min = 2.0 * np.arctan(t * shrink / (1.0 / k + t * t))
+    first = delta_max >= delta_min
+    return (_float_if_0d(np.where(first, delta_max, delta_min)),
+            _float_if_0d(np.where(first, b_max, b_min)))
 
 
 def _wedge_distortion(alphas, theta: float, dilatation: float):
@@ -222,9 +210,7 @@ def _wedge_distortion(alphas, theta: float, dilatation: float):
     inv_k = 1.0 / dilatation
     ux, uy = np.cos(alphas), np.sin(alphas) * inv_k
     vx, vy = np.cos(betas), np.sin(betas) * inv_k
-    cross = np.abs(ux * vy - uy * vx)
-    dot = ux * vx + uy * vy
-    return np.abs(np.arctan2(cross, dot) - theta)
+    return np.abs(np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy) - theta)
 
 
 def brute_force_max_distortion(
@@ -244,8 +230,7 @@ def brute_force_max_distortion(
         If ``grid_size`` is below the minimum (1000) or theta/K are out of
         range.
     """
-    if not 0.0 < theta < math.pi:
-        raise DomainError("theta must lie in (0, pi)")
+    _check_theta(theta)
     _check_dilatation(dilatation)
     if grid_size < MIN_GRID:
         raise DomainError(f"grid_size must be >= {MIN_GRID}")
@@ -255,22 +240,25 @@ def brute_force_max_distortion(
     return float(delta[i]), float(alphas[i])
 
 
-def max_half_angle_deviation(dilatation: float) -> tuple[float, float]:
+def max_half_angle_deviation(dilatation) -> tuple[float, float]:
     """Largest shrink of a half-angle under (x, y) -> (x, y/K).
 
     For a wedge bisected by the maximal-stretch axis with half-angle theta,
     the deviation theta - arctan(tan(theta)/K) is maximized at
-    tan(theta) = sqrt(K), where it equals arcsin((K-1)/(K+1)).  Returns
-    (deviation, maximizing half-angle).  Doubling the deviation gives the
+    tan(theta) = sqrt(K), where it equals arcsin((K-1)/(K+1)), evaluated as
+    arctan((K-1)/(2 sqrt(K))) since the arcsin's argument rounds next to 1
+    for large K.  Returns (deviation, maximizing half-angle): floats for a
+    scalar K, arrays for an array.  Doubling the deviation gives the
     full-angle bound 2*arcsin(|mu|).
 
     Raises
     ------
     DomainError
+        If any K lies outside [1, inf).
     """
-    _check_dilatation(dilatation)
-    k = dilatation
-    return math.asin((k - 1.0) / (k + 1.0)), math.atan(math.sqrt(k))
+    k = _check_dilatation(dilatation)
+    root = np.sqrt(k)
+    return _float_if_0d(np.arctan((k - 1.0) / (2.0 * root))), _float_if_0d(np.arctan(root))
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +296,25 @@ def tangent_ratio_suite(n_models: int = 1000, seed: int = 42) -> TheoryCheck:
     arg_b = rng.uniform(-math.pi, math.pi, n_models)
     theta = rng.uniform(0.01, math.pi / 2.0 - 0.01, n_models)
 
-    A = mag_a * np.exp(1j * arg_a)
-    B = mag_a * ratio * np.exp(1j * arg_b)
-    t_a = np.angle(A)
-    t_b = np.angle(B)
-    alpha = 0.5 * (t_b - t_a)
-    beta = 0.5 * (t_a + t_b)
-    z = np.exp(1j * (alpha + theta))
-    w = A * z + B * np.conj(z)
-    phi = np.abs(np.angle(w * np.exp(-1j * beta)))
-    k = (np.abs(A) + np.abs(B)) / (np.abs(A) - np.abs(B))
-    residual = float(np.abs(np.tan(phi) * k - np.tan(theta)).max())
+    model = LinearModel(mag_a * np.exp(1j * arg_a), mag_a * ratio * np.exp(1j * arg_b))
+    ps = principal_stretch(model)
+    w = model.apply(np.exp(1j * (ps.max_direction + theta)))
+    phi = np.abs(np.angle(w * np.exp(-1j * ps.image_rotation)))
+    residual = float(np.abs(np.tan(phi) * ps.dilatation - np.tan(theta)).max())
     tol = 1e-8
-    return TheoryCheck(
-        name="tangent-ratio law (random models)",
-        passed=residual <= tol,
-        observed=residual,
-        tolerance=tol,
-        params={"n_models": n_models, "seed": seed},
-    )
+    return TheoryCheck("tangent-ratio law (random models)", residual <= tol, residual, tol,
+                       {"n_models": n_models, "seed": seed})
+
+
+def _maximum_check(name: str, tol: float, formula, attained, grid, **params) -> TheoryCheck:
+    """The check that ``formula`` is a maximum: its argmax attains it (``attained``) and no
+    grid point exceeds it (``grid``), ``observed = max(|formula - attained|, grid - formula)``;
+    its params are ``params`` followed by the three values."""
+    formula, attained, grid = float(formula), float(attained), float(grid)
+    # np.maximum keeps a NaN, which fails the tolerance
+    observed = float(np.maximum(abs(formula - attained), grid - formula))
+    return TheoryCheck(name=name, passed=observed <= tol, observed=observed, tolerance=tol,
+                       params={**params, "formula": formula, "attained": attained, "grid": grid})
 
 
 def extremal_bisector_suite(
@@ -344,32 +332,14 @@ def extremal_bisector_suite(
     it: ``observed = max(|formula - attained|, grid - formula)``, and the
     check passes when that is at most 1e-5.
     """
-    tol = 1e-5
-    checks = []
-    for k in dilatations:
-        for theta in thetas:
-            formula, b = max_distortion_for_angle(theta, k)
-            attained = float(_wedge_distortion(math.atan(b), theta, k))
-            grid_val, _ = brute_force_max_distortion(theta, k, grid_size)
-            # np.maximum keeps a NaN, which fails the tolerance
-            observed = float(np.maximum(abs(formula - attained), grid_val - formula))
-            checks.append(
-                TheoryCheck(
-                    name=f"extremal bisector K={k:g} theta={theta:.6g}",
-                    passed=observed <= tol,
-                    observed=observed,
-                    tolerance=tol,
-                    params={
-                        "dilatation": k,
-                        "theta": theta,
-                        "grid_size": grid_size,
-                        "formula": formula,
-                        "attained": attained,
-                        "grid": grid_val,
-                    },
-                )
-            )
-    return checks
+    pairs = [(k, theta) for k in dilatations for theta in thetas]
+    ks, ths = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    formulas, bs = max_distortion_for_angle(ths, ks)
+    attained = _wedge_distortion(np.arctan(bs), ths, ks)
+    return [_maximum_check(f"extremal bisector K={k:g} theta={theta:.6g}", 1e-5, formula,
+                           att, brute_force_max_distortion(theta, k, grid_size)[0],
+                           dilatation=k, theta=theta, grid_size=grid_size)
+            for (k, theta), formula, att in zip(pairs, formulas, attained)]
 
 
 def deviation_suite(
@@ -383,31 +353,14 @@ def deviation_suite(
     (param ``grid``, their largest).  The check passes when
     ``observed = max(|formula - attained|, grid - formula)`` is at most 1e-6.
     """
-    tol = 1e-6
-    checks = []
+    formulas, theta_stars = max_half_angle_deviation(dilatations)  # checks K before any division
+    attained = theta_stars - np.arctan(np.tan(theta_stars) / dilatations)
     thetas = (np.arange(samples) + 0.5) * (math.pi / 2.0) / samples
     tan_thetas = np.tan(thetas)
-    for k in dilatations:
-        formula, theta_star = max_half_angle_deviation(k)  # checks K before the grid divides by it
-        attained = float(theta_star - np.arctan(np.tan(theta_star) / k))
-        grid_max = float((thetas - np.arctan(tan_thetas / k)).max())
-        observed = float(np.maximum(abs(formula - attained), grid_max - formula))
-        checks.append(
-            TheoryCheck(
-                name=f"max half-angle deviation K={k:g}",
-                passed=observed <= tol,
-                observed=observed,
-                tolerance=tol,
-                params={
-                    "dilatation": k,
-                    "samples": samples,
-                    "grid": grid_max,
-                    "formula": formula,
-                    "attained": attained,
-                },
-            )
-        )
-    return checks
+    return [_maximum_check(f"max half-angle deviation K={k:g}", 1e-6, formula, att,
+                           (thetas - np.arctan(tan_thetas / k)).max(),
+                           dilatation=k, samples=samples)
+            for k, formula, att in zip(dilatations, formulas, attained)]
 
 
 def run_all_checks(seed: int = 42, grid_size: int = 100_000) -> list[TheoryCheck]:

@@ -228,11 +228,6 @@ class TestScalarHelpers:
         with pytest.raises(DomainError):
             dilatation(np.array([0.2, 1.0]))
 
-    def test_orientation_sign_queryable(self):
-        assert AffineMap2D(1, 0, 0, 1).orientation_sign == 1
-        assert AffineMap2D(1, 0, 0, -1).orientation_sign == -1
-        assert AffineMap2D(1, 0, 0, 0).orientation_sign == 0
-
     def test_epsilon_mu_values(self):
         assert epsilon_mu(0.0) == 0.0
         assert epsilon_mu(0.5) == pytest.approx(math.pi / 3)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,16 +11,20 @@ from qcdistort import (
     DegenerateModelError,
     DomainError,
     LinearModel,
+    MeshMap,
     brute_force_max_distortion,
-    ellipse_geometry,
+    corner_angles,
+    corner_distortion,
     epsilon_mu,
     extremal_bisectors,
+    face_beltrami,
     image_angle_axis,
     image_angle_general,
     max_distortion_for_angle,
     max_half_angle_deviation,
     principal_stretch,
 )
+from qcdistort.synth import bumpy_disk, irregular_disk, perturbed_target
 from qcdistort.theory import (
     deviation_suite,
     extremal_bisector_suite,
@@ -64,9 +69,11 @@ class TestPrincipalStretch:
         with pytest.raises(DegenerateModelError):
             principal_stretch(LinearModel(1.0, 1.0))
         for model in [LinearModel(complex(math.nan, 0), 0.5), LinearModel(1.0, math.nan)]:
-            for func in (principal_stretch, ellipse_geometry):
-                with pytest.raises(DegenerateModelError):
-                    func(model)
+            with pytest.raises(DegenerateModelError):
+                principal_stretch(model)
+        # an array model fails on any element, named in the message
+        with pytest.raises(DegenerateModelError, match=r"\|A\|=2.000e\+00 <= \|B\|=3.000e\+00"):
+            principal_stretch(LinearModel(np.array([1.0, 2.0, 1.0]), np.array([0.5, 3.0, 1.0])))
 
     @settings(max_examples=60, deadline=None)
     @given(model=models)
@@ -78,25 +85,26 @@ class TestPrincipalStretch:
 
 
 class TestEllipseGeometry:
+    # an infinitesimal circle maps to an ellipse with semi-axes lambda_x
+    # along max_direction and lambda_y perpendicular to it
     def test_conformal_circle(self):
-        geo = ellipse_geometry(LinearModel(1.0, 0.0))
-        assert geo.mag_factor == geo.shrink_factor == 1.0
+        ps = principal_stretch(LinearModel(1.0, 0.0))
+        assert ps.lambda_x == ps.lambda_y == 1.0
 
     def test_real_mu(self):
-        geo = ellipse_geometry(LinearModel(1.0, 1.0 / 3.0))
-        assert geo.mag_factor == pytest.approx(4 / 3)
-        assert geo.shrink_factor == pytest.approx(2 / 3)
-        assert geo.mag_direction == 0.0
-        assert geo.shrink_direction == pytest.approx(math.pi / 2)
+        ps = principal_stretch(LinearModel(1.0, 1.0 / 3.0))
+        assert ps.lambda_x == pytest.approx(4 / 3)
+        assert ps.lambda_y == pytest.approx(2 / 3)
+        assert ps.max_direction == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(model=models)
     def test_factors_match_grid_extrema(self, model):
-        geo = ellipse_geometry(model)
+        ps = principal_stretch(model)
         t = np.linspace(-math.pi, math.pi, 200_001)
         mags = np.abs(model.A * np.exp(1j * t) + model.B * np.exp(-1j * t))
-        assert abs(mags.max() - geo.mag_factor) < 1e-6
-        assert abs(mags.min() - geo.shrink_factor) < 1e-6
+        assert abs(mags.max() - ps.lambda_x) < 1e-6
+        assert abs(mags.min() - ps.lambda_y) < 1e-6
 
 
 class TestImageAngles:
@@ -176,6 +184,14 @@ class TestExtremalBisectors:
         ours = sorted(extremal_bisectors(theta))
         for r, o in zip(roots, ours):
             assert abs(r - o) <= 1e-10 * max(1.0, abs(r))
+
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, math.nan, np.array([1.0, 0.0])],
+                             ids=["0", "pi", "nan", "0-in-array"])
+    def test_theta_outside_zero_to_pi_rejected(self, theta):
+        for call in (extremal_bisectors, lambda t: max_distortion_for_angle(t, 2.0)):
+            with pytest.raises(DomainError, match=r"theta must lie in \(0, pi\)"):
+                call(theta)
 
 
 class TestMaxDistortion:
@@ -278,6 +294,66 @@ class TestMaxHalfAngleDeviation:
         delta, _ = max_half_angle_deviation(k)
         assert 2 * delta == epsilon_mu((k - 1) / (k + 1))
 
+    # asin((K-1)/(K+1)) for the double K, evaluated offline with 50 digits;
+    # that form's argument rounds next to 1 and is 7.8 ulp off at K = 1e4,
+    # 733 at 1e8 and 9.0e7 at 1e16
+    @pytest.mark.parametrize("k, exact", [
+        (1.1, 0.047637062624403171032),
+        (2.0, 0.3398369094541219371),
+        (3.0, 0.52359877559829887308),
+        (10.0, 0.95824158845555770707),
+        (1e4, 1.5507969934215661428),
+        (1e8, 1.5705963267955632859),
+        (1e12, 1.5707943267948966199),
+        (1e16, 1.5707963067948966192),
+        (1e100, 1.5707963267948966192),
+        (1e308, 1.5707963267948966192),
+    ])
+    def test_within_an_ulp_of_the_reference(self, k, exact):
+        delta, _ = max_half_angle_deviation(k)
+        assert abs(delta - exact) <= math.ulp(exact)
+
+
+class TestArrayForms:
+    @settings(max_examples=60, deadline=None)
+    @given(cases=st.lists(st.tuples(
+        st.floats(1e-3, math.pi - 1e-3), st.floats(0.0, math.log(1e12)).map(math.exp),
+        st.floats(0.5, 2.0), st.floats(-math.pi, math.pi), st.floats(0.0, 0.8),
+        st.floats(-math.pi, math.pi)), min_size=1, max_size=40))
+    def test_array_call_is_the_elementwise_scalar_call(self, cases):
+        thetas, ks, mod, arg_a, ratio, arg_b = (np.array(c) for c in zip(*cases))
+        a, b = mod * np.exp(1j * arg_a), mod * ratio * np.exp(1j * arg_b)
+        calls = [
+            (extremal_bisectors, (thetas,)),
+            (max_distortion_for_angle, (thetas, ks)),
+            (max_half_angle_deviation, (ks,)),
+            (lambda a, b: astuple(principal_stretch(LinearModel(a, b))), (a, b)),
+        ]
+        for func, args in calls:
+            scalar = [func(*row) for row in zip(*(arg.tolist() for arg in args))]
+            assert {type(x) for row in scalar for x in row} == {float}
+            for column, values in zip(func(*args), zip(*scalar)):
+                assert column.shape == thetas.shape
+                assert column.tobytes() == np.array(values).tobytes()
+
+    # the angle-aware bound on the pipeline's own corners: a corner of
+    # source angle theta on a face of dilatation K is distorted by at most
+    # max_distortion_for_angle(theta, K), which is at most 2 arcsin|mu|
+    @pytest.mark.parametrize("make, n", [(irregular_disk, 3000), (bumpy_disk, 3000),
+                                         (irregular_disk, 1100)],
+                             ids=["irregular_disk-3000", "bumpy_disk-3000",
+                                  "irregular_disk-1100"])
+    def test_corners_within_the_angle_aware_bound(self, make, n):
+        mesh = make(n)
+        mapping = MeshMap(mesh, perturbed_target(mesh, np.random.default_rng(16)))
+        field = face_beltrami(mapping)
+        ok = ~field.folded
+        assert ok.any()
+        bound, _ = max_distortion_for_angle(corner_angles(mesh)[ok],
+                                            field.dilatation[ok, None])
+        assert (corner_distortion(mapping).corner[ok] <= bound + 1e-12).all()
+        assert (bound <= field.eps_mu[ok, None] + 1e-12).all()
+
 
 class TestSuites:
     def test_tangent_ratio_suite_passes(self):
@@ -343,6 +419,8 @@ class TestSuites:
 ], ids=["image_angle_axis", "image_angle_general", "max_distortion_for_angle",
         "brute_force_max_distortion", "max_half_angle_deviation"])
 def test_dilatation_outside_one_to_inf_rejected(call, k):
-    # K = inf is |mu| = 1, and NaN fails the "reject unless inside" guard
-    with pytest.raises(DomainError, match="dilatation must be >= 1 and finite"):
-        call(k)
+    # K = inf is |mu| = 1, and NaN fails the "reject unless inside" guard;
+    # an array is rejected when any element is
+    for arg in (k, np.array([2.0, k])):
+        with pytest.raises(DomainError, match="dilatation must be >= 1 and finite"):
+            call(arg)
