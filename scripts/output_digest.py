@@ -6,10 +6,13 @@ outputs digested are:
 
 * ``analyze`` JSON report, per-face CSV and colored PLY of the
   ``analyze_export`` pair (OBJ source, OFF target), colored by each of
-  ``abs_mu``, ``eps_angle_t`` and ``eps_mu_t``, with the pair read in three
+  ``abs_mu``, ``eps_angle_t`` and ``eps_mu_t``, with the pair read in four
   layouts: as ``save_mesh`` writes it (``analyze/``), as common exporters
-  write it (``analyze-exporter/``), and with indented OBJ lines and a
-  lower-case ``off`` header (``analyze-indented/``);
+  write it (``analyze-exporter/``), with indented OBJ lines and a
+  lower-case ``off`` header (``analyze-indented/``), and with the OBJ
+  tokens separated in turn by tab, vertical tab, form feed and ``\\x1c``
+  and the OFF face indices written with a leading ``+``
+  (``analyze-separators/``);
 * ``analyze --bins 7`` report of that pair (``bins7/``), and the report,
   CSV and PLY of its source against the target mirrored in y
   (``mirrored/``), where every face is folded and the stats and histograms
@@ -38,7 +41,7 @@ another checkout, which makes a comparison with an earlier commit two runs:
 
 With ``--against`` the digests are compared with those saved in the file;
 every differing, missing or extra output is named and the exit code is 1.
-The three layouts hold the same meshes, so their outputs must be identical
+The four layouts hold the same meshes, so their outputs must be identical
 too: one that is not is named and the exit code is 1.
 """
 
@@ -84,10 +87,20 @@ def _indented_layout(text: str, fmt: str) -> str:
     return "".join(" " + line for line in text.splitlines(keepends=True))
 
 
+def _separators_layout(text: str, fmt: str) -> str:
+    """``save_mesh`` text with the OBJ tokens separated in turn by tab, vertical tab,
+    form feed and ``\\x1c`` (whitespace to ``str.split``), or the OFF face indices
+    written with a leading ``+``."""
+    if fmt == "off":
+        return re.sub(r"^3 (\d+) (\d+) (\d+)$", r"3 +\1 +\2 +\3", text, flags=re.M)
+    separators = iter("\t\x0b\x0c\x1c" * text.count(" "))
+    return re.sub(" ", lambda _: next(separators), text)
+
+
 # the input layouts of the analyze_export pair: the directory each is read
 # from, and how it is made from save_mesh output
 LAYOUTS = [("analyze", None), ("analyze-exporter", _exporter_layout),
-           ("analyze-indented", _indented_layout)]
+           ("analyze-indented", _indented_layout), ("analyze-separators", _separators_layout)]
 
 
 def _outputs(seed: int):

@@ -44,8 +44,7 @@ _WRITE_BLOCK_ROWS = 65_536
 # the code points str.split() takes for whitespace, those str.isspace() accepts
 _SPACE_CODES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
                 8232, 8233, 8239, 8287, 12288)
-# whether each code point is whitespace; one past the end reads the last
-# entry, which is False
+# whether each code point is whitespace; one past the end reads the last entry, False
 _IS_SPACE = np.isin(np.arange(max(_SPACE_CODES) + 2), _SPACE_CODES)
 # code points looked up at once (take() makes an intp copy of its indices)
 _SPACE_BLOCK = 65_536
@@ -92,15 +91,11 @@ class TriMesh:
             if faces.min() < 0 or faces.max() >= verts.shape[0]:
                 bad = int(np.argmax((faces < 0) | (faces >= verts.shape[0]), axis=None) // 3)
                 raise ValidationError(f"face {bad} has an out-of-range vertex index")
-            repeated = (
-                (faces[:, 0] == faces[:, 1])
-                | (faces[:, 1] == faces[:, 2])
-                | (faces[:, 2] == faces[:, 0])
-            )
+            repeated = ((faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2])
+                        | (faces[:, 2] == faces[:, 0]))
             if repeated.any():
-                raise ValidationError(
-                    f"face {int(np.argmax(repeated))} has a repeated vertex index"
-                )
+                bad = int(np.argmax(repeated))
+                raise ValidationError(f"face {bad} has a repeated vertex index")
         verts = verts.copy()
         verts.flags.writeable = False
         faces = faces.copy()
@@ -313,9 +308,7 @@ def validate_mesh(mesh: TriMesh) -> None:
     orientation is reported, never repaired, because a silent flip would
     corrupt the sign conventions of the per-face distortion fields.
 
-    A ``TriMesh`` is immutable, so a passing verdict is kept on the mesh, as
-    is the edge table the orientation test reads (about 4.2 MB per 50k faces,
-    read by :func:`boundary_loops`, the Tutte solve and a map's target);
+    The passing verdict is kept on the mesh with its edge table (see :class:`TriMesh`):
     later calls return at once, and a failure is raised again on every call.
 
     Raises
@@ -360,52 +353,84 @@ def _decode(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _tokenize(text: str):
-    """``(tokens, heads, breaks)``: the tokens of ``text.split()`` as an object
-    array, the index of each line's first token, and the number of tokens
-    before each line break, found from where each token starts in the text."""
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), np.uint8)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-    space = np.ones(codes.size + 1, dtype=bool)  # space[i + 1]: is codes[i] whitespace
-    for i in range(0, codes.size, _SPACE_BLOCK):
-        _IS_SPACE.take(codes[i:i + _SPACE_BLOCK], mode="clip",
-                       out=space[i + 1:i + 1 + _SPACE_BLOCK])
-    starts = np.flatnonzero(space[:-1] > space[1:])
-    breaks = np.searchsorted(starts, np.flatnonzero(codes == 10))
-    del codes, space, starts  # each about as large as the text
-    tokens = text.split()
-    heads = np.append(0, breaks[breaks < len(tokens)])  # sorted, with repeats
-    heads = heads[np.diff(heads, append=len(tokens)) > 0]
-    return np.fromiter(tokens, object, len(tokens)), heads, breaks
+class _Tokens:
+    """The tokens of ``text.split()`` as code-point offsets ``starts``/``ends`` into ``text``,
+    with the index of each line's first token (``heads``) and the number of tokens
+    before each line break (``breaks``); ``tokens[i]`` slices a token's text."""
 
+    def __init__(self, text: str):
+        if text.isascii():
+            codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        space = np.ones(codes.size + 2, dtype=bool)  # space[i + 1]: is codes[i] whitespace
+        for i in range(0, codes.size, _SPACE_BLOCK):
+            _IS_SPACE.take(codes[i:i + _SPACE_BLOCK], mode="clip",
+                           out=space[1:-1][i:i + _SPACE_BLOCK])
+        edges = np.flatnonzero(space[1:] != space[:-1])  # a token's start, then its end
+        self.starts, self.ends = edges[0::2], edges[1::2]
+        self.breaks = np.searchsorted(self.starts, np.flatnonzero(codes == 10))
+        heads = np.append(0, self.breaks[self.breaks < len(self)])  # sorted, with repeats
+        self.heads = heads[np.diff(heads, append=len(self)) > 0]
+        self.text, self.codes = text, codes
 
-def _message(path, breaks: np.ndarray, at, text: str) -> str:
-    """``text`` after the file and the 1-based line of token ``at``, given the
-    ``breaks`` of :func:`_tokenize`."""
-    return f"{path}:{np.searchsorted(breaks, at, side='right') + 1}: {text}"
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, at) -> str:
+        return self.text[self.starts[at]:self.ends[at]]
+
+    def message(self, path, at, text: str) -> str:
+        """``text`` after the file and the 1-based line of token ``at``."""
+        return f"{path}:{np.searchsorted(self.breaks, at, side='right') + 1}: {text}"
+
+    def parse(self, where: np.ndarray, dtype, cut: bool = False):
+        """The tokens ``where`` (ascending, at least one; each up to its first ``/`` if ``cut``)
+        read by one ``np.fromstring``, or None where that may differ from ``float``/``int``."""
+        start = self.starts[where[0]]
+        buf = self.codes[start:self.ends[where[-1]]].copy()
+        # blank what lies between the tokens: other tokens, whitespace NumPy may not skip
+        gaps = self.ends[where[:-1]] - start
+        buf[gaps] = 32  # most gaps are one code point long
+        lengths = self.starts[where[1:]] - start - gaps
+        buf[_ranges(gaps[lengths > 1] + 1, lengths[lengths > 1] - 1)] = 32
+        if cut:  # and each token from its first slash on
+            slash = np.flatnonzero(buf == 47) + start
+            owner = np.searchsorted(self.starts, slash, "right") - 1
+            once = np.diff(owner, prepend=-1) > 0  # the first slash of each token
+            buf[_ranges(slash[once] - start, self.ends[owner[once]] - slash[once])] = 32
+        if buf.max() > 127:  # float and int read non-ASCII digits; uint8 would wrap others
+            return None
+        text = b" " + buf.astype(np.uint8).tobytes() + b" "
+        # NumPy reads an int token "-" or "+" as 0, and "- 7" as -7
+        if dtype is np.int64 and any(s in text and s + b" " in text for s in (b"-", b"+")):
+            return None
+        try:  # unmatched data raises, or (NumPy 1) warns and gives a short array
+            values = np.fromstring(text, dtype, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+        # NumPy reads "nan(1)", which float refuses, and saturates ints beyond int64
+        bad = np.isnan(values) if dtype is np.float64 else np.isin(values, (-2**63, 2**63 - 1))
+        return values if len(values) == len(where) and not bad.any() else None
+
+    def numbers(self, where: np.ndarray, dtype, cut: bool = False):
+        """``(values, n)``: :meth:`parse` where it holds, else ``float``/``int`` per token
+        up to the first refused or out of range, at index ``n`` (else the token count)."""
+        values = self.parse(where, dtype, cut) if len(where) else np.empty(0, dtype)
+        if values is not None:
+            return values, len(where)
+        values, convert = [], float if dtype is np.float64 else int
+        for at in where.tolist():  # the per-token fallback, and the locator of a bad token
+            try:
+                values.append(dtype(convert(self[at].partition("/")[0] if cut else self[at])))
+            except (ValueError, OverflowError):
+                break
+        return np.array(values, dtype), len(values)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``arange(s, s + k)`` for each start ``s`` and length ``k``, concatenated."""
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-
-
-def _convert(tokens, convert, dtype):
-    """``convert`` over the tokens into a ``dtype`` array, up to the first token
-    it refuses or the dtype cannot hold, and that token's index (the token
-    count if none): ``(values, n_converted)``."""
-    try:
-        return np.fromiter(map(convert, tokens), dtype, len(tokens)), len(tokens)
-    except (ValueError, OverflowError):
-        values = []
-        for tok in tokens:
-            try:
-                values.append(dtype(convert(tok)))
-            except (ValueError, OverflowError):
-                break
-        return np.array(values, dtype), len(values)
 
 
 def _fan(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -422,41 +447,39 @@ def _fan(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # last token of a line or of the file at that index plus 0.5.
 
 def _read_obj(path, data: bytes):
-    tokens, heads, breaks = _tokenize(_decode(data))
+    tokens = _Tokens(_decode(data))
+    heads = tokens.heads
     counts = np.diff(heads, append=len(tokens)) - 1  # the tokens after each line's first
-    keys = tokens[heads]
+    keys = tokens.codes[tokens.starts[heads]] * (tokens.ends[heads] - tokens.starts[heads] == 1)
     errors = []
 
-    v_heads = heads[keys == "v"]
-    v_counts = np.minimum(counts[keys == "v"], 3)
+    v_heads = heads[keys == ord("v")]
+    v_counts = np.minimum(counts[keys == ord("v")], 3)
     where = _ranges(v_heads + 1, v_counts)
-    coords, ok = _convert(tokens[where], float, np.float64)
+    coords, ok = tokens.numbers(where, np.float64)
     if ok < len(where):
-        errors.append((where[ok], _message(path, breaks, where[ok], "bad vertex coordinate")))
+        errors.append((where[ok], tokens.message(path, where[ok], "bad vertex coordinate")))
     short = np.flatnonzero(v_counts < 2)
     if short.size:
         at = v_heads[short[0]]
         errors.append((at + v_counts[short[0]] + 0.5,
-                       _message(path, breaks, at, "vertex needs at least 2 coordinates")))
+                       tokens.message(path, at, "vertex needs at least 2 coordinates")))
 
-    f_heads, f_counts = heads[keys == "f"], counts[keys == "f"]
+    f_heads, f_counts = heads[keys == ord("f")], counts[keys == ord("f")]
     where = _ranges(f_heads + 1, f_counts)
-    f_tokens = tokens[where]
-    # a face token's index is its text up to the first slash
-    heads_text = [tok.partition("/")[0] for tok in f_tokens] if b"/" in data else f_tokens
-    indices, ok = _convert(heads_text, int, np.int64)
+    indices, ok = tokens.numbers(where, np.int64, cut=True)
     if ok < len(where):
-        errors.append((where[ok], _message(path, breaks, where[ok],
-                                           f"bad face index {f_tokens[ok]!r}")))
+        errors.append((where[ok], tokens.message(path, where[ok],
+                                                 f"bad face index {tokens[where[ok]]!r}")))
     zero = np.flatnonzero(indices == 0)
     if zero.size:
         at = where[zero[0]]
-        errors.append((at, _message(path, breaks, at, "face indices are 1-based")))
+        errors.append((at, tokens.message(path, at, "face indices are 1-based")))
     few = np.flatnonzero(f_counts < 3)
     if few.size:  # raised only once the whole file has parsed
         at = f_heads[few[0]]
         errors.append((len(tokens) + at,
-                       _message(path, breaks, at, "face needs at least 3 vertices")))
+                       tokens.message(path, at, "face needs at least 3 vertices")))
     if errors:
         raise ParseError(min(errors)[1])
 
@@ -468,19 +491,18 @@ def _read_obj(path, data: bytes):
 
 
 def _read_off(path, data: bytes):
-    # a comment runs to the end of its line
-    tokens, heads, breaks = _tokenize(re.sub(r"#[^\n]*", "", _decode(data)))
-    n = len(tokens)
+    tokens = _Tokens(re.sub(r"#[^\n]*", "", _decode(data)))  # a comment ends with its line
+    heads, n = tokens.heads, len(tokens)
     if not n:
         raise ParseError(f"{path}:1: missing OFF header")
     if tokens[0].upper() != "OFF":
-        raise ParseError(_message(path, breaks, 0, "missing OFF header"))
+        raise ParseError(tokens.message(path, 0, "missing OFF header"))
 
     def end_of_file(kind):
-        return _message(path, breaks, n - 1, f"unexpected end of file (wanted {kind})")
+        return tokens.message(path, n - 1, f"unexpected end of file (wanted {kind})")
 
     def bad(kind, at):
-        return _message(path, breaks, at, f"bad {kind} {tokens[at]!r}")
+        return tokens.message(path, at, f"bad {kind} {tokens[at]!r}")
 
     header = []
     for at, kind in enumerate(("vertex count", "face count", "edge count"), 1):
@@ -496,7 +518,7 @@ def _read_off(path, data: bytes):
     first = 4 + 3 * n_vert
     if first > n:  # a header count the file cannot hold must not size the allocation
         raise ParseError(end_of_file("coordinate"))
-    coords, ok = _convert(tokens[4:first], float, np.float64)
+    coords, ok = tokens.numbers(np.arange(4, first), np.float64)
     if ok < first - 4:
         raise ParseError(bad("coordinate", 4 + ok))
 
@@ -508,8 +530,11 @@ def _read_off(path, data: bytes):
     keep = min(n_face, int(np.count_nonzero(starts < n)))
     starts, line_ends = starts[:keep], line_ends[:keep]
     errors = [(n, end_of_file("face size"))] if keep < n_face else []
-
-    sizes, ok = _convert(tokens[starts], int, np.int64)
+    # every token of the records' lines, read at once where that can be trusted
+    records = tokens.parse(np.arange(first, line_ends[-1]), np.int64) if keep else None
+    read = ((lambda at: (records[at - first], len(at))) if records is not None
+            else (lambda at: tokens.numbers(at, np.int64)))
+    sizes, ok = read(starts)
     if ok < keep:
         try:  # beyond int64 but an integer: more indices than the line holds
             sizes = np.append(sizes, n if int(tokens[starts[ok]]) > 0 else 0)
@@ -520,18 +545,18 @@ def _read_off(path, data: bytes):
     small = np.flatnonzero(sizes < 3)
     if small.size:
         at = starts[small[0]]
-        errors.append((at, _message(path, breaks, at, "face needs at least 3 vertices")))
+        errors.append((at, tokens.message(path, at, "face needs at least 3 vertices")))
     available = line_ends - starts - 1
     counts = np.clip(sizes, 0, available)  # clamped before anything is allocated
     where = _ranges(starts + 1, counts)
-    indices, ok = _convert(tokens[where], int, np.int64)
+    indices, ok = read(where)
     if ok < len(where):
         errors.append((where[ok], bad("face index", where[ok])))
     cut = np.flatnonzero(sizes > available)
     if cut.size:
         end = line_ends[cut[0]]
-        errors.append((end - 0.5, end_of_file("face index") if end == n else _message(
-            path, breaks, starts[cut[0]], "unexpected end of line (wanted face index)")))
+        errors.append((end - 0.5, end_of_file("face index") if end == n else tokens.message(
+            path, starts[cut[0]], "unexpected end of line (wanted face index)")))
     if errors:
         raise ParseError(min(errors)[1])
     return coords.reshape(-1, 3), _fan(indices, counts)
@@ -583,21 +608,14 @@ def _as_3d(vertices: np.ndarray) -> np.ndarray:
 
 
 def _blocks(n_rows: int):
-    """``(start, stop)`` of each block of rows written as text at once.
-
-    Blocks of ``_WRITE_BLOCK_ROWS`` keep the Python objects made for the
-    text from growing with the row count.
-    """
+    """``(start, stop)`` of each block of rows written as text at once, so the Python
+    objects made for the text do not grow with the row count."""
     for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
         yield start, min(start + _WRITE_BLOCK_ROWS, n_rows)
 
 
 def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % tuple(row)`` for every row of an (n, k) array.
-
-    ``%.17g`` gives 17 significant digits, which round-trip doubles exactly
-    through text.
-    """
+    """Write ``row_format % tuple(row)`` for every row of an (n, k) array."""
     for start, stop in _blocks(len(rows)):
         block = rows[start:stop]
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))

@@ -33,8 +33,9 @@ class LinearModel:
     B: complex
 
     def mu(self) -> complex:
-        """Beltrami coefficient of a scalar model: f_z = A, f_zbar = B, so mu = B / A."""
-        return complex(self.B) / complex(self.A)
+        """Beltrami coefficient, f_z = A and f_zbar = B so mu = B / A (an array for arrays)."""
+        scalar = np.ndim(self.A) == np.ndim(self.B) == 0  # then Python's complex quotient
+        return complex(self.B) / complex(self.A) if scalar else self.B / self.A
 
     def apply(self, z: complex) -> complex:
         return self.A * z + self.B * z.conjugate()

@@ -127,11 +127,14 @@ def _parse_off(path, data: bytes):
 # tokens and lines the mutations below splice into save_mesh output
 ODD_TOKENS = ["1_0", "nan", "inf", "+1", "1e3", "-0", "0x1", "1.5", ".", "", "v", "f",
               "0", "-1", "-3", "4", "99999999999999999999", "1/1", "2//3", "\u00e9",
-              "0000000000000000000000000000000000001", "1E-2", "5.", "1e200", "99999999999"]
+              "0000000000000000000000000000000000001", "1E-2", "5.", "1e200", "99999999999",
+              "nan(1)", "-", "+", "inFinity", "9223372036854775808", "-9223372036854775809",
+              "\u0663", "\u0131", "/2"]
 ODD_LINES = ["", " ", "\t", "v", "f", "vn", "# comment", "  # indented", "# Cr\u00e9\u00e9",
              "#\rv 0 0 0", "#\r1 2", "vt 0 0", "vn 0 0 1", "o Surface", "g\u00a0x", "s off",
              "usemtl Material", "mtllib m.mtl", "f/1 2 3", "\tv 0 0 0", "\u00a0v 0 0 0",
-             "v\u00a00 0 0", "\x0cv 0 0 0", "\x1cf 1 2 3", "f 1 2 3 4", "OFF", "3 0 1 2"]
+             "v\u00a00 0 0", "\x0cv 0 0 0", "\x1cf 1 2 3", "f 1 2 3 4", "OFF", "3 0 1 2",
+             "v 0\x0b0 0", "f 1\x1c2 3"]
 SLASH_PARTS = ["/1", "/1/1", "//2", "/", "/x", "/-1"]
 # per-face colors: RGB integers, RGBA floats
 COLORS = [" 255 0 0", " 0.1 0.2 0.3 1.0"]

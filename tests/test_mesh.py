@@ -35,6 +35,7 @@ from mesh_text import (
     COLORS,
     MUTATIONS,
     ODD_LINES,
+    ODD_TOKENS,
     _parse_obj,
     _parse_off,
     exporter_text,
@@ -687,6 +688,68 @@ class TestBulkReader:
             assert actual == expected
         else:
             assert_same_arrays(actual, expected)
+
+
+@pytest.mark.parametrize("layout", ["plain", "exporter"])
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_every_odd_token_agrees(tmp_path, fmt, layout):
+    """Each of ``ODD_TOKENS`` in a vertex line and a face line, at either end and
+    inside a token block, reads as the line parsers read it."""
+    plain = tmp_path / f"plain.{fmt}"
+    save_mesh(wavy_disk(12), plain)
+    text = plain.read_text()
+    if layout == "exporter":
+        text = exporter_text(text, fmt)
+    n_lines = text.count("\n")
+    for pick in range(len(ODD_TOKENS)):
+        for at in (2, n_lines // 2, n_lines - 1):
+            for slot in (1, 3):
+                TestBulkReader.check_agreement(tmp_path, fmt,
+                                               mutate(text, [("token", at, slot, pick)]))
+
+
+def readme_layout(text, fmt, layout):
+    """``save_mesh`` text in one of the layouts the README says the reader takes, or
+    with its separators or OFF face indices written as ``output_digest.py`` writes them."""
+    if layout == "exporter":
+        return exporter_text(text, fmt)
+    if layout == "crlf":
+        return text.replace("\n", "\r\n")
+    if layout == "tabs":
+        return text.replace(" ", "\t")
+    if layout == "indented":
+        return "".join(" " + line for line in text.splitlines(keepends=True))
+    if layout == "lower-case":
+        return "off" + text[3:]
+    if layout == "separators":  # every whitespace str.split() splits at in ASCII, in turn
+        seps = iter("\t\x0b\x0c\x1c" * len(text))
+        return re.sub(" ", lambda _: next(seps), text)
+    if layout == "plus":  # OFF face indices with a leading +
+        return re.sub(r"^3 (\d+) (\d+) (\d+)$", r"3 +\1 +\2 +\3", text, flags=re.M)
+    return "\ufeff" + text if layout == "bom" else text
+
+
+@pytest.mark.parametrize("fmt, layout", [
+    (fmt, layout) for fmt in ("obj", "off")
+    for layout in ("save_mesh", "crlf", "tabs", "indented", "bom", "exporter", "separators")
+] + [("off", "lower-case"), ("off", "plus")])
+def test_readme_layouts_never_take_the_per_token_fallback(tmp_path, monkeypatch, fmt, layout):
+    """Every number of a README layout comes from the one C-level parse per block:
+    a parse refused (None) would send its block through ``float``/``int`` per token."""
+    plain = tmp_path / f"plain.{fmt}"
+    save_mesh(wavy_disk(12), plain)
+    path = tmp_path / f"layout.{fmt}"
+    path.write_bytes(readme_layout(plain.read_text(), fmt, layout).encode())
+    results = []
+    parse = qcdistort.mesh._Tokens.parse
+
+    def spy(self, *args, **kwargs):
+        results.append(parse(self, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(qcdistort.mesh._Tokens, "parse", spy)
+    assert_same_arrays(loaded(path), loaded(plain))
+    assert results and all(values is not None for values in results)
 
 
 def reference_mesh_text(vertices, faces, fmt, face_colors=None):

@@ -75,6 +75,12 @@ class TestPrincipalStretch:
         with pytest.raises(DegenerateModelError, match=r"\|A\|=2.000e\+00 <= \|B\|=3.000e\+00"):
             principal_stretch(LinearModel(np.array([1.0, 2.0, 1.0]), np.array([0.5, 3.0, 1.0])))
 
+    def test_mu_of_an_array_model_is_the_elementwise_quotient(self):
+        mu = LinearModel(np.array([1.0, 2.0]), np.array([0.5, 0.1j])).mu()
+        assert mu.shape == (2,)
+        assert mu.tolist() == [LinearModel(1.0, 0.5).mu(), LinearModel(2.0, 0.1j).mu()]
+        assert repr(LinearModel(-2.0, 1.0).mu()) == "(-0.5-0j)"  # a scalar keeps its bits
+
     @settings(max_examples=60, deadline=None)
     @given(model=models)
     def test_dilatation_identity(self, model):
