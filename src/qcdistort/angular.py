@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beltrami import MeshMap
-from .mesh import corner_angles
+from .beltrami import MeshMap, _map_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +41,7 @@ def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
     :func:`qcdistort.mesh.corner_angles`).  Folded faces get ordinary
     values too: the angles of a flipped triangle are well defined.
     """
-    return _angular_field(corner_angles(mapping.target).T - corner_angles(mapping.source).T)
+    return _angular_field(_map_fields(mapping)[1])
 
 
 def _angular_field(signed: np.ndarray) -> AngularDistortionField:

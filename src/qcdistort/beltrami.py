@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, VanishingFzError
-from .mesh import (TriMesh, _corner, _corner_pass, _cross_2d, _dot, _face_columns, _require_area,
-                   face_areas, validate_mesh)
+from .mesh import (TriMesh, _corner, _corner_angles, _cross_2d, _dot, _face_blocks, _face_columns,
+                   _require_area, face_areas, validate_mesh)
 
 # relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
 FZ_GUARD = 1e-14
@@ -228,21 +228,27 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
     folded, with abs_mu = inf.
     """
-    return _beltrami_field(*(_planar_frame(mesh, *next(_corner_pass(mesh)))
-                             for mesh in (mapping.source, mapping.target)))
+    return _map_fields(mapping)[0]
 
 
-def _beltrami_field(src, dst) -> BeltramiField:
-    """The field of the map sending the faces of one :func:`_planar_frame` onto another's."""
-    a, b, c, d = _affine_arrays(src, dst)
-    mu, abs_mu, vanished = _mu_arrays(a, b, c, d)
-    folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
-
-    ok = ~folded
-    dil, eps = np.full((2, len(mu)), np.nan)
-    dil[ok] = dilatation(abs_mu[ok])
-    eps[ok] = epsilon_mu(abs_mu[ok])
-    return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded)
+def _map_fields(mapping: MeshMap):
+    """``(BeltramiField, signed)``, ``signed[k, f]`` the target's angle minus the source's at
+    corner k of face f, from one pass over blocks of faces that writes into arrays made once."""
+    n = mapping.n_faces
+    mu, folded, signed = np.empty(n, complex), np.empty(n, bool), np.empty((3, n))
+    abs_mu, dil, eps = np.full((3, n), np.nan)
+    for rows in _face_blocks(n):
+        angles = np.empty_like(signed[:, rows])
+        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles))
+        dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
+        signed[:, rows] -= angles
+        a, b, c, d = _affine_arrays(src, dst)
+        mu[rows], abs_mu[rows], vanished = _mu_arrays(a, b, c, d)
+        folded[rows] = (a * d - b * c <= 0) | vanished | (abs_mu[rows] >= 1.0)
+        ok = ~folded[rows]
+        x = abs_mu[rows][ok]
+        dil[rows][ok], eps[rows][ok] = dilatation(x), epsilon_mu(x)
+    return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded), signed
 
 
 def _float_if_0d(out):

@@ -40,6 +40,9 @@ _SAVE_FORMATS = ("obj", "off", "ply")
 
 # rows per block of text written at once
 _WRITE_BLOCK_ROWS = 65_536
+# faces per block of the per-face passes: a block's temporaries (arrays of
+# 64 KB, about 3 MB in all) are reused from the heap, not faulted in again
+_FACE_BLOCK = 8_192
 
 # the code points str.split() takes for whitespace, those str.isspace() accepts
 _SPACE_CODES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
@@ -148,10 +151,15 @@ class TriMesh:
         return _edge_pass(self)
 
 
-def _face_columns(mesh: TriMesh) -> list[np.ndarray]:
-    """Corner coordinates of every face, one (n_faces, 3) array per coordinate
+def _face_columns(mesh: TriMesh, rows=slice(None)) -> list[np.ndarray]:
+    """Corner coordinates of the faces ``rows``, one (n, 3) array per coordinate
     read: x and y on planar meshes (even with a z column stored), else x, y, z."""
-    return [mesh.vertices[:, c][mesh.faces] for c in range(mesh.dimension)]
+    return [mesh.vertices[:, c][mesh.faces[rows]] for c in range(mesh.dimension)]
+
+
+def _face_blocks(n_faces: int):
+    """Slices of ``_FACE_BLOCK`` faces in order; numpy cuts the last one at ``n_faces``."""
+    return (slice(start, start + _FACE_BLOCK) for start in range(0, n_faces, _FACE_BLOCK))
 
 
 # The column kernel: vectors are lists of coordinate arrays, and the products run per
@@ -165,10 +173,10 @@ def _corner(cols, k: int):
     return u, w, _dot(u, w), _cross_norm(u, w)
 
 
-def _corner_pass(mesh: TriMesh):
-    """:func:`_corner` at corners 0, 1 and 2 of every face from one :func:`_face_columns`,
+def _corner_pass(mesh: TriMesh, rows=slice(None)):
+    """:func:`_corner` at corners 0, 1 and 2 of the faces ``rows`` from one :func:`_face_columns`,
     each corner built only when the previous one is taken."""
-    cols = _face_columns(mesh)
+    cols = _face_columns(mesh, rows)
     return (_corner(cols, k) for k in range(3))
 
 
@@ -204,17 +212,18 @@ def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned area of every face (cross-product formula, xy if planar)."""
-    return 0.5 * next(_corner_pass(mesh))[3]
+    areas = np.empty(mesh.n_faces)
+    for rows in _face_blocks(mesh.n_faces):
+        areas[rows] = 0.5 * next(_corner_pass(mesh, rows))[3]
+    return areas
 
 
-def _angle_rows(mesh: TriMesh, corner_0):
-    """``(corner_0(mesh, *corner 0's terms), angles)``, ``angles[k, f]`` at corner k of face f."""
-    angles = np.empty((3, mesh.n_faces))
-    for k, terms in enumerate(_corner_pass(mesh)):
-        first = corner_0(mesh, *terms) if k == 0 else first
-        np.arctan2(terms[3], terms[2], out=angles[k])
-        del terms  # one corner's arrays alive at a time: holding all three can thrash the heap
-    return first, angles
+def _corner_angles(mesh: TriMesh, rows, angles):
+    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns corner 0's terms."""
+    corners = list(_corner_pass(mesh, rows))
+    for out, (_, _, dot, cross) in zip(angles, corners):
+        np.arctan2(cross, dot, out=out)
+    return corners[0]
 
 
 def corner_angles(mesh: TriMesh) -> np.ndarray:
@@ -232,7 +241,11 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     DegenerateFaceError
         If a face fails the degeneracy test of :func:`validate_mesh`.
     """
-    return _angle_rows(mesh, lambda mesh, u, w, dot, cross: _require_area(mesh, 0.5 * cross))[1].T
+    angles, areas = np.empty((3, mesh.n_faces)), np.empty(mesh.n_faces)
+    for rows in _face_blocks(mesh.n_faces):
+        areas[rows] = 0.5 * _corner_angles(mesh, rows, angles[:, rows])[3]
+    _require_area(mesh, areas)
+    return angles.T
 
 
 def _edge_pass(mesh: TriMesh):

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .angular import AngularDistortionField, _angular_field
-from .beltrami import BeltramiField, MeshMap, _beltrami_field, _planar_frame
+from .beltrami import BeltramiField, MeshMap, _map_fields
 from .errors import DomainError, EmptyInputError
-from .mesh import _angle_rows, _blocks, _resolve_format, _write_ply
+from .mesh import _blocks, _resolve_format, _write_ply
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -168,11 +168,9 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
 
 
 def _fields(mapping: MeshMap):
-    """The Beltrami and angular distortion fields of a map from one corner pass per mesh."""
-    src, angles = _angle_rows(mapping.source, _planar_frame)
-    dst, signed = _angle_rows(mapping.target, _planar_frame)
-    signed -= angles  # target minus source
-    return _beltrami_field(src, dst), _angular_field(signed)
+    """The Beltrami and angular distortion fields of a map from one block pass."""
+    bf, signed = _map_fields(mapping)
+    return bf, _angular_field(signed)
 
 
 def summarize(
@@ -183,8 +181,8 @@ def summarize(
 ) -> DistortionReport:
     """Full distortion report of a mesh map.
 
-    Computes the per-face Beltrami field and the angular distortion field,
-    both from one pass over the face corners of each mesh, then aggregates
+    Computes the per-face Beltrami field and the angular distortion field in
+    one pass over fixed blocks of faces of both meshes, then aggregates
     |mu|, the face-averaged angular distortion, and the per-face bound
     2*arcsin(|mu|) over the non-folded faces.
 

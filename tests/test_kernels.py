@@ -13,11 +13,16 @@ vertex layouts the package reads (2 columns, 3 columns with z inside the
 planar tolerance, 3D), with folded and anti-conformal target faces,
 repeated and signed-zero coordinates, and a sliver face near the
 degeneracy threshold.  The statistics' vectorised exact sum is held to
-``math.fsum``, bit for bit, and the squares to ``Fraction``.
+``math.fsum``, bit for bit, and the squares to ``Fraction``.  The per-face
+passes run in blocks of faces; the fields are also held to the references
+with blocks of 5 faces, cut at every position of small maps, and the block
+pass is held to a working set that does not grow with the face count.
 """
 
+import contextlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +49,7 @@ from qcdistort import (
     face_beltrami,
     flatten_triangle,
     summarize,
+    synth,
 )
 from qcdistort.beltrami import FZ_GUARD, AffineMap2D
 from qcdistort.mesh import _require_area
@@ -422,25 +428,108 @@ def test_three_corner_mean_has_mean_bits(rows, tie):
     assert bits(((c0 + c1) + c2) / 3.0) == bits(c.mean(axis=1))
 
 
+@contextlib.contextmanager
+def face_blocks_of(size):
+    """The per-face passes run in blocks of ``size`` faces inside this context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcdistort.mesh, "_FACE_BLOCK", size)
+        yield
+
+
 def test_summarize_gathers_each_mesh_once(monkeypatch):
     """One corner pass per mesh: ``summarize`` reads each mesh's face
-    coordinates once (the field functions it used to call read them twice)."""
-    mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 3, 2]])
+    coordinates once, block by block in face order, and the blocks cover
+    every face (the field functions it used to call read them twice)."""
+    mesh = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     target = TriMesh(mesh.vertices * [1.0, 0.5], mesh.faces)
     mapping = MeshMap(mesh, target)  # validation reads the coordinates too
     real = qcdistort.mesh._face_columns
     calls = []
 
-    def spy(m):
-        calls.append(m)
-        return real(m)
+    def spy(m, rows=slice(None)):
+        cols = real(m, rows)
+        calls.append((m, rows, len(cols[0])))
+        return cols
 
     for module in (qcdistort.mesh, qcdistort.beltrami, qcdistort.angular, qcdistort.report):
         if hasattr(module, "_face_columns"):
             monkeypatch.setattr(module, "_face_columns", spy)
+    for block, n_blocks in [(qcdistort.mesh._FACE_BLOCK, 1), (2, 4)]:
+        calls.clear()
+        with face_blocks_of(block):
+            summarize(mapping)
+        assert len(calls) == 2 * n_blocks
+        for m in (mesh, target):
+            gathered = [(rows, n) for who, rows, n in calls if who is m]
+            starts = [rows.start for rows, _ in gathered]
+            assert starts == [0, *(rows.stop for rows, _ in gathered[:-1])]
+            assert [n for _, n in gathered] == [mapping.n_faces // n_blocks] * n_blocks
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_face_formulas_keep_every_bit_in_small_blocks(layout, data):
+    """Blocks of 5 faces cut the Hypothesis maps (up to 19 faces) at every
+    position; every value keeps the bits of the whole-array references."""
+    source, target = data.draw(mesh_maps(layout))
+    with face_blocks_of(5):
+        check_mesh_formulas(source)
+        check_mesh_formulas(target)
+        try:
+            mapping = MeshMap(source, target)
+        except ValidationError:
+            return
+        check_beltrami_fields(mapping)
+        check_summary_fields(mapping)
+
+
+def face_soup(n_faces, dim, folded, rng):
+    """A map of ``n_faces`` faces, no two sharing a vertex, from a ``dim``-D
+    source to a planar target whose face ``folded`` reverses orientation."""
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.3, 1.0, -0.2]])[:, :dim]
+    offsets = np.zeros((n_faces, 1, dim))
+    offsets[:, 0, 0] = 2.0 * np.arange(n_faces)
+    src = (corners + offsets + 0.1 * rng.standard_normal((n_faces, 3, dim))).reshape(-1, dim)
+    dst = src[:, :2] + 0.05 * rng.standard_normal((3 * n_faces, 2))
+    faces = np.arange(3 * n_faces).reshape(-1, 3)
+    dst[faces[folded]] = dst[faces[folded][[0, 2, 1]]]  # corners 1 and 2 swapped
+    return MeshMap(TriMesh(src, faces), TriMesh(dst, faces))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_faces", [9, 10, 11, 14, 15, 16])
+@pytest.mark.parametrize("edge", [-1, 0], ids=["fold-ends-block", "fold-starts-block"])
+def test_fields_keep_every_bit_across_block_edges(dim, n_faces, edge):
+    """Maps of ``k*B - 1``, ``k*B`` and ``k*B + 1`` faces, ``B = 5`` and ``k``
+    2 and 3, with the folded face just before or just after the first block
+    edge."""
+    mapping = face_soup(n_faces, dim, 5 + edge, np.random.default_rng(n_faces * dim))
+    with face_blocks_of(5):
+        check_mesh_formulas(mapping.source)
+        check_beltrami_fields(mapping)
+        check_summary_fields(mapping)
+        assert np.flatnonzero(face_beltrami(mapping).folded).tolist() == [5 + edge]
+
+
+def test_summarize_transient_memory_has_a_fixed_bound():
+    """``summarize``'s transient memory (the traced peak above what the
+    report keeps) on a 3D map of over 3 blocks stays under 3 MiB; it is 2.4
+    MiB, where whole-mesh corner passes took 4.5.  The block pass holds the
+    temporaries of one block whatever the face count; the statistics after
+    it still take about 60 bytes per face."""
+    source = synth.bumpy_disk(13_000)
+    mapping = MeshMap(source, synth.perturbed_target(source, np.random.default_rng(5)))
+    assert mapping.n_faces > 3 * qcdistort.mesh._FACE_BLOCK
     summarize(mapping)
-    assert len(calls) == 2
-    assert calls[0] is mesh and calls[1] is target
+    tracemalloc.start()
+    try:
+        report = summarize(mapping)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.face_count == mapping.n_faces
+    assert (peak - kept) / 2 ** 20 < 3.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
