@@ -21,10 +21,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._rowtext import CSV
 from .angular import AngularDistortionField, _angular_field
 from .beltrami import BeltramiField, MeshMap, _map_fields
 from .errors import DomainError, EmptyInputError
-from .mesh import _blocks, _resolve_format, _write_ply
+from .mesh import _resolve_format, _write_ply, _write_text
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -200,10 +201,11 @@ def summarize(
     bf, ang = _fields(mapping)
     ok = ~bf.folded
 
-    fields = {name: _field(name, bf, ang)[ok] for name in FIELD_NAMES}
-    stats = {name: _fsum_stats(vals) for name, vals in fields.items()}
-    histograms = {name: histogram(vals, bins) if vals.size else None
-                  for name, vals in fields.items()}
+    stats, histograms = {}, {}
+    for name in FIELD_NAMES:  # one masked copy alive at a time
+        vals = _field(name, bf, ang)[ok]
+        stats[name] = _fsum_stats(vals)
+        histograms[name] = histogram(vals, bins) if vals.size else None
     # each face's largest corner against its bound; a folded face's NaN bound never counts
     violations = int(np.count_nonzero(np.maximum.reduce(ang.corner.T) > bf.eps_mu + BOUND_TOL))
 
@@ -250,23 +252,12 @@ def report_json(report: DistortionReport) -> str:
 
 
 def _write_csv(report: DistortionReport, path) -> None:
-    # no cell needs quoting, so these are the bytes of csv.writer's default
-    # dialect: comma-separated cells, CRLF row ends, floats as repr
     bf, ang = report.beltrami, report.angular
-    columns = (bf.abs_mu, bf.dilatation, bf.eps_mu, ang.face_avg, *ang.corner.T)
+    columns = (np.arange(report.face_count), bf.abs_mu, bf.dilatation, bf.eps_mu,
+               ang.face_avg, *ang.corner.T, bf.folded)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("face_id,abs_mu,k,eps_mu,eps_angle_t,corner_0,corner_1,corner_2,folded\r\n")
-        for start, stop in _blocks(report.face_count):
-            abs_mu, k, eps_mu, avg, c0, c1, c2 = (
-                list(map(repr, col[start:stop].tolist())) for col in columns
-            )
-            folded = bf.folded[start:stop]
-            for i in np.flatnonzero(folded).tolist():
-                k[i] = eps_mu[i] = ""
-            flags = map(("false", "true").__getitem__, folded.tolist())
-            rows = zip(map(str, range(start, stop)), abs_mu, k, eps_mu, avg,
-                       c0, c1, c2, flags)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        _write_text(fh, [(CSV, columns, report.face_count)])
 
 
 def export_report(report: DistortionReport, path, format: str | None = None) -> None:

@@ -13,9 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcdistort
-from qcdistort import load_mesh, parameterize, save_mesh, theory
+import qcdistort.mesh
+from qcdistort import (
+    MeshMap,
+    export_colored_mesh,
+    export_report,
+    load_mesh,
+    parameterize,
+    save_mesh,
+    summarize,
+    theory,
+)
 from qcdistort.cli import main
-from qcdistort.synth import flat_disk, hemisphere, scaled_map_target, tetrahedron, wavy_disk
+from qcdistort.synth import (
+    flat_disk,
+    hemisphere,
+    irregular_disk,
+    perturbed_target,
+    scaled_map_target,
+    tetrahedron,
+    wavy_disk,
+)
 
 from mesh_text import MUTATIONS, mutate
 
@@ -72,6 +90,36 @@ class TestAnalyze:
         assert code == 0
         assert csv_path.exists() and ply_path.exists()
         assert ply_path.read_text().startswith("ply")
+
+    def test_exports_split_into_shares_match_one_share_writers(self, tmp_path, monkeypatch):
+        """A CLI analyze whose CSV and PLY are each at least two shares, run
+        with warnings as errors: it prints nothing, leaves no child process
+        behind (an unclosed pipe or a running worker would show) and writes
+        the bytes of the one-share writers in this process."""
+        src = irregular_disk(8_500)
+        assert src.n_faces >= 2 * qcdistort.mesh._SHARE_MIN_ROWS
+        save_mesh(src, tmp_path / "src.obj")
+        save_mesh(perturbed_target(src, np.random.default_rng(3)), tmp_path / "dst.off")
+        argv = ["analyze", "src.obj", "dst.off", "--out", "r.json", "--csv", "f.csv",
+                "--ply-out", "c.ply", "--quiet"]
+        code = (f"import os, sys\nfrom qcdistort.cli import main\ncode = main({argv!r})\n"
+                "try:\n    os.waitpid(-1, os.WNOHANG)\n    print('a child process is left')\n"
+                "except ChildProcessError:\n    pass\nsys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(qcdistort.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        monkeypatch.setattr(qcdistort.mesh, "_usable_cpus", lambda: 1)
+        mapping = MeshMap(load_mesh(tmp_path / "src.obj"), load_mesh(tmp_path / "dst.off"))
+        report = summarize(mapping)
+        export_report(report, tmp_path / "one.csv", "csv")
+        export_colored_mesh(mapping, "abs_mu", tmp_path / "one.ply",
+                            beltrami=report.beltrami, angular=report.angular)
+        for name, one in [("f.csv", "one.csv"), ("c.ply", "one.ply")]:
+            assert (tmp_path / name).read_bytes() == (tmp_path / one).read_bytes()
 
     def test_degrees_display_only(self, meshes, tmp_path, capsys):
         out = tmp_path / "rep.json"
