@@ -11,16 +11,11 @@ __version__ = "0.1.0"
 
 from .angular import AngularDistortionField, corner_distortion
 from .beltrami import (
-    AffineMap2D,
     BeltramiField,
     MeshMap,
-    affine_coefficients,
-    compose_mu,
     dilatation,
     epsilon_mu,
     face_beltrami,
-    flatten_triangle,
-    mu_from_affine,
 )
 from .errors import (
     DegenerateFaceError,
@@ -33,7 +28,6 @@ from .errors import (
     SolverError,
     TopologyError,
     ValidationError,
-    VanishingFzError,
 )
 from .mesh import (
     TriMesh,
@@ -59,8 +53,6 @@ from .theory import (
     PrincipalStretch,
     brute_force_max_distortion,
     extremal_bisectors,
-    image_angle_axis,
-    image_angle_general,
     max_distortion_for_angle,
     max_half_angle_deviation,
     principal_stretch,

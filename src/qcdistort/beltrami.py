@@ -19,38 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, VanishingFzError
-from .mesh import (TriMesh, _corner, _corner_angles, _cross_2d, _dot, _face_blocks, _face_columns,
-                   _require_area, face_areas, validate_mesh)
+from .errors import DomainError, ValidationError
+from .mesh import TriMesh, _corner_angles, _cross_2d, _dot, _face_blocks, validate_mesh
 
 # relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
 FZ_GUARD = 1e-14
-
-
-@dataclass(frozen=True)
-class AffineMap2D:
-    """Affine map (x, y) -> (a x + b y + p, c x + d y + q)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    p: float = 0.0
-    q: float = 0.0
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        x, y = pts[..., 0], pts[..., 1]
-        return np.stack([self.a * x + self.b * y + self.p,
-                         self.c * x + self.d * y + self.q], axis=-1)
-
-    @property
-    def fz(self) -> complex:
-        return complex(_wirtinger(self.a, self.b, self.c, self.d)[0])
-
-    @property
-    def fzbar(self) -> complex:
-        return complex(_wirtinger(self.a, self.b, self.c, self.d)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +92,6 @@ class BeltramiField:
         return int(self.folded.sum())
 
 
-def _one_face(*corners) -> list[np.ndarray]:
-    """``_face_columns`` of the one-face mesh on ``corners``, if not degenerate."""
-    mesh = TriMesh(np.asarray(corners, dtype=np.float64), [[0, 1, 2]])
-    _require_area(mesh, face_areas(mesh))
-    return _face_columns(mesh)
-
-
 def _pose(u, w, uw):
     """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
     l1 = np.sqrt(_dot(u, u))
@@ -135,22 +101,7 @@ def _pose(u, w, uw):
     return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
 
 
-def flatten_triangle(p0, p1, p2) -> np.ndarray:
-    """Rigidly map a 3D triangle to the plane in a canonical pose.
-
-    The copy is isometric with q0 at the origin, q1 on the positive x-axis,
-    and q2 in the open upper half-plane.  Returns a (3, 2) array.
-
-    Raises
-    ------
-    DegenerateFaceError
-        If the triangle, as a one-face mesh, fails :func:`validate_mesh`.
-    """
-    l1, _, x2, y2 = _pose(*_corner(_one_face(p0, p1, p2), 0)[:3])
-    return np.array([[0.0, 0.0], [l1[0], 0.0], [x2[0], y2[0]]])
-
-
-def _planar_frame(mesh: TriMesh, u, w, uw, _cross):
+def _planar_frame(mesh: TriMesh, u, w, uw):
     """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane from corner 0's terms:
     x and y on planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
     return (*u, *w) if mesh.dimension == 2 else _pose(u, w, uw)
@@ -169,46 +120,9 @@ def _affine_arrays(src, dst):
     return a, b, c, d
 
 
-def affine_coefficients(src_tri, dst_tri) -> AffineMap2D:
-    """The unique affine map sending one planar triangle onto another.
-
-    Parameters are (3, 2) arrays of vertex positions, matched by order.
-
-    Raises
-    ------
-    DegenerateFaceError
-        If the source triangle, as a one-face mesh, fails :func:`validate_mesh`.
-    """
-    src = _one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
-    dst = np.asarray(dst_tri, dtype=np.float64).reshape(3, 2).T[:, None]  # x, y: (1, 3) each
-    frames = [[*u, *w] for u, w, *_ in (_corner(src, 0), _corner(dst, 0))]
-    a, b, c, d = (float(arr[0]) for arr in _affine_arrays(*frames))
-    (x, y), (p, q) = ([col[0, 0] for col in cols] for cols in (src, dst))
-    return AffineMap2D(a, b, c, d, float(p - a * x - b * y), float(q - c * x - d * y))
-
-
-def mu_from_affine(m: AffineMap2D) -> complex:
-    """Beltrami coefficient f_zbar / f_z of an affine map.
-
-    Raises
-    ------
-    VanishingFzError
-        If |f_z| falls below the relative guard (anti-conformal or collapsed
-        map), in which case mu is a meaningless ratio.
-    """
-    mu, _, vanished = _mu_arrays(*np.array([[m.a], [m.b], [m.c], [m.d]], dtype=np.float64))
-    if vanished[0]:
-        raise VanishingFzError("f_z vanishes; Beltrami coefficient undefined")
-    return complex(mu[0])
-
-
-def _wirtinger(a, b, c, d):
-    """``(f_z, f_zbar)`` of the Jacobian (a, b, c, d); scalars or arrays."""
-    return 0.5 * ((a + d) + 1j * (c - b)), 0.5 * ((a - d) + 1j * (c + b))
-
-
 def _mu_arrays(a, b, c, d):
-    fz, fzb = _wirtinger(a, b, c, d)
+    """``(mu, |mu|, vanished)`` of the Jacobians (a, b, c, d), by the formulas above."""
+    fz, fzb = 0.5 * ((a + d) + 1j * (c - b)), 0.5 * ((a - d) + 1j * (c + b))
     abs_fz = np.abs(fz)
     vanished = abs_fz <= FZ_GUARD * (abs_fz + np.abs(fzb))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -239,8 +153,9 @@ def _map_fields(mapping: MeshMap):
     abs_mu, dil, eps = np.full((3, n), np.nan)
     for rows in _face_blocks(n):
         angles = np.empty_like(signed[:, rows])
-        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles))
-        dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
+        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles)[:3])
+        dst = _planar_frame(mapping.target,
+                            *_corner_angles(mapping.target, rows, signed[:, rows])[:3])
         signed[:, rows] -= angles
         a, b, c, d = _affine_arrays(src, dst)
         mu[rows], abs_mu[rows], vanished = _mu_arrays(a, b, c, d)
@@ -276,26 +191,3 @@ def epsilon_mu(abs_mu):
     """Angular-distortion bound 2*arcsin(|mu|) in radians, |mu| in [0, 1)."""
     return _of_abs_mu(lambda x: 2.0 * np.arcsin(x), abs_mu, "epsilon_mu")
 
-
-def compose_mu(mu_f: complex, mu_g_of_f: complex, tau: complex) -> complex:
-    """Beltrami coefficient of g o f from those of f and g.
-
-    ``mu_g_of_f`` is g's coefficient evaluated at f(z); ``tau`` equals
-    conj(f_z)/f_z and must be unimodular.  When g is conformal
-    (mu_g_of_f = 0) the result is exactly mu_f.
-
-    Raises
-    ------
-    DomainError
-        If |mu_f| >= 1, |mu_g_of_f| >= 1, or | |tau| - 1 | > 1e-9.
-    """
-    mu_f = complex(mu_f)
-    mu_g_of_f = complex(mu_g_of_f)
-    tau = complex(tau)
-    if not (abs(mu_f) < 1 and abs(mu_g_of_f) < 1):
-        raise DomainError("compose_mu requires both coefficients to have modulus < 1")
-    if not abs(abs(tau) - 1.0) <= 1e-9:
-        raise DomainError("compose_mu requires |tau| = 1")
-    if mu_g_of_f == 0:
-        return mu_f
-    return (mu_f + mu_g_of_f * tau) / (1.0 + mu_f.conjugate() * mu_g_of_f * tau)

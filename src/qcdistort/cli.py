@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .beltrami import MeshMap
@@ -203,7 +204,7 @@ def run_theory(args) -> int:
     else:
         checks = extremal_bisector_suite((args.k,), (args.theta,), grid)
     if args.json:
-        sys.stdout.write(json.dumps([c.as_dict() for c in checks], indent=2) + "\n")
+        sys.stdout.write(json.dumps([asdict(c) for c in checks], indent=2) + "\n")
     elif not args.quiet:
         width = max(len(c.name) for c in checks)
         for c in checks:

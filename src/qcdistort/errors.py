@@ -25,10 +25,6 @@ class NonManifoldEdgeError(QcdistortError):
     """An edge is shared by more than two faces."""
 
 
-class VanishingFzError(QcdistortError):
-    """The conformal part of the derivative vanishes; mu is undefined."""
-
-
 class DegenerateModelError(QcdistortError):
     """A linear model w = A z + B conj(z) is not orientation-preserving."""
 

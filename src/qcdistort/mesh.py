@@ -78,7 +78,7 @@ class TriMesh:
     geometric invariants (non-degenerate faces, consistent combinatorial
     orientation) are enforced by :func:`validate_mesh`, which file loading
     and map construction call.  A validated mesh keeps the passing verdict
-    and its edge table (about 4.2 MB per 50k faces), built once and read by
+    and its edge table (about 1.8 MB per 50k faces), built once and read by
     validation, :func:`boundary_loops`, the Tutte solve and a map's target.
     """
 
@@ -256,24 +256,27 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     return angles.T
 
 
-def _edge_pass(mesh: TriMesh):
-    """Half-edges and their undirected edges from one ``np.unique`` pass.
+def _half_edges(faces: np.ndarray):
+    """``(tails, heads)`` of the half-edges ``(f0, f1)``, then ``(f1, f2)``, then
+    ``(f2, f0)`` of every face: half-edge ``h`` runs from ``tails[h]`` to ``heads[h]``."""
+    return faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
 
-    Returns ``(half, inverse, counts)``.  ``half`` is the (3m, 2) array of
-    directed half-edges: the rows ``(f0, f1)``, then ``(f1, f2)``, then
-    ``(f2, f0)`` of every face.  ``inverse[h]`` numbers the undirected edge
+
+def _edge_pass(mesh: TriMesh):
+    """The undirected edges of the half-edges (:func:`_half_edges`) from one ``np.unique`` pass.
+
+    Returns ``(inverse, counts)``.  ``inverse[h]`` numbers the undirected edge
     of half-edge ``h``, and ``counts[e]`` is the number of faces on edge
     ``e``.  Edges are numbered in lexicographic order of their sorted
     vertex pairs.  The arrays are read-only.
     """
-    faces = mesh.faces
-    half = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+    tails, heads = _half_edges(mesh.faces)
     n = max(mesh.n_vertices, 1)
-    keys = half.min(axis=1) * n + half.max(axis=1)
+    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    for array in (half, inverse, counts):
+    for array in (inverse, counts):
         array.flags.writeable = False
-    return half, inverse, counts
+    return inverse, counts
 
 
 def boundary_loops(mesh: TriMesh) -> list[list[int]]:
@@ -291,20 +294,22 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
         If the boundary edges do not chain into closed loops (inconsistent
         face orientation).
     """
-    half, inverse, counts = mesh._edges
+    inverse, counts = mesh._edges
+    tails, heads = _half_edges(mesh.faces)
     shared = counts > 2
     if shared.any():
         # the lowest-numbered such edge, named by its sorted vertex pair
         edge = np.argmax(shared)
-        i, j = sorted(half[np.argmax(inverse == edge)].tolist())
+        h = np.argmax(inverse == edge)
+        i, j = sorted((int(tails[h]), int(heads[h])))
         raise NonManifoldEdgeError(f"edge ({i}, {j}) is shared by {counts[edge]} faces")
-    border = half[np.flatnonzero(counts[inverse] == 1)]
+    border = np.flatnonzero(counts[inverse] == 1)
 
     successors: dict[int, list[int]] = {}
-    for i, j in border.tolist():
+    for i, j in zip(tails[border].tolist(), heads[border].tolist()):
         successors.setdefault(i, []).append(j)
-    for heads in successors.values():
-        heads.sort(reverse=True)  # pop() walks to the smallest head first
+    for later in successors.values():
+        later.sort(reverse=True)  # pop() walks to the smallest head first
 
     loops: list[list[int]] = []
     for start in sorted(successors):
@@ -313,13 +318,13 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
             current = successors[start].pop()
             while current != start:
                 loop.append(current)
-                heads = successors.get(current)
-                if not heads:
+                later = successors.get(current)
+                if not later:
                     raise ValidationError(
                         "boundary edges do not form closed loops; "
                         "check face orientation"
                     )
-                current = heads.pop()
+                current = later.pop()
             loops.append(loop)
     return loops
 
@@ -335,7 +340,7 @@ def validate_mesh(mesh: TriMesh) -> None:
     corrupt the sign conventions of the per-face distortion fields.
 
     A ``TriMesh`` is immutable, so a passing verdict is kept on the mesh, as
-    is the edge table the orientation test reads (about 4.2 MB per 50k faces,
+    is the edge table the orientation test reads (about 1.8 MB per 50k faces,
     read by :func:`boundary_loops`, the Tutte solve and a map's target);
     later calls return at once, and a failure is raised again on every call.
 
@@ -352,12 +357,14 @@ def _check_mesh(mesh: TriMesh) -> None:
     # a manifold edge is consistently oriented when exactly one of its two
     # half-edges runs from the lower to the higher vertex index; edges on
     # more than two faces are reported by the ops needing manifoldness
-    half, inverse, counts = mesh._edges
-    ascending = np.bincount(inverse[half[:, 0] < half[:, 1]], minlength=counts.size)
+    inverse, counts = mesh._edges
+    tails, heads = _half_edges(mesh.faces)
+    ascending = np.bincount(inverse[tails < heads], minlength=counts.size)
     flipped = (counts == 2) & (ascending != 1)
     if flipped.any():
         # the smallest flipped half-edge (i, j) in lexicographic order
-        i, j = min(half[flipped[inverse]].tolist())
+        at = flipped[inverse]
+        i, j = min(zip(tails[at].tolist(), heads[at].tolist()))
         raise ValidationError(f"inconsistent face orientation across edge ({i}, {j})")
 
 
@@ -710,16 +717,6 @@ def _write_text(fh, sections) -> None:
                 fh.write(text)
 
 
-def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % tuple(row)`` for every row of an (n, k) array.
-
-    ``%.17g`` gives 17 significant digits, which round-trip doubles exactly
-    through text.
-    """
-    _rowtext.write_share(fh.write, [(row_format, (rows.ravel(),), 0, len(rows))],
-                         _WRITE_BLOCK_ROWS)
-
-
 def _write_ply(path, vertices: np.ndarray, faces: np.ndarray,
                face_colors: np.ndarray | None = None) -> None:
     verts = _as_3d(vertices)
@@ -755,13 +752,14 @@ def save_mesh(mesh: TriMesh, path: str | os.PathLike, format: str | None = None)
     if fmt == "ply":
         _write_ply(path, mesh.vertices, mesh.faces)
         return
-    verts = _as_3d(mesh.vertices)
+    verts, faces = _as_3d(mesh.vertices).ravel(), mesh.faces.ravel()
+    if fmt == "obj":
+        head, forms, faces = "", ("v %.17g %.17g %.17g\n", "f %d %d %d\n"), faces + 1
+    else:  # off
+        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+        forms = ("%.17g %.17g %.17g\n", "3 %d %d %d\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if fmt == "obj":
-            _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
-            _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
-        else:  # off
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-            _write_rows(fh, "%.17g %.17g %.17g\n", verts)
-            _write_rows(fh, "3 %d %d %d\n", mesh.faces)
+        fh.write(head)
+        # one process, not shares: in ``param`` OpenBLAS keeps the other CPU busy
+        _rowtext.write_share(fh.write, [(forms[0], (verts,), 0, mesh.n_vertices),
+                                        (forms[1], (faces,), 0, mesh.n_faces)], _WRITE_BLOCK_ROWS)

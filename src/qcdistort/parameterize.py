@@ -21,7 +21,7 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import TriMesh, _corner_pass, boundary_loops, validate_mesh
+from .mesh import TriMesh, _corner_pass, _half_edges, boundary_loops, validate_mesh
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 # max allowed infinity-norm residual of the linear system
@@ -49,7 +49,7 @@ def _edge_weights(mesh: TriMesh, kind: str) -> np.ndarray:
     """The weight of each undirected edge of ``mesh._edges``: 1 (uniform), or
     half the cotangents of the face corners opposite it, summed and kept even
     when negative so the analyzed map is the honest harmonic one."""
-    _, inverse, counts = mesh._edges
+    inverse, counts = mesh._edges
     if kind == "uniform":
         return np.ones(counts.size)
     c0, c1, c2 = (0.5 * (dot / cross) for _, _, dot, cross in _corner_pass(mesh))
@@ -186,7 +186,7 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
         raise TopologyError(f"expected exactly one boundary loop, found {len(loops)}")
     loop = loops[0]
     n = mesh.n_vertices
-    euler = n - mesh._edges[2].size + mesh.n_faces
+    euler = n - mesh._edges[1].size + mesh.n_faces
     if euler != 1:
         raise TopologyError(f"Euler characteristic is {euler}, expected 1 for a disk")
 
@@ -201,9 +201,8 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
         # weights to interior neighbours, b its weights to boundary ones times
         # their uv; a half-edge from an interior vertex has a twin, so each
         # entry comes once.  A is SPD on a valid disk (Pinkall & Polthier 1993)
-        half, inverse, _ = mesh._edges
-        src, dst = half.T
-        w = _edge_weights(mesh, config.weights)[inverse]
+        src, dst = _half_edges(mesh.faces)
+        w = _edge_weights(mesh, config.weights)[mesh._edges[0]]
         inner = np.flatnonzero(~on_boundary[src])
         src, dst, w = index[src[inner]], dst[inner], w[inner]
         fixed = on_boundary[dst]

@@ -13,7 +13,7 @@ code and returns floats, as :func:`qcdistort.dilatation` does.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,48 +102,6 @@ def principal_stretch(model: LinearModel) -> PrincipalStretch:
     lam_x, lam_y = mag_a + mag_b, mag_a - mag_b
     return PrincipalStretch(*map(_float_if_0d, (
         lam_x, lam_y, 0.5 * (t_b - t_a), 0.5 * (t_a + t_b), lam_x / lam_y)))
-
-
-def image_angle_axis(theta: float, dilatation: float) -> float:
-    """Image of an angle with one side on the maximal-stretch axis.
-
-    A ray at angle theta in (0, pi/2) from the maximal-stretch direction
-    maps to a ray at phi = arctan(tan(theta) / K); phi <= theta.
-
-    Raises
-    ------
-    DomainError
-    """
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError("theta must lie in (0, pi/2)")
-    return image_angle_general(theta, 0.0, dilatation)
-
-
-def image_angle_general(alpha: float, beta: float, dilatation: float) -> float:
-    """Image of the angle between two rays on one side of the stretch axis.
-
-    The rays make angles alpha > beta with the maximal-stretch direction,
-    both within (-pi/2, pi/2) and on the same side of the axis (the
-    straddling case has no closed form here and is rejected).  The image
-    angle satisfies
-
-        tan(phi) = (tan a - tan b) / (K + tan a tan b / K),
-
-    divided through by K so that nothing overflows for K up to the largest
-    double, and reduces to :func:`image_angle_axis` when beta = 0.
-
-    Raises
-    ------
-    DomainError
-    """
-    _check_dilatation(dilatation)
-    half = math.pi / 2.0
-    if not (-half < beta < alpha < half):
-        raise DomainError("need -pi/2 < beta < alpha < pi/2")
-    if alpha * beta < 0.0:
-        raise DomainError("the two rays must lie on the same side of the stretch axis")
-    ta, tb = math.tan(alpha), math.tan(beta)
-    return math.atan((ta - tb) / (dilatation + ta * tb / dilatation))
 
 
 def extremal_bisectors(theta) -> tuple[float, float]:
@@ -275,9 +233,6 @@ class TheoryCheck:
     observed: float
     tolerance: float
     params: dict
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def tangent_ratio_suite(n_models: int = 1000, seed: int = 42) -> TheoryCheck:

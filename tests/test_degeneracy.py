@@ -11,12 +11,10 @@ from qcdistort import (
     DegenerateFaceError,
     MeshMap,
     TriMesh,
-    affine_coefficients,
     corner_angles,
     corner_distortion,
     face_areas,
     face_beltrami,
-    flatten_triangle,
     load_mesh,
     save_mesh,
     validate_mesh,
@@ -74,11 +72,8 @@ class TestNearThreshold:
         assert np.isfinite(corner_angles(mesh)).all()
         assert np.isfinite(_edge_weights(mesh, "cotangent")).all()
         one = near_threshold(layout, ABOVE, n_faces=1)
-        assert np.isfinite(flatten_triangle(*one.vertices)).all()
-        if layout != "3d":
-            xy = one.vertices[:, :2]
-            m = affine_coefficients(xy, 2.0 * xy)
-            assert np.isfinite([m.a, m.b, m.c, m.d, m.p, m.q]).all()
+        field = face_beltrami(MeshMap(one, similar_target(one)))
+        assert np.isfinite(field.mu).all() and not field.folded.any()
 
     def test_failing_mesh_raises_degenerate_face(self, layout):
         mesh = near_threshold(layout, BELOW)
@@ -88,14 +83,9 @@ class TestNearThreshold:
             assert info.value.face == 1
             assert str(info.value).startswith("face 1 is degenerate (area ")
         one = near_threshold(layout, BELOW, n_faces=1)
-        calls = [lambda: flatten_triangle(*one.vertices)]
-        if layout != "3d":
-            xy = one.vertices[:, :2]
-            calls.append(lambda: affine_coefficients(xy, 2.0 * xy))
-        for call in calls:
-            with pytest.raises(DegenerateFaceError) as info:
-                call()
-            assert info.value.face == 0
+        with pytest.raises(DegenerateFaceError) as info:
+            MeshMap(one, similar_target(one))
+        assert info.value.face == 0
 
     @pytest.mark.parametrize("ratio, code", [(ABOVE, 0), (BELOW, 3)])
     def test_cli_verdict(self, layout, ratio, code, tmp_path, capsys):

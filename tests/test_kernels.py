@@ -41,19 +41,17 @@ from qcdistort import (
     MeshMap,
     TriMesh,
     ValidationError,
-    affine_coefficients,
     corner_angles,
     corner_distortion,
     dilatation,
     epsilon_mu,
     face_areas,
     face_beltrami,
-    flatten_triangle,
     summarize,
     synth,
 )
-from qcdistort.beltrami import FZ_GUARD, AffineMap2D
-from qcdistort.mesh import _require_area
+from qcdistort.beltrami import FZ_GUARD
+from qcdistort.mesh import _half_edges, _require_area
 from qcdistort.parameterize import _edge_weights
 from qcdistort.report import BOUND_TOL, FieldStats, _exact_sum, _fsum_stats
 
@@ -118,20 +116,14 @@ def ref_cotangent_matrix(mesh):
 def edge_weight_matrix(mesh, kind):
     """The symmetric CSR matrix of ``_edge_weights``: each undirected edge's
     weight at (i, j) and at (j, i)."""
-    half, inverse, _ = mesh._edges
-    i, j = half[np.unique(inverse, return_index=True)[1]].T  # one half-edge per edge
+    first = np.unique(mesh._edges[0], return_index=True)[1]  # one half-edge per edge
+    i, j = (ends[first] for ends in _half_edges(mesh.faces))
     weights = _edge_weights(mesh, kind)
     n = mesh.n_vertices
     return sparse.coo_matrix(
         (np.concatenate([weights, weights]), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(n, n),
     ).tocsr()
-
-
-def ref_one_face(*corners):
-    mesh = TriMesh(np.asarray(corners, dtype=np.float64), [[0, 1, 2]])
-    _require_area(mesh, ref_face_areas(mesh))
-    return ref_face_coords(mesh)
 
 
 def ref_flatten_faces(tri):
@@ -146,10 +138,6 @@ def ref_flatten_faces(tri):
     out[:, 2, 0] = x2
     out[:, 2, 1] = y2
     return out
-
-
-def ref_flatten_triangle(p0, p1, p2):
-    return ref_flatten_faces(ref_one_face(p0, p1, p2))[0]
 
 
 def ref_face_coords_2d(mesh):
@@ -172,15 +160,6 @@ def ref_affine_arrays(src, dst):
     c = (dv1 * dy2 - dv2 * dy1) / det
     d = (dv2 * dx1 - dv1 * dx2) / det
     return a, b, c, d
-
-
-def ref_affine_coefficients(src_tri, dst_tri):
-    src = ref_one_face(*np.asarray(src_tri, dtype=np.float64).reshape(3, 2))
-    dst = np.asarray(dst_tri, dtype=np.float64).reshape(1, 3, 2)
-    a, b, c, d = (float(arr[0]) for arr in ref_affine_arrays(src, dst))
-    p = dst[0, 0, 0] - a * src[0, 0, 0] - b * src[0, 0, 1]
-    q = dst[0, 0, 1] - c * src[0, 0, 0] - d * src[0, 0, 1]
-    return AffineMap2D(a, b, c, d, float(p), float(q))
 
 
 def ref_mu_arrays(a, b, c, d):
@@ -248,9 +227,6 @@ def outcome(fn, *args):
             value = fn(*args)
     except ValidationError as exc:
         return type(exc), str(exc), getattr(exc, "face", None)
-    if isinstance(value, AffineMap2D):
-        return [float(v).hex() for v in (value.a, value.b, value.c, value.d,
-                                         value.p, value.q)]
     if isinstance(value, FieldStats):
         return [v.hex() for v in (value.mean, value.max, value.min, value.std)]
     return bits(value)
@@ -361,14 +337,6 @@ def check_mesh_formulas(mesh):
         assert csr_bits(edge_weight_matrix(mesh, "cotangent")) == csr_bits(ref_cotangent_matrix(mesh))
 
 
-def check_one_face_helpers(source, target, faces):
-    for face in faces:
-        corners = source.vertices[face]
-        assert outcome(flatten_triangle, *corners) == outcome(ref_flatten_triangle, *corners)
-        xy, uv = corners[:, :2], target.vertices[face][:, :2]
-        assert outcome(affine_coefficients, xy, uv) == outcome(ref_affine_coefficients, xy, uv)
-
-
 def check_beltrami_fields(mapping):
     field = face_beltrami(mapping)
     new = (field.mu, field.abs_mu, field.dilatation, field.eps_mu, field.folded)
@@ -404,7 +372,6 @@ def test_per_face_formulas_keep_every_bit(layout, data):
     source, target = data.draw(mesh_maps(layout))
     check_mesh_formulas(source)
     check_mesh_formulas(target)
-    check_one_face_helpers(source, target, source.faces[-3:])
     try:
         mapping = MeshMap(source, target)
     except ValidationError:
@@ -548,7 +515,6 @@ def test_signed_zero_corner_keeps_its_bits(dim):
     mesh = TriMesh(corners, [[0, 1, 2]])
     assert mesh.dimension == dim
     check_mesh_formulas(mesh)
-    check_one_face_helpers(mesh, mesh, mesh.faces)
     mapping = MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces))
     check_beltrami_fields(mapping)
     check_summary_fields(mapping)
@@ -558,9 +524,9 @@ def test_lone_negative_zero_weight_keeps_its_sign():
     # at corner 0, u = (1, 0) and w = (-5e-324, 1): the cotangent is
     # -5e-324 and half of it rounds to -0.0, the only term of edge (1, 2)
     mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [-5e-324, 1.0]], [[0, 1, 2]])
-    half, inverse, _ = mesh._edges
-    weight = _edge_weights(mesh, "cotangent")[inverse[1]]  # half-edge 1 is (1, 2)
-    assert half[1].tolist() == [1, 2]
+    tails, heads = _half_edges(mesh.faces)
+    weight = _edge_weights(mesh, "cotangent")[mesh._edges[0][1]]  # half-edge 1 is (1, 2)
+    assert (tails[1], heads[1]) == (1, 2)
     assert weight == 0 and math.copysign(1.0, weight) == -1.0
     check_mesh_formulas(mesh)
 

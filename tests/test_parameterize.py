@@ -13,6 +13,7 @@ from qcdistort import (
     tutte_disk,
 )
 from qcdistort import parameterize
+from qcdistort.mesh import _half_edges
 from qcdistort.parameterize import LEAF_SIZE, SOLVER_TOLERANCE, WEIGHT_CHOICES
 from qcdistort.synth import (
     bumpy_disk,
@@ -194,8 +195,8 @@ def tiny_disk(n_interior):
 def dirichlet_block(mesh, weights):
     """The interior block ``A`` of the weighted Laplacian of a disk, dense,
     and the right-hand side ``b`` for random boundary positions."""
-    half, inverse, _ = mesh._edges
-    i, j = half[np.unique(inverse, return_index=True)[1]].T  # one half-edge per edge
+    first = np.unique(mesh._edges[0], return_index=True)[1]  # one half-edge per edge
+    i, j = (ends[first] for ends in _half_edges(mesh.faces))
     w = parameterize._edge_weights(mesh, weights)
     n = mesh.n_vertices
     laplacian = np.zeros((n, n))

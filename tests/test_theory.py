@@ -18,8 +18,6 @@ from qcdistort import (
     epsilon_mu,
     extremal_bisectors,
     face_beltrami,
-    image_angle_axis,
-    image_angle_general,
     max_distortion_for_angle,
     max_half_angle_deviation,
     principal_stretch,
@@ -111,61 +109,6 @@ class TestEllipseGeometry:
         mags = np.abs(model.A * np.exp(1j * t) + model.B * np.exp(-1j * t))
         assert abs(mags.max() - ps.lambda_x) < 1e-6
         assert abs(mags.min() - ps.lambda_y) < 1e-6
-
-
-class TestImageAngles:
-    def test_axis_formula_values(self):
-        assert image_angle_axis(math.pi / 4, 3.0) == pytest.approx(0.321751, abs=1e-6)
-        assert image_angle_axis(math.pi / 4, 1.0) == pytest.approx(math.pi / 4)
-
-    def test_axis_against_direct_image(self):
-        theta, k = math.pi / 4, 2.0
-        expected = image_angle_axis(theta, k)
-        assert expected == pytest.approx(0.463648, abs=1e-6)
-        vec = np.array([math.cos(theta), math.sin(theta) / k])
-        assert math.atan2(vec[1], vec[0]) == pytest.approx(expected, abs=1e-12)
-
-    def test_axis_domain(self):
-        with pytest.raises(DomainError):
-            image_angle_axis(0.0, 2.0)
-        with pytest.raises(DomainError):
-            image_angle_axis(0.5, 0.9)
-
-    def test_general_reduces_to_axis(self):
-        for alpha in (0.2, 0.7, 1.3):
-            assert image_angle_general(alpha, 0.0, 2.5) == pytest.approx(
-                image_angle_axis(alpha, 2.5), abs=1e-12
-            )
-
-    def test_general_conformal_case(self):
-        assert image_angle_general(1.1, 0.3, 1.0) == pytest.approx(0.8, abs=1e-12)
-
-    def test_general_derived_value_and_oracle(self):
-        alpha, beta, k = math.pi / 3, math.pi / 6, 2.0
-        phi = image_angle_general(alpha, beta, k)
-        # tan(phi) = 2 (sqrt(3) - 1/sqrt(3)) / 5, so phi = arctan(0.461880...)
-        assert math.tan(phi) == pytest.approx(0.461880, abs=1e-6)
-        assert phi == pytest.approx(0.432689, abs=1e-6)
-        u = np.array([math.cos(alpha), math.sin(alpha) / k])
-        w = np.array([math.cos(beta), math.sin(beta) / k])
-        measured = math.atan2(abs(u[0] * w[1] - u[1] * w[0]), float(u @ w))
-        assert phi == pytest.approx(measured, abs=1e-12)
-
-    def test_general_beyond_the_square_root_of_the_largest_double(self):
-        # atan(K (tan 1 - tan 0.5) / (K^2 + tan 1 tan 0.5)) at 50 digits; K * K
-        # overflows
-        assert image_angle_general(1.0, 0.5, 1e200) == pytest.approx(
-            1.0111052348111117e-200, rel=1e-15, abs=0.0)
-
-    @given(theta=st.floats(1e-9, math.pi / 2 - 1e-9), k=st.floats(1.0, 1e300))
-    def test_axis_is_the_quotient_of_tangents(self, theta, k):
-        assert image_angle_axis(theta, k) == math.atan(math.tan(theta) / k)
-
-    def test_general_rejects_straddling(self):
-        with pytest.raises(DomainError):
-            image_angle_general(0.4, -0.2, 2.0)
-        with pytest.raises(DomainError):
-            image_angle_general(0.2, 0.4, 2.0)
 
 
 class TestExtremalBisectors:
@@ -417,13 +360,10 @@ class TestSuites:
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, 0.5])
 @pytest.mark.parametrize("call", [
-    lambda k: image_angle_axis(0.5, k),
-    lambda k: image_angle_general(0.5, 0.2, k),
     lambda k: max_distortion_for_angle(1.0, k),
     lambda k: brute_force_max_distortion(1.0, k, 1000),
     lambda k: max_half_angle_deviation(k),
-], ids=["image_angle_axis", "image_angle_general", "max_distortion_for_angle",
-        "brute_force_max_distortion", "max_half_angle_deviation"])
+], ids=["max_distortion_for_angle", "brute_force_max_distortion", "max_half_angle_deviation"])
 def test_dilatation_outside_one_to_inf_rejected(call, k):
     # K = inf is |mu| = 1, and NaN fails the "reject unless inside" guard;
     # an array is rejected when any element is
