@@ -9,6 +9,8 @@ A Tutte disk embedding is included so the pipeline runs end to end.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .angular import AngularDistortionField, corner_distortion
 from .beltrami import (
     BeltramiField,
@@ -59,4 +61,6 @@ from .theory import (
     run_all_checks,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names; the submodules stay importable (qcdistort.mesh, qcdistort.synth, ...)
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -30,8 +30,8 @@ FZ_GUARD = 1e-14
 class MeshMap:
     """A piecewise-linear map f: source -> target as a vertex correspondence.
 
-    Both meshes must be valid and share the face list element-wise, and so
-    the source's edge table; the map sends source vertex i to target vertex i.
+    Both meshes must be valid and share the face list, and with it the source's edge table and
+    orientation verdict; the map sends source vertex i to target vertex i.
     """
 
     source: TriMesh
@@ -52,9 +52,9 @@ class MeshMap:
             f = int(np.argmax((src != dst).any(axis=1)))
             raise ValidationError(f"connectivity mismatch: face {f} differs "
                                   f"({src[f].tolist()} vs {dst[f].tolist()})")
-        vars(self.target)["_edges"] = self.source._edges  # replacing the target's own, if any
         validate_mesh(self.source)
-        validate_mesh(self.target)
+        vars(self.target).update(_edges=self.source._edges, _oriented=self.source._oriented)
+        validate_mesh(self.target)  # its area test: the face list's facts are the source's
 
     @property
     def faces(self) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import contextlib
+
 
 class QcdistortError(Exception):
     """Base class for all toolkit errors."""
@@ -43,3 +45,13 @@ class SolverError(QcdistortError):
 
 class EmptyInputError(QcdistortError, ValueError):
     """An operation that needs data received an empty collection."""
+
+
+@contextlib.contextmanager
+def _sized_by(argument: str):
+    """Raise a failed allocation in the block as a DomainError naming ``argument``,
+    the name and value of the argument that sized it."""
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(f"{argument} is too large: its arrays cannot be allocated") from None

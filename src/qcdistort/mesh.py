@@ -77,7 +77,7 @@ class TriMesh:
     structural checks (index range, no repeated vertex within a face); the
     geometric invariants (non-degenerate faces, consistent combinatorial
     orientation) are enforced by :func:`validate_mesh`, which file loading
-    and map construction call.  A validated mesh keeps the passing verdict
+    and map construction call.  A validated mesh keeps its two passing verdicts
     and its edge table (about 1.8 MB per 50k faces), built once and read by
     validation, :func:`boundary_loops`, the Tutte solve and a map's target.
     """
@@ -88,14 +88,21 @@ class TriMesh:
     bbox_diagonal: float = field(init=False)
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=np.float64)
-        faces = np.asarray(self.faces, dtype=np.int64)
+        try:
+            verts = np.asarray(self.vertices, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(_bad_vertex(self.vertices)) from None
+        try:
+            faces = np.asarray(self.faces)
+        except ValueError:  # ragged rows
+            raise ValidationError("faces must have shape (m, 3)") from None
         if faces.size == 0:
             faces = faces.reshape(0, 3)
         if verts.ndim != 2 or verts.shape[1] not in (2, 3):
             raise ValidationError("vertices must have shape (n, 2) or (n, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValidationError("faces must have shape (m, 3)")
+        faces = _as_indices(faces)
         if not np.isfinite(verts).all():
             bad = int(np.argmin(np.isfinite(verts).all(axis=1)))
             raise ValidationError(f"vertex {bad} has a non-finite coordinate")
@@ -148,15 +155,69 @@ class TriMesh:
         return AREA_EPS_FACTOR * (d * d)
 
     @functools.cached_property
-    def _valid(self) -> bool:
-        # the passing verdict of validate_mesh; a raised error is not cached
-        _check_mesh(self)
+    def _nondegenerate(self) -> bool:
+        # validate_mesh's area verdict: a pass is cached, a raised error is not
+        _require_area(self, face_areas(self))
+        return True
+
+    @functools.cached_property
+    def _oriented(self) -> bool:
+        # the face list's verdict (MeshMap hands it to its target): a manifold edge is consistently
+        # oriented when exactly one of its half-edges runs from the lower to the higher vertex
+        # index; edges on more than two faces are reported by the ops needing manifoldness
+        inverse, counts = self._edges
+        tails, heads = _half_edges(self.faces)
+        ascending = np.bincount(inverse[tails < heads], minlength=counts.size)
+        flipped = (counts == 2) & (ascending != 1)
+        if flipped.any():
+            # the smallest flipped half-edge (i, j) in lexicographic order
+            at = flipped[inverse]
+            i, j = min(zip(tails[at].tolist(), heads[at].tolist()))
+            raise ValidationError(f"inconsistent face orientation across edge ({i}, {j})")
         return True
 
     @functools.cached_property
     def _edges(self):
         # the face list's one edge table; MeshMap hands the source's to its target
         return _edge_pass(self)
+
+
+def _bad_vertex(vertices) -> str:
+    """Why numpy cannot read ``vertices`` as float64: the first vertex with a value
+    that is not a number, else ragged rows."""
+    for i, row in enumerate(vertices):
+        try:
+            np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            return f"vertex {i} has a non-numeric coordinate"
+    return "vertices must have shape (n, 2) or (n, 3)"
+
+
+def _is_index(value) -> bool:
+    try:
+        value = int(value) if isinstance(value, str) else value  # as numpy reads text
+        return -2**63 <= value < 2**63 and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _as_indices(faces: np.ndarray) -> np.ndarray:
+    """An (m, 3) face array as int64: integers as they are (a uint64 past int64 wraps
+    to a negative index, which the range check names), integral floats by value, and
+    a ValidationError naming the first face with any other value."""
+    if faces.dtype.kind in "iu":
+        return faces.astype(np.int64, copy=False)
+    if faces.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and values past int64 cast to garbage
+            out = faces.astype(np.int64)
+        exact = out == faces
+    else:  # Python ints past int64, text, bools: one value at a time
+        exact = np.frompyfunc(_is_index, 1, 1)(faces).astype(bool)
+        out = faces.astype(np.int64) if exact.all() else None
+    if not exact.all():
+        face = int(np.argmin(exact.all(axis=1)))
+        raise ValidationError(f"face {face} has a vertex index that is not a 64-bit integer")
+    return out
 
 
 def _face_columns(mesh: TriMesh, rows=slice(None)) -> list[np.ndarray]:
@@ -339,9 +400,9 @@ def validate_mesh(mesh: TriMesh) -> None:
     orientation is reported, never repaired, because a silent flip would
     corrupt the sign conventions of the per-face distortion fields.
 
-    A ``TriMesh`` is immutable, so a passing verdict is kept on the mesh, as
-    is the edge table the orientation test reads (about 1.8 MB per 50k faces,
-    read by :func:`boundary_loops`, the Tutte solve and a map's target);
+    A ``TriMesh`` is immutable, so both passing verdicts are kept on the mesh,
+    the orientation one with the edge table it reads (about 1.8 MB per 50k
+    faces, read by :func:`boundary_loops`, the Tutte solve and a map's target);
     later calls return at once, and a failure is raised again on every call.
 
     Raises
@@ -349,23 +410,7 @@ def validate_mesh(mesh: TriMesh) -> None:
     ValidationError
         :class:`DegenerateFaceError` (a subclass) for a degenerate face.
     """
-    mesh._valid  # runs _check_mesh on the first call only
-
-
-def _check_mesh(mesh: TriMesh) -> None:
-    _require_area(mesh, face_areas(mesh))
-    # a manifold edge is consistently oriented when exactly one of its two
-    # half-edges runs from the lower to the higher vertex index; edges on
-    # more than two faces are reported by the ops needing manifoldness
-    inverse, counts = mesh._edges
-    tails, heads = _half_edges(mesh.faces)
-    ascending = np.bincount(inverse[tails < heads], minlength=counts.size)
-    flipped = (counts == 2) & (ascending != 1)
-    if flipped.any():
-        # the smallest flipped half-edge (i, j) in lexicographic order
-        at = flipped[inverse]
-        i, j = min(zip(tails[at].tolist(), heads[at].tolist()))
-        raise ValidationError(f"inconsistent face orientation across edge ({i}, {j})")
+    mesh._nondegenerate and mesh._oriented  # each test runs until it first passes
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +805,8 @@ def save_mesh(mesh: TriMesh, path: str | os.PathLike, format: str | None = None)
         forms = ("%.17g %.17g %.17g\n", "3 %d %d %d\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(head)
-        # one process, not shares: in ``param`` OpenBLAS keeps the other CPU busy
+        # one process, not shares: in ``param`` the write follows the Tutte solve, after which
+        # OpenBLAS's worker thread spins on another CPU for about 0.09 s; on 2 CPUs two shares
+        # then lose (median 92 against 67 ms at 49,909 faces), and gain 10 ms at most without it
         _rowtext.write_share(fh.write, [(forms[0], (verts,), 0, mesh.n_vertices),
                                         (forms[1], (faces,), 0, mesh.n_faces)], _WRITE_BLOCK_ROWS)

@@ -24,7 +24,7 @@ from . import __version__
 from ._rowtext import CSV
 from .angular import AngularDistortionField, _angular_field
 from .beltrami import BeltramiField, MeshMap, _map_fields
-from .errors import DomainError, EmptyInputError
+from .errors import DomainError, EmptyInputError, _sized_by
 from .mesh import _resolve_format, _write_ply, _write_text
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
@@ -72,7 +72,8 @@ def histogram(values, bin_count: int, value_range=None):
     """Uniform-bin histogram over ``value_range`` (default [0, max]).
 
     Values equal to the upper edge land in the last bin; values outside the
-    range are excluded, non-finite ones raise.  Returns (bin_edges, counts).
+    range are excluded, non-finite ones raise, and so does a ``bin_count``
+    too large to allocate.  Returns (bin_edges, counts).
 
     Raises
     ------
@@ -91,13 +92,16 @@ def histogram(values, bin_count: int, value_range=None):
         hi = lo + 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"histogram range [{lo!r}, {hi!r}] is not finite")
-    edges = np.linspace(lo, hi, bin_count + 1)  # the edges np.histogram builds
-    if not (edges[:-1] < edges[1:]).all():
+    with _sized_by(f"bin_count {bin_count}"):
+        edges = np.linspace(lo, hi, bin_count + 1)  # the edges np.histogram builds
+        narrow = not (edges[:-1] < edges[1:]).all()
+    if narrow:
         raise DomainError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {bin_count} bins")
     if not np.isfinite(vals).all():
         i = int(np.argmin(np.isfinite(vals)))
         raise DomainError(f"cannot histogram the non-finite value {float(vals[i])!r} at index {i}")
-    return edges, np.histogram(vals, bins=bin_count, range=(lo, hi))[0]
+    with _sized_by(f"bin_count {bin_count}"):
+        return edges, np.histogram(vals, bins=bin_count, range=(lo, hi))[0]
 
 
 def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField | None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beltrami import _float_if_0d
-from .errors import DegenerateModelError, DomainError
+from .errors import DegenerateModelError, DomainError, _sized_by
 
 # relative margin below which |A| and |B| are considered equal
 MODEL_GUARD = 1e-12
@@ -186,16 +186,17 @@ def brute_force_max_distortion(
     Raises
     ------
     DomainError
-        If ``grid_size`` is below the minimum (1000) or theta/K are out of
-        range.
+        If ``grid_size`` is below the minimum (1000) or too large to
+        allocate, or theta/K are out of range.
     """
     _check_theta(theta)
     _check_dilatation(dilatation)
     if grid_size < MIN_GRID:
         raise DomainError(f"grid_size must be >= {MIN_GRID}")
-    alphas = -math.pi / 2.0 + (np.arange(grid_size) + 0.5) * (math.pi / grid_size)
-    delta = _wedge_distortion(alphas, theta, dilatation)
-    i = int(np.argmax(delta))
+    with _sized_by(f"grid_size {grid_size}"):
+        alphas = -math.pi / 2.0 + (np.arange(grid_size) + 0.5) * (math.pi / grid_size)
+        delta = _wedge_distortion(alphas, theta, dilatation)
+        i = int(np.argmax(delta))
     return float(delta[i]), float(alphas[i])
 
 
@@ -311,12 +312,13 @@ def deviation_suite(
     """
     formulas, theta_stars = max_half_angle_deviation(dilatations)  # checks K before any division
     attained = theta_stars - np.arctan(np.tan(theta_stars) / dilatations)
-    thetas = (np.arange(samples) + 0.5) * (math.pi / 2.0) / samples
-    tan_thetas = np.tan(thetas)
-    return [_maximum_check(f"max half-angle deviation K={k:g}", 1e-6, formula, att,
-                           (thetas - np.arctan(tan_thetas / k)).max(),
-                           dilatation=k, samples=samples)
-            for k, formula, att in zip(dilatations, formulas, attained)]
+    with _sized_by(f"samples {samples}"):
+        thetas = (np.arange(samples) + 0.5) * (math.pi / 2.0) / samples
+        tan_thetas = np.tan(thetas)
+        return [_maximum_check(f"max half-angle deviation K={k:g}", 1e-6, formula, att,
+                               (thetas - np.arctan(tan_thetas / k)).max(),
+                               dilatation=k, samples=samples)
+                for k, formula, att in zip(dilatations, formulas, attained)]
 
 
 def run_all_checks(seed: int = 42, grid_size: int = 100_000) -> list[TheoryCheck]:

@@ -319,6 +319,26 @@ class TestErrorExitCodes:
         assert main([*argv, "--bins", "0"]) == 2
         assert capsys.readouterr().err == "error: bins must be >= 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "{disk}", "{half}", "--bins", "1000000000000"], "bin_count 1000000000000"),
+        (["theory", "--grid", "100000000000"], "grid_size 100000000000"),
+        (["theory", "--k", "2", "--grid", "100000000000"], "samples 1000000000000"),
+    ])
+    def test_array_too_large_to_allocate_exit_2(self, meshes, tmp_path, argv, message):
+        # a child whose address space is capped at 1 GiB: no allocation here can reach the host
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        argv = [a.format(disk=meshes / "disk.obj", half=meshes / "disk_half.obj") for a in argv]
+        src = os.path.dirname(os.path.dirname(qcdistort.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qcdistort.cli", *argv], env=env, cwd=tmp_path,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == f"error: {message} is too large: its arrays cannot be allocated\n"
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "{root}/a.ply", "{root}/a.ply"],
         ["param", "{root}/a.stl"],

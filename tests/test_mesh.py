@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -49,6 +50,15 @@ def single(verts):
     return TriMesh(np.asarray(verts, dtype=float), [[0, 1, 2]])
 
 
+def spy_verdict(monkeypatch, name):
+    """The meshes on which the cached ``TriMesh`` verdict ``name`` runs its test, in order."""
+    tested, test = [], vars(TriMesh)[name].func
+    spy = functools.cached_property(lambda mesh: tested.append(mesh) or test(mesh))
+    spy.__set_name__(TriMesh, name)
+    monkeypatch.setattr(TriMesh, name, spy)
+    return tested
+
+
 def rotation_matrix(ax, ay, az):
     cx, sx = math.cos(ax), math.sin(ax)
     cy, sy = math.cos(ay), math.sin(ay)
@@ -73,6 +83,22 @@ class TestTriMesh:
         with pytest.raises(ValidationError) as info:
             TriMesh(verts, [[0, 1, 2]])
         assert str(info.value) == "vertex 3 has a non-finite coordinate"
+
+    @pytest.mark.parametrize("index", [2.7, math.nan, 2**63 + 5, 2**70, "a"])
+    def test_bad_face_index_named(self, index):
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValidationError) as info:  # not a silent truncation, nor a bare error
+            TriMesh(verts, [[0, 1, 2], [1, 3, index]])
+        assert str(info.value) == "face 1 has a vertex index that is not a 64-bit integer"
+
+    def test_integral_float_indices_accepted(self):
+        mesh = TriMesh(RIGHT, np.array([[0.0, 1.0, 2.0]]))
+        assert mesh.faces.dtype == np.int64 and mesh.faces.tolist() == [[0, 1, 2]]
+
+    def test_non_numeric_vertex_named(self):
+        with pytest.raises(ValidationError) as info:
+            TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, "x"]], [[0, 1, 2]])
+        assert str(info.value) == "vertex 2 has a non-numeric coordinate"
 
     def test_immutable(self):
         m = single(RIGHT)
@@ -145,19 +171,47 @@ class TestTriMesh:
         assert str(info.value) == f"inconsistent face orientation across edge ({i}, {j})"
 
     def test_validation_runs_once_per_mesh(self, tmp_path, monkeypatch):
-        checked = []
-        check = qcdistort.mesh._check_mesh
-        monkeypatch.setattr(qcdistort.mesh, "_check_mesh",
-                            lambda mesh: checked.append(mesh) or check(mesh))
+        sized = spy_verdict(monkeypatch, "_nondegenerate")
+        oriented = spy_verdict(monkeypatch, "_oriented")
         save_mesh(hemisphere(6), tmp_path / "hemi.obj")
         src = load_mesh(tmp_path / "hemi.obj")
         dst = load_mesh(tmp_path / "hemi.obj")
-        assert len(checked) == 2
+        assert len(sized) == len(oriented) == 2
         MeshMap(src, dst)
         validate_mesh(src)
-        assert len(checked) == 2
+        assert len(sized) == len(oriented) == 2
         flat = tutte_disk(src)
-        assert len(checked) == 3 and checked[2] is flat.target
+        # the target runs its own area test and takes its source's orientation verdict
+        assert len(sized) == 3 and sized[2] is flat.target
+        assert len(oriented) == 2
+
+    def test_one_orientation_test_per_face_list(self, tmp_path, monkeypatch):
+        oriented = spy_verdict(monkeypatch, "_oriented")
+        tutte_disk(hemisphere(6))
+        assert len(oriented) == 1
+        oriented.clear()
+        src = hemisphere(6)
+        mapping = MeshMap(src, TriMesh(2 * src.vertices, src.faces))
+        assert oriented == [src] and mapping.target._oriented
+        surface, flat = tmp_path / "hemi.obj", tmp_path / "flat.obj"
+        save_mesh(hemisphere(6), surface)
+        oriented.clear()
+        assert main(["param", str(surface), "-o", str(flat), "--quiet", "--analyze"]) == 0
+        assert len(oriented) == 1
+        oriented.clear()
+        assert main(["analyze", str(surface), str(flat), "--json"]) == 0
+        assert len(oriented) == 2  # one per file read
+
+    def test_target_area_test_follows_the_source_checks(self):
+        # a degenerate target face is reported only once the source has passed both tests
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        flipped = TriMesh(verts, [[0, 1, 2], [1, 2, 3]])
+        collapsed = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], flipped.faces)
+        with pytest.raises(ValidationError, match="inconsistent face orientation"):
+            MeshMap(flipped, collapsed)
+        good = TriMesh(verts, [[0, 1, 2], [2, 1, 3]])
+        with pytest.raises(DegenerateFaceError, match="face 0 is degenerate"):
+            MeshMap(good, TriMesh(collapsed.vertices, good.faces))
 
     def test_one_edge_pass_per_face_list(self, tmp_path, monkeypatch):
         passes = []
