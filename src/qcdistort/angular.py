@@ -8,29 +8,7 @@ CLI display boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .beltrami import MeshMap, _map_fields
-
-
-@dataclass(frozen=True, eq=False)
-class AngularDistortionField:
-    """Angular distortion per corner and per face.
-
-    corner         (m, 3) |target angle - source angle|, radians
-    signed_corner  (m, 3) target angle - source angle; the three values of
-                   a face sum to zero since both angle triples sum to pi
-    face_avg       (m,) mean of the three corner values
-    """
-
-    corner: np.ndarray = field(repr=False)
-    signed_corner: np.ndarray = field(repr=False)
-    face_avg: np.ndarray = field(repr=False)
-
-    def __repr__(self):
-        return f"AngularDistortionField(n_faces={len(self.face_avg)})"
+from .beltrami import AngularDistortionField, MeshMap
 
 
 def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
@@ -41,11 +19,4 @@ def corner_distortion(mapping: MeshMap) -> AngularDistortionField:
     :func:`qcdistort.mesh.corner_angles`).  Folded faces get ordinary
     values too: the angles of a flipped triangle are well defined.
     """
-    return _angular_field(_map_fields(mapping)[1])
-
-
-def _angular_field(signed: np.ndarray) -> AngularDistortionField:
-    """The field of the signed distortions ``signed[k, f]`` at corner k of face f."""
-    c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
-    return AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0)
-
+    return mapping._fields[1]

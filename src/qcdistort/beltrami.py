@@ -15,6 +15,7 @@ than clamped, since the bound formulas assume |mu| < 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ class MeshMap:
     """A piecewise-linear map f: source -> target as a vertex correspondence.
 
     Both meshes must be valid and share the face list, and with it the source's edge table and
-    orientation verdict; the map sends source vertex i to target vertex i.
+    orientation verdict; the map sends source vertex i to target vertex i.  The map keeps its
+    Beltrami and angular distortion fields after their first use (97 bytes per face).
     """
 
     source: TriMesh
@@ -64,6 +66,11 @@ class MeshMap:
     def n_faces(self) -> int:
         return self.source.n_faces
 
+    @functools.cached_property
+    def _fields(self):
+        # the one block pass: face_beltrami, corner_distortion, summarize and the PLY export read it
+        return _map_fields(self)
+
 
 @dataclass(frozen=True, eq=False)
 class BeltramiField:
@@ -90,6 +97,24 @@ class BeltramiField:
     @property
     def folded_count(self) -> int:
         return int(self.folded.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class AngularDistortionField:
+    """Angular distortion per corner and per face.
+
+    corner         (m, 3) |target angle - source angle|, radians
+    signed_corner  (m, 3) target angle - source angle; the three values of
+                   a face sum to zero since both angle triples sum to pi
+    face_avg       (m,) mean of the three corner values
+    """
+
+    corner: np.ndarray = field(repr=False)
+    signed_corner: np.ndarray = field(repr=False)
+    face_avg: np.ndarray = field(repr=False)
+
+    def __repr__(self):
+        return f"AngularDistortionField(n_faces={len(self.face_avg)})"
 
 
 def _pose(u, w, uw):
@@ -142,12 +167,13 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
     get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
     folded, with abs_mu = inf.
     """
-    return _map_fields(mapping)[0]
+    return mapping._fields[0]
 
 
 def _map_fields(mapping: MeshMap):
-    """``(BeltramiField, signed)``, ``signed[k, f]`` the target's angle minus the source's at
-    corner k of face f, from one pass over blocks of faces that writes into arrays made once."""
+    """``(BeltramiField, AngularDistortionField)`` from one pass over blocks of faces that
+    writes into arrays made once; ``signed[k, f]`` is the target's angle minus the source's
+    at corner k of face f."""
     n = mapping.n_faces
     mu, folded, signed = np.empty(n, complex), np.empty(n, bool), np.empty((3, n))
     abs_mu, dil, eps = np.full((3, n), np.nan)
@@ -163,7 +189,9 @@ def _map_fields(mapping: MeshMap):
         ok = ~folded[rows]
         x = abs_mu[rows][ok]
         dil[rows][ok], eps[rows][ok] = dilatation(x), epsilon_mu(x)
-    return BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded), signed
+    c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
+    return (BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded),
+            AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0))
 
 
 def _float_if_0d(out):

@@ -163,10 +163,7 @@ def run_analyze(args) -> int:
     if args.csv:
         export_report(rep, args.csv, "csv")
     if args.ply_out:
-        export_colored_mesh(
-            mapping, args.field, args.ply_out,
-            beltrami=rep.beltrami, angular=rep.angular,
-        )
+        export_colored_mesh(mapping, args.field, args.ply_out)
     _warn_folds(rep)
     return 0
 
@@ -200,7 +197,7 @@ def run_theory(args) -> int:
     if args.k is None:
         checks = run_all_checks(seed=args.seed, grid_size=grid)
     elif args.theta is None:
-        checks = deviation_suite((args.k,), max(10 * grid, 1_000_000))
+        checks = deviation_suite((args.k,), grid)
     else:
         checks = extremal_bisector_suite((args.k,), (args.theta,), grid)
     if args.json:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from ._rowtext import CSV
-from .angular import AngularDistortionField, _angular_field
-from .beltrami import BeltramiField, MeshMap, _map_fields
+from .angular import corner_distortion
+from .beltrami import AngularDistortionField, BeltramiField, MeshMap, face_beltrami
 from .errors import DomainError, EmptyInputError, _sized_by
 from .mesh import _resolve_format, _write_ply, _write_text
 
@@ -172,12 +172,6 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
     )
 
 
-def _fields(mapping: MeshMap):
-    """The Beltrami and angular distortion fields of a map from one block pass."""
-    bf, signed = _map_fields(mapping)
-    return bf, _angular_field(signed)
-
-
 def summarize(
     mapping: MeshMap,
     bins: int = DEFAULT_BINS,
@@ -186,10 +180,10 @@ def summarize(
 ) -> DistortionReport:
     """Full distortion report of a mesh map.
 
-    Computes the per-face Beltrami field and the angular distortion field in
-    one pass over fixed blocks of faces of both meshes, then aggregates
-    |mu|, the face-averaged angular distortion, and the per-face bound
-    2*arcsin(|mu|) over the non-folded faces.
+    Reads the map's per-face Beltrami and angular distortion fields (one
+    pass over fixed blocks of faces of both meshes, run on first use), then
+    aggregates |mu|, the face-averaged angular distortion, and the per-face
+    bound 2*arcsin(|mu|) over the non-folded faces.
 
     ``bound_violations`` counts non-folded faces where some corner's angular
     distortion exceeds the face bound by more than 1e-9; zero is the healthy
@@ -202,7 +196,8 @@ def summarize(
     """
     if bins < 1:
         raise DomainError("bins must be >= 1")
-    bf, ang = _fields(mapping)
+    # the public field functions, so a traced run times the block pass on its own
+    bf, ang = face_beltrami(mapping), corner_distortion(mapping)
     ok = ~bf.folded
 
     stats, histograms = {}, {}
@@ -311,8 +306,8 @@ def export_colored_mesh(
     """Write the target mesh as ASCII PLY with per-face colors for a field.
 
     ``field_name`` is one of ``abs_mu``, ``eps_angle_t``, ``eps_mu_t``; the
-    colormap spans [0, max over non-folded faces].  Precomputed fields can
-    be passed to avoid recomputation.
+    colormap spans [0, max over non-folded faces].  The fields default to
+    the map's own.
 
     Raises
     ------
@@ -321,7 +316,7 @@ def export_colored_mesh(
     if field_name not in FIELD_NAMES:
         raise ValueError(f"field must be one of {FIELD_NAMES}")
     if beltrami is None or (field_name == "eps_angle_t" and angular is None):
-        beltrami, angular = _fields(mapping)
+        beltrami, angular = mapping._fields
 
     values = _field(field_name, beltrami, angular)
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .mesh import TriMesh, _corner_pass, _cross_2d
+from .mesh import TriMesh, _corner_pass, _cross_2d, _half_edges
 
 try:
     from scipy.spatial import Delaunay
@@ -137,16 +137,8 @@ def perturbed_target(mesh: TriMesh, rng: np.random.Generator, scale: float = 0.2
     which terminates because the identity is fold-free.
     """
     verts2 = mesh.vertices[:, :2]
-    edges = np.concatenate(
-        [
-            mesh.faces[:, [0, 1]],
-            mesh.faces[:, [1, 2]],
-            mesh.faces[:, [2, 0]],
-        ]
-    )
-    min_edge = float(
-        np.linalg.norm(verts2[edges[:, 0]] - verts2[edges[:, 1]], axis=1).min()
-    )
+    tails, heads = _half_edges(mesh.faces)
+    min_edge = float(np.linalg.norm(verts2[tails] - verts2[heads], axis=1).min())
     disp = rng.standard_normal(verts2.shape)
     disp /= max(np.linalg.norm(disp, axis=1).max(), 1e-30)
     step = scale * min_edge

@@ -300,19 +300,21 @@ def extremal_bisector_suite(
 
 
 def deviation_suite(
-    dilatations=(1.1, 1.5, 2.0, 3.0, 10.0), samples: int = 1_000_000
+    dilatations=(1.1, 1.5, 2.0, 3.0, 10.0), grid_size: int = 100_000
 ) -> list[TheoryCheck]:
     """Check the maximal half-angle deviation formula as a maximum.
 
     For each K, evaluates theta - arctan(tan(theta)/K) at the maximizing
     half-angle that :func:`max_half_angle_deviation` returns (param
-    ``attained``) and at ``samples`` half-angles spread over (0, pi/2)
-    (param ``grid``, their largest).  The check passes when
-    ``observed = max(|formula - attained|, grid - formula)`` is at most 1e-6.
+    ``attained``) and at ``samples = max(10 * grid_size, 1_000_000)``
+    half-angles spread over (0, pi/2) (param ``grid``, their largest).  The
+    check passes when ``observed = max(|formula - attained|, grid - formula)``
+    is at most 1e-6.
     """
     formulas, theta_stars = max_half_angle_deviation(dilatations)  # checks K before any division
     attained = theta_stars - np.arctan(np.tan(theta_stars) / dilatations)
-    with _sized_by(f"samples {samples}"):
+    samples = max(10 * grid_size, 1_000_000)
+    with _sized_by(f"grid_size {grid_size}"):
         thetas = (np.arange(samples) + 0.5) * (math.pi / 2.0) / samples
         tan_thetas = np.tan(thetas)
         return [_maximum_check(f"max half-angle deviation K={k:g}", 1e-6, formula, att,
@@ -325,5 +327,5 @@ def run_all_checks(seed: int = 42, grid_size: int = 100_000) -> list[TheoryCheck
     """The full verification battery at the given seed and grid size."""
     checks = [tangent_ratio_suite(seed=seed)]
     checks.extend(extremal_bisector_suite(grid_size=grid_size))
-    checks.extend(deviation_suite(samples=max(10 * grid_size, 1_000_000)))
+    checks.extend(deviation_suite(grid_size=grid_size))
     return checks

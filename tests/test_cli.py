@@ -322,7 +322,7 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "{disk}", "{half}", "--bins", "1000000000000"], "bin_count 1000000000000"),
         (["theory", "--grid", "100000000000"], "grid_size 100000000000"),
-        (["theory", "--k", "2", "--grid", "100000000000"], "samples 1000000000000"),
+        (["theory", "--k", "2", "--grid", "100000000000"], "grid_size 100000000000"),
     ])
     def test_array_too_large_to_allocate_exit_2(self, meshes, tmp_path, argv, message):
         # a child whose address space is capped at 1 GiB: no allocation here can reach the host

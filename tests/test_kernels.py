@@ -410,7 +410,6 @@ def test_summarize_gathers_each_mesh_once(monkeypatch):
     every face (the field functions it used to call read them twice)."""
     mesh = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     target = TriMesh(mesh.vertices * [1.0, 0.5], mesh.faces)
-    mapping = MeshMap(mesh, target)  # validation reads the coordinates too
     real = qcdistort.mesh._face_columns
     calls = []
 
@@ -423,6 +422,8 @@ def test_summarize_gathers_each_mesh_once(monkeypatch):
         if hasattr(module, "_face_columns"):
             monkeypatch.setattr(module, "_face_columns", spy)
     for block, n_blocks in [(qcdistort.mesh._FACE_BLOCK, 1), (2, 4)]:
+        # a fresh map, whose pass has not run; validation reads the coordinates too
+        mapping = MeshMap(mesh, target)
         calls.clear()
         with face_blocks_of(block):
             summarize(mapping)
@@ -492,9 +493,10 @@ def test_summarize_transient_memory_has_a_fixed_bound():
     transients = []
     for n_vertices in (13_000, 25_000):
         source = synth.bumpy_disk(n_vertices)
-        mapping = MeshMap(source, synth.perturbed_target(source, np.random.default_rng(5)))
+        target = synth.perturbed_target(source, np.random.default_rng(5))
+        summarize(MeshMap(source, target))
+        mapping = MeshMap(source, target)  # a fresh map: the traced call runs the pass
         assert mapping.n_faces > 3 * qcdistort.mesh._FACE_BLOCK
-        summarize(mapping)
         tracemalloc.start()
         try:
             report = summarize(mapping)

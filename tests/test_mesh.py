@@ -276,6 +276,22 @@ class TestCornerAngles:
         with pytest.raises(DegenerateFaceError):
             corner_angles(m)
 
+    def test_one_area_test_per_mesh(self, tmp_path, monkeypatch):
+        # the angles read the mesh's cached area verdict, which validation already holds
+        tested, real = [], qcdistort.mesh._require_area
+        monkeypatch.setattr(qcdistort.mesh, "_require_area",
+                            lambda mesh, areas: tested.append(mesh) or real(mesh, areas))
+        save_mesh(wavy_disk(300), tmp_path / "wavy.obj")
+        loaded = load_mesh(tmp_path / "wavy.obj")
+        assert tested == [loaded]
+        corner_angles(loaded)
+        assert tested == [loaded]
+        fresh = wavy_disk(300)
+        corner_angles(fresh)
+        corner_angles(fresh)
+        validate_mesh(fresh)
+        assert tested == [loaded, fresh]
+
 
 def test_z_column_of_zeros_keeps_every_bit():
     """Planar faces are read in xy, and on z == 0 the 3D formulas give the

@@ -3,12 +3,18 @@ import io
 import json
 import math
 import re
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcdistort
+import qcdistort.angular
+import qcdistort.beltrami
 import qcdistort.mesh
 import qcdistort.report
 from qcdistort import (
@@ -16,15 +22,25 @@ from qcdistort import (
     EmptyInputError,
     MeshMap,
     TriMesh,
+    corner_distortion,
     export_colored_mesh,
     export_report,
+    face_beltrami,
     histogram,
     report_json,
     report_to_dict,
+    save_mesh,
     summarize,
 )
+from qcdistort.cli import main
 from qcdistort.report import face_colors
-from qcdistort.synth import scaled_map_target, wavy_disk
+from qcdistort.synth import irregular_disk, perturbed_target, scaled_map_target, wavy_disk
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import tracer  # noqa: E402  (the benchmark's span recorder, read-only)
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +368,67 @@ def test_each_field_reads_its_per_face_array(flat_mesh, tmp_path, name, column):
     rows = path.read_text().splitlines()[-flat_mesh.n_faces:]
     want = face_colors(vals, rep.beltrami.folded, 0.0, float(vals.max()))
     assert [row.split()[4:] for row in rows] == want.astype(str).tolist()
+
+
+def spy_block_passes(monkeypatch):
+    """The maps on which ``beltrami._map_fields``, the block pass, runs, in order, from
+    whichever module calls it."""
+    passes, real = [], qcdistort.beltrami._map_fields
+    for module in (qcdistort.beltrami, qcdistort.angular, qcdistort.report):
+        if hasattr(module, "_map_fields"):
+            monkeypatch.setattr(module, "_map_fields",
+                                lambda mapping: passes.append(mapping) or real(mapping))
+    return passes
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_one_block_pass_per_map(flat_mesh, tmp_path, monkeypatch, first):
+    """Whichever reader comes first runs the pass; the others read what the map keeps."""
+    passes = spy_block_passes(monkeypatch)
+    mapping = MeshMap(flat_mesh, scaled_map_target(flat_mesh, 1.3, 0.7))
+    readers = [face_beltrami, corner_distortion, summarize,
+               lambda m: export_colored_mesh(m, "eps_angle_t", tmp_path / "c.ply")]
+    for read in readers[first:] + readers[:first]:
+        read(mapping)
+    assert passes == [mapping]
+    assert summarize(mapping).beltrami is face_beltrami(mapping)
+    assert summarize(mapping).angular is corner_distortion(mapping)
+    assert passes == [mapping]
+
+
+def test_cli_analyze_runs_one_block_pass(flat_mesh, tmp_path, monkeypatch):
+    passes = spy_block_passes(monkeypatch)
+    src, dst = tmp_path / "src.obj", tmp_path / "dst.off"
+    save_mesh(flat_mesh, src)
+    save_mesh(scaled_map_target(flat_mesh, 1.3, 0.7), dst)
+    argv = ["analyze", str(src), str(dst), "--out", str(tmp_path / "r.json"), "--quiet",
+            "--csv", str(tmp_path / "r.csv"), "--ply-out", str(tmp_path / "r.ply")]
+    assert main(argv) == 0
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_traced_summarize_times_its_block_pass_as_a_child(dim):
+    """In the benchmark's traced runs the block pass is a child span of
+    ``report.summarize``, so ``report.aggregate`` is the rest of it."""
+    if dim == 2:
+        source = irregular_disk(600)
+        target = perturbed_target(source, np.random.default_rng(3))
+    else:
+        source = wavy_disk(600)
+        target = TriMesh(source.vertices * [1.0, 0.8, 3.0], source.faces)
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        start = time.perf_counter()
+        qcdistort.summarize(qcdistort.MeshMap(source, target))
+        wall = time.perf_counter() - start
+    finally:
+        recorder.uninstall()
+    spans = recorder.take()
+    names = {span[tracer.SPAN_ID]: span[tracer.SPAN_NAME] for span in spans}
+    kind = "planar" if dim == 2 else "surface"
+    assert [names[span[tracer.SPAN_PARENT]] for span in spans
+            if span[tracer.SPAN_NAME] == f"beltrami.face_beltrami.{kind}"] == ["report.summarize"]
+    metrics = tracer.layer_metrics([(wall, spans)])
+    assert 0 < metrics["report.aggregate_s"] < metrics["report.summarize_s"]

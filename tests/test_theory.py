@@ -333,7 +333,7 @@ class TestSuites:
         assert all(c.passed for c in checks)
 
     def test_deviation_suite_passes(self):
-        checks = deviation_suite(samples=200_000)
+        checks = deviation_suite(grid_size=20_000)
         assert all(c.passed for c in checks)
 
     # K log-uniform over [1, 1e6], or one of the extremes: next to 1, where
@@ -344,7 +344,7 @@ class TestSuites:
         st.sampled_from([1.0, 1.0 + 1e-15, 1.0 + 1e-10, 1e12, 1e100, 1e308])))
     def test_grid_suites_pass_at_grid_2000(self, theta, k):
         checks = (extremal_bisector_suite((k,), (theta,), 2000)
-                  + deviation_suite((k,), 1_000_000))
+                  + deviation_suite((k,), 100_000))
         assert all(c.passed for c in checks), checks
 
     def test_passed_is_observed_within_tolerance(self):
