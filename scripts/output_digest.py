@@ -29,7 +29,9 @@ outputs digested are:
   precision), ``--k 1e12`` (where the arcsin form of the maximal deviation
   is 63,000 ulp off) and ``--k 1e16`` (where (K-1)/(K+1) rounds to 1).  A
   theory case may exit non-zero; its digest covers ``exit <code>`` and the
-  stdout.
+  stdout;
+* ``theory --json`` exit code and stdout at the CLI's default grid of
+  100,000 orientations (``theory/default-grid100000.json``).
 
 Before hashing, ``meta.timestamp`` is blanked and the temporary directory
 the CLI runs write into is replaced by a fixed name, so two runs of the same
@@ -190,6 +192,8 @@ def _outputs(seed: int):
         name = "-".join(f"{a[2:]}{b}" for a, b in zip(case[::2], case[1::2])) or "default"
         code, out = run(["theory", "--json", "--grid", "2000", *case])
         yield f"theory/{name}.json", f"exit {code}\n{out}".encode()
+    code, out = run(["theory", "--json"])
+    yield "theory/default-grid100000.json", f"exit {code}\n{out}".encode()
 
 
 def _read_digests(path: str) -> dict[str, str]:

@@ -220,7 +220,7 @@ def _as_indices(faces: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_columns(mesh: TriMesh, rows=slice(None)) -> list[np.ndarray]:
+def _face_columns(mesh: TriMesh, rows) -> list[np.ndarray]:
     """Corner coordinates of the faces ``rows``, one (n, 3) array per coordinate
     read: x and y on planar meshes (even with a z column stored), else x, y, z."""
     return [mesh.vertices[:, c][mesh.faces[rows]] for c in range(mesh.dimension)]

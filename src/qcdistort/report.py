@@ -68,12 +68,12 @@ class DistortionReport:
         )
 
 
-def histogram(values, bin_count: int, value_range=None):
-    """Uniform-bin histogram over ``value_range`` (default [0, max]).
+def histogram(values, bin_count: int):
+    """Uniform-bin histogram over [0, max], or [0, 1] when max <= 0.
 
-    Values equal to the upper edge land in the last bin; values outside the
-    range are excluded, non-finite ones raise, and so does a ``bin_count``
-    too large to allocate.  Returns (bin_edges, counts).
+    Values equal to the upper edge land in the last bin; negative values
+    are excluded, non-finite ones raise, and so does a ``bin_count`` too
+    large to allocate.  Returns (bin_edges, counts).
 
     Raises
     ------
@@ -84,24 +84,21 @@ def histogram(values, bin_count: int, value_range=None):
         raise EmptyInputError("cannot histogram an empty value list")
     if bin_count < 1:
         raise DomainError("bin_count must be >= 1")
-    if value_range is None:
-        lo, hi = 0.0, float(vals.max())
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
-    if hi <= lo:
-        hi = lo + 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"histogram range [{lo!r}, {hi!r}] is not finite")
+    hi = float(vals.max())
+    if hi <= 0.0:
+        hi = 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
+    if not math.isfinite(hi):
+        raise DomainError(f"histogram range [0.0, {hi!r}] is not finite")
     with _sized_by(f"bin_count {bin_count}"):
-        edges = np.linspace(lo, hi, bin_count + 1)  # the edges np.histogram builds
+        edges = np.linspace(0.0, hi, bin_count + 1)  # the edges np.histogram builds
         narrow = not (edges[:-1] < edges[1:]).all()
     if narrow:
-        raise DomainError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {bin_count} bins")
+        raise DomainError(f"histogram range [0.0, {hi!r}] is too narrow for {bin_count} bins")
     if not np.isfinite(vals).all():
         i = int(np.argmin(np.isfinite(vals)))
         raise DomainError(f"cannot histogram the non-finite value {float(vals[i])!r} at index {i}")
     with _sized_by(f"bin_count {bin_count}"):
-        return edges, np.histogram(vals, bins=bin_count, range=(lo, hi))[0]
+        return edges, np.histogram(vals, bins=bin_count, range=(0.0, hi))[0]
 
 
 def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField | None):
@@ -277,17 +274,17 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.uint8)
 
 
-def face_colors(values: np.ndarray, folded: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Linear blue-to-red colormap over [lo, hi], uint8 RGB per face.
+def face_colors(values: np.ndarray, folded: np.ndarray, hi: float) -> np.ndarray:
+    """Linear blue-to-red colormap over [0, hi], uint8 RGB per face.
 
-    value = lo maps to (0, 0, 255), value = hi to (255, 0, 0); ties round
+    value = 0 maps to (0, 0, 255), value = hi to (255, 0, 0); ties round
     half away from zero, so the midpoint is (128, 0, 128).  Folded faces get
     the magenta sentinel.
     """
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= 0.0:
+        hi = 1.0
     with np.errstate(invalid="ignore"):
-        t = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+        t = np.clip(values / hi, 0.0, 1.0)
     t = np.where(np.isfinite(t), t, 1.0)
     rgb = np.zeros((len(values), 3), dtype=np.uint8)
     rgb[:, 0] = _round_half_away(255.0 * t)
@@ -322,5 +319,5 @@ def export_colored_mesh(
 
     ok = ~beltrami.folded
     hi = float(values[ok].max()) if ok.any() else 1.0
-    colors = face_colors(values, beltrami.folded, 0.0, hi)
+    colors = face_colors(values, beltrami.folded, hi)
     _write_ply(path, mapping.target.vertices, mapping.faces, face_colors=colors)

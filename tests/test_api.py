@@ -4,6 +4,7 @@ only exported names and run as written."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 import types
@@ -29,8 +30,72 @@ PUBLIC = [
 ]
 
 
+# The parameter names of every public callable (a dataclass's are its fields), so that
+# adding or removing an option is a visible edit here.  None: an error that keeps the
+# built-in exception's (*args), which has no signature.
+SIGNATURES = {
+    "AngularDistortionField": ["corner", "signed_corner", "face_avg"],
+    "BeltramiField": ["mu", "abs_mu", "dilatation", "eps_mu", "folded"],
+    "DegenerateFaceError": ["message", "face"],
+    "DegenerateModelError": None,
+    "DistortionReport": ["face_count", "folded_count", "bound_violations", "stats",
+                         "histograms", "meta", "beltrami", "angular"],
+    "DomainError": None,
+    "EmptyInputError": None,
+    "LinearModel": ["A", "B"],
+    "MeshMap": ["source", "target"],
+    "NonManifoldEdgeError": None,
+    "ParamConfig": ["weights"],
+    "ParseError": None,
+    "PrincipalStretch": ["lambda_x", "lambda_y", "max_direction", "image_rotation",
+                         "dilatation"],
+    "QcdistortError": None,
+    "SolverError": None,
+    "TopologyError": None,
+    "TriMesh": ["vertices", "faces"],
+    "ValidationError": None,
+    "boundary_loops": ["mesh"],
+    "brute_force_max_distortion": ["theta", "dilatation", "grid_size"],
+    "corner_angles": ["mesh"],
+    "corner_distortion": ["mapping"],
+    "dilatation": ["abs_mu"],
+    "epsilon_mu": ["abs_mu"],
+    "export_colored_mesh": ["mapping", "field_name", "path", "beltrami", "angular"],
+    "export_report": ["report", "path", "format"],
+    "extremal_bisectors": ["theta"],
+    "face_areas": ["mesh"],
+    "face_beltrami": ["mapping"],
+    "histogram": ["values", "bin_count"],
+    "load_mesh": ["path", "format"],
+    "max_distortion_for_angle": ["theta", "dilatation"],
+    "max_half_angle_deviation": ["dilatation"],
+    "principal_stretch": ["model"],
+    "report_json": ["report"],
+    "report_to_dict": ["report"],
+    "run_all_checks": ["seed", "grid_size"],
+    "save_mesh": ["mesh", "path", "format"],
+    "summarize": ["mapping", "bins", "source_path", "target_path"],
+    "tutte_disk": ["mesh", "config"],
+    "validate_mesh": ["mesh"],
+}
+
+
+def parameter_names(obj):
+    try:
+        return list(inspect.signature(obj).parameters)
+    except ValueError:
+        assert issubclass(obj, Exception)
+        assert isinstance(obj.__init__, type(Exception.__init__))  # built in, not Python
+        return None
+
+
 def test_public_names_are_pinned():
     assert sorted(qcdistort.__all__) == PUBLIC
+
+
+def test_public_parameters_are_pinned():
+    assert {name: parameter_names(getattr(qcdistort, name))
+            for name in qcdistort.__all__} == SIGNATURES
 
 
 def test_no_public_name_is_a_module():

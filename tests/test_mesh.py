@@ -886,6 +886,6 @@ class TestWrittenBytes:
         bf = face_beltrami(mapping)
         assert bf.folded.any() and not bf.folded.all()
         colors = qcdistort.report.face_colors(
-            bf.abs_mu, bf.folded, 0.0, float(bf.abs_mu[~bf.folded].max()))
+            bf.abs_mu, bf.folded, float(bf.abs_mu[~bf.folded].max()))
         assert path.read_bytes() == reference_mesh_text(
             flat, src.faces, "ply", face_colors=colors).encode("ascii")

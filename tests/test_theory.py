@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcdistort.mesh
+import qcdistort.theory
 from qcdistort import (
     DegenerateModelError,
     DomainError,
@@ -306,9 +308,10 @@ class TestArrayForms:
 
 class TestSuites:
     def test_tangent_ratio_suite_passes(self):
-        check = tangent_ratio_suite(n_models=300, seed=123)
+        check = tangent_ratio_suite(seed=123)
         assert check.passed
         assert check.observed < 1e-8
+        assert check.params == {"n_models": 1000, "seed": 123}
 
     def test_tangent_ratio_randomized_directly(self):
         # measure the image of a ray through a random model and check
@@ -356,6 +359,22 @@ class TestSuites:
         checks = run_all_checks(seed=7, grid_size=2000)
         assert all(c.passed for c in checks)
         assert {type(c.observed) for c in checks} == {float}
+
+
+class TestReportKernel:
+    """The battery measures its wedges with the corner kernel of the report, so an
+    error in that kernel fails the battery instead of passing it unseen."""
+
+    def test_battery_uses_the_report_kernel(self):
+        assert qcdistort.theory._dot is qcdistort.mesh._dot
+        assert qcdistort.theory._cross_norm is qcdistort.mesh._cross_norm
+
+    def test_a_skewed_cross_norm_fails_the_battery(self, monkeypatch):
+        assert all(c.passed for c in run_all_checks(grid_size=2000))
+        real = qcdistort.mesh._cross_norm
+        monkeypatch.setattr(qcdistort.theory, "_cross_norm",
+                            lambda u, w: real(u, w) * (1.0 + 1e-4))
+        assert not all(c.passed for c in run_all_checks(grid_size=2000))
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, 0.5])
