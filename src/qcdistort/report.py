@@ -5,10 +5,10 @@ excluded from statistics, histograms, and the bound check; their count is
 reported separately; in CSV rows their dilatation / bound cells are left
 empty; in colored PLY exports they get the sentinel color magenta.
 
-Aggregation is deterministic: every sum is the exact sum of its values
-rounded once, which no order of the values can change, and the variance
-sums IEEE squares, which are correctly rounded and so need no libm, so
-reports are byte-identical across runs and platforms.
+Aggregation is deterministic: each sum is exact, by error-free extraction
+(Rump, Ogita & Oishi 2008), and rounded once, so no order of the values
+changes it; the variance sums IEEE squares, correctly rounded with no libm,
+so reports are byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -108,50 +108,50 @@ def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField |
     return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
-# values per bincount pass: at most 2 ** 26 integer parts below 2 ** 27 keep
-# every partial sum of a bucket an integer below 2 ** 53, which a double holds
-_SUM_SLICE = 2 ** 26
-
-
 def _exact_sum(values: np.ndarray) -> float:
     """The exact sum of a 1-D float64 array rounded once: ``math.fsum``'s bits.
 
-    ``np.frexp`` writes a finite double, subnormals included, as ``m * 2 ** e``
-    with ``0.5 <= |m| < 1`` (``m = e = 0`` for a zero), so ``M = m * 2 ** 26``
-    has at most 26 integer and 27 fraction bits.  ``hi = trunc(M)`` and ``lo =
-    (M - hi) * 2 ** 27`` are then exact integers, ``|hi| < 2 ** 26`` and ``|lo|
-    < 2 ** 27``, and the value is ``(hi * 2 ** 27 + lo) * 2 ** (e - 53)``.
-    ``np.bincount`` sums each part per exponent over slices of at most
-    ``_SUM_SLICE`` values, so every bucket total is exact.  The buckets are
-    joined as Python ints in units of ``2 ** -1126``, the least ``2 ** (e -
-    53)``, and the total is rounded once, as ``math.fsum`` rounds (Shewchuk
-    1997).
+    Error-free extraction: with ``|r| < 2 ** e`` and ``2 ** bits > n + 2``,
+    ``sigma = 2 ** (e + bits)`` splits each ``r`` exactly into ``q = (r +
+    sigma) - sigma``, a multiple of half an ulp of ``sigma`` with ``|q| <= 2
+    ** e``, and ``r - q``, at most that half ulp.  Every partial sum of the
+    ``q`` is such a multiple below ``sigma``, so ``q.sum()`` is exact in any
+    order.  Rounds add it to a Python int, in units of ``2 ** -1074``, until
+    every residual is zero; the total is rounded once, as ``math.fsum`` does.
+    Where ``sigma`` would overflow, the values scaled by ``2 ** -s`` are
+    extracted instead, beside the low bits that scaling drops.
 
     Raises
     ------
     DomainError
         On a NaN or an infinity.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} at index {i}")
-    total = 0
-    for start in range(0, values.size, _SUM_SLICE):
-        m, e = np.frexp(values[start:start + _SUM_SLICE])
-        np.ldexp(m, 26, out=m)
-        hi = np.trunc(m)
-        m -= hi
-        lo = np.ldexp(m, 27, out=m)
-        least = int(e.min())
-        e -= least
-        hi_sums, lo_sums = np.bincount(e, weights=hi), np.bincount(e, weights=lo)
-        nonzero = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
-        for k, hi_sum, lo_sum in zip(nonzero.tolist(), hi_sums[nonzero].tolist(),
-                                     lo_sums[nonzero].tolist()):
-            total += ((int(hi_sum) << 27) + int(lo_sum)) << (k + least - 53 + 1126)
+    bits = (values.size + 2).bit_length()
+    total, q = 0, np.empty_like(values)
+    pieces = [(values, 0)]  # arrays left to sum, each counted times 2 ** scale
+    while pieces:
+        r, scale = pieces[-1]
+        lo, hi = float(r.min(initial=0.0)), float(r.max(initial=0.0))
+        if not -math.inf < lo <= hi < math.inf:  # a NaN fails every comparison
+            i = int(np.argmin(np.isfinite(values)))
+            raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} at index {i}")
+        if lo == hi == 0.0:
+            pieces.pop()
+            continue
+        top = math.frexp(max(-lo, hi))[1] + bits
+        if top > 1023:  # the scaling drops only the bits below 2 ** (s - 1074)
+            s = top - 1023
+            scaled = np.ldexp(r, -s)
+            pieces[-1:] = [(r - np.ldexp(scaled, s), scale), (scaled, scale + s)]
+            continue
+        sigma = math.ldexp(1.0, top)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        pieces[-1] = (np.subtract(r, q, out=None if r is values else r), scale)
+        num, den = float(q.sum()).as_integer_ratio()
+        total += num << (1074 + scale + 1 - den.bit_length())
     # int / int rounds correctly, half to even
-    return total / (1 << 1126)
+    return total / (1 << 1074)
 
 
 def _fsum_stats(values: np.ndarray) -> FieldStats | None:

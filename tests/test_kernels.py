@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -484,12 +484,13 @@ def test_fields_keep_every_bit_across_block_edges(dim, n_faces, edge):
 def test_summarize_transient_memory_has_a_fixed_bound():
     """``summarize``'s transient memory (the traced peak above what the
     report keeps) on 3D maps of 25,909 and 49,909 faces stays under 3 MiB
-    and does not grow from the one to the other; it is 2.5 and 2.2 MiB,
+    and does not grow from the one to the other; it is 2.5 and 2.1 MiB,
     where whole-mesh corner passes took 4.5 at the smaller size and the
     three masked fields, taken up front, 2.9 at the larger.  The block pass
     holds the temporaries of one block whatever the face count, and the
-    statistics take one field at a time.  Their temporaries, about 44 bytes
-    a face, still grow with the face count: 4.4 MiB at 99,854 faces."""
+    statistics take one field at a time.  Their temporaries, the masked
+    field, its squared deviations and the two extraction buffers, about 33
+    bytes a face, still grow with the face count: 3.1 MiB at 99,854 faces."""
     transients = []
     for n_vertices in (13_000, 25_000):
         source = synth.bumpy_disk(n_vertices)
@@ -574,8 +575,9 @@ FINITE = st.one_of(
     st.floats(1e299, 1e301).flatmap(lambda x: st.sampled_from([x, -x])),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 2.0 ** -53]),
 )
-# the lengths at which n.bit_length(), and with it the chunk width, steps
-LENGTHS = [1, 2, 3, 4, 255, 256, 257, 65_535, 65_536, 65_537]
+# lengths near 2 ** 8 and 2 ** 16, among them those at which (n + 2).bit_length(),
+# and with it the bits each extraction round takes, steps
+LENGTHS = [1, 2, 3, 4, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537]
 
 
 @st.composite
@@ -599,28 +601,59 @@ def test_exact_sum_has_fsum_bits(xs):
     assert _exact_sum(np.array(xs, dtype=np.float64)).hex() == want.hex()
 
 
-@pytest.mark.parametrize("size", [3, 4])
-@settings(max_examples=60, deadline=None)
-@given(xs=float_lists())
-def test_exact_sum_in_slices_has_fsum_bits(size, xs):
-    """Slices of ``size`` values, each bincount pass over one slice, give the
-    bits of the whole array summed at once."""
+def counted(monkeypatch, name):
+    """Count the calls to ``np.<name>``, which keeps working."""
+    calls, real = [], getattr(np, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+DBL_MAX = 1.7976931348623157e308
+
+
+@settings(max_examples=200, deadline=None)
+@given(top=st.lists(st.sampled_from([DBL_MAX, -DBL_MAX, DBL_MAX / 2, -DBL_MAX / 2]),
+                    min_size=1, max_size=3),
+       cancel=st.booleans(),
+       tiny=st.lists(st.sampled_from([5e-324, -5e-324, 2.0 ** -1060, -(2.0 ** -1060)]),
+                     max_size=4),
+       xs=float_lists())
+@example(top=[DBL_MAX, -DBL_MAX / 2, -DBL_MAX / 2], cancel=False, tiny=[5e-324, 2.0 ** -1060],
+         xs=[])
+def test_exact_sum_in_the_top_binade_has_fsum_bits(top, cancel, tiny, xs):
+    """A value in the top binade would overflow ``sigma``: the values are
+    extracted scaled down, beside the subnormal bits the scaling drops, which
+    are the whole sum when the large values cancel."""
+    xs = top + ([-x for x in top] if cancel else []) + tiny + xs
     try:
         want = math.fsum(xs)
     except OverflowError:
         return
-    lengths, real_bincount = [], np.bincount
-
-    def bincount(e, weights):
-        lengths.append(e.size)
-        return real_bincount(e, weights=weights)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qcdistort.report, "_SUM_SLICE", size)
-        patch.setattr(np, "bincount", bincount)
+        ldexp_calls = counted(patch, "ldexp")
         got = _exact_sum(np.array(xs, dtype=np.float64))
     assert got.hex() == want.hex()
-    assert max(lengths, default=0) <= size
+    assert ldexp_calls  # the scaled path ran
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_sum_over_many_rounds_has_fsum_bits(monkeypatch, seed):
+    """One value in each binade from ``2 ** -1074`` to ``2 ** 1000``, some
+    cancelled, takes a round per 40 binades: about fifty rounds."""
+    rng = np.random.default_rng(seed)
+    exponents = np.arange(-1073, 1001)
+    xs = np.ldexp(rng.uniform(0.5, 1.0, exponents.size) * rng.choice([-1.0, 1.0], exponents.size),
+                  exponents)
+    xs = np.concatenate([xs, -xs[rng.integers(0, xs.size, 40)]])
+    rng.shuffle(xs)
+    rounds = counted(monkeypatch, "add")
+    assert _exact_sum(xs).hex() == math.fsum(xs.tolist()).hex()
+    assert len(rounds) > 40
 
 
 @pytest.mark.parametrize("xs", [
