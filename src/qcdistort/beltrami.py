@@ -179,9 +179,8 @@ def _map_fields(mapping: MeshMap):
     abs_mu, dil, eps = np.full((3, n), np.nan)
     for rows in _face_blocks(n):
         angles = np.empty_like(signed[:, rows])
-        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles)[:3])
-        dst = _planar_frame(mapping.target,
-                            *_corner_angles(mapping.target, rows, signed[:, rows])[:3])
+        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles))
+        dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
         signed[:, rows] -= angles
         a, b, c, d = _affine_arrays(src, dst)
         mu[rows], abs_mu[rows], vanished = _mu_arrays(a, b, c, d)

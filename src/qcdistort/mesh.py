@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * ``faces[f, k]`` is the k-th vertex of face ``f``; "corner k" of a face is
   the interior angle at that vertex.  All per-corner fields downstream share
   this indexing.
-* Corner angles are computed as ``atan2(|u x w|, u . w)``, which is stable
-  near 0 and pi where ``acos`` is not.
+* Corner angles are ``atan2(|u x w|, u . w)``, stable near 0 and pi where
+  ``acos`` is not, from one ``|u x w|`` per face (:func:`_face_terms`).
 * The one degeneracy test: a face whose area (on the coordinates every
   per-face formula reads, see :func:`_face_columns`) is at or below ``1e-12``
   times the squared bounding-box diagonal is degenerate, in any length unit.
@@ -49,7 +49,7 @@ _WRITE_BLOCK_ROWS = 65_536
 # two shares break even at 8k rows each on the CSV, 12k on the PLY
 _SHARE_MIN_ROWS = 8_192
 # faces per block of the per-face passes: a block's temporaries (arrays of
-# 64 KB, about 3 MB in all) are reused from the heap, not faulted in again
+# 64 KB, about 2.5 MB in all) are reused from the heap, not faulted in again
 _FACE_BLOCK = 8_192
 
 # the code points str.split() takes for whitespace, those str.isspace() accepts
@@ -234,19 +234,18 @@ def _face_blocks(n_faces: int):
 # The column kernel: vectors are lists of coordinate arrays, and the products run per
 # component in the order of numpy's sum, cross and norm, so the values keep their bits.
 
-def _corner(cols, k: int):
-    """``(u, w, u . w, |u x w|)`` at corner k: ``u = P[k+1] - P[k]`` and ``w = P[k+2] - P[k]``."""
-    i, j = (k + 1) % 3, (k + 2) % 3
-    # w is not -(P[k] - P[k+2]): that flips signed zeros, which reach mu via the planar frame
-    u, w = [c[:, i] - c[:, k] for c in cols], [c[:, j] - c[:, k] for c in cols]
-    return u, w, _dot(u, w), _cross_norm(u, w)
-
-
-def _corner_pass(mesh: TriMesh, rows=slice(None)):
-    """:func:`_corner` at corners 0, 1 and 2 of the faces ``rows`` from one :func:`_face_columns`,
-    each corner built only when the previous one is taken."""
+def _face_terms(mesh: TriMesh, rows=slice(None)):
+    """Yields corner 0's ``(u, w, |u x w|)`` of the faces ``rows`` from one :func:`_face_columns`,
+    ``u = P1 - P0`` and ``w = P2 - P0``, whose ``|u x w|`` (twice the face's area) every corner
+    shares; then the ``u . w`` of corners 0, 1 and 2, each built when taken."""
     cols = _face_columns(mesh, rows)
-    return (_corner(cols, k) for k in range(3))
+    # w is not -(P0 - P2): that flips signed zeros, which reach mu via the planar frame
+    u, w = ([c[:, j] - c[:, 0] for c in cols] for j in (1, 2))
+    yield u, w, _cross_norm(u, w)
+    yield _dot(u, w)
+    e = [c[:, 2] - c[:, 1] for c in cols]
+    yield 0.0 - _dot(e, u)  # e . -u: 0.0 - x negates x, and keeps a +0.0 sum
+    yield _dot(w, e)  # -w . -e
 
 
 def _dot(u, w) -> np.ndarray:
@@ -283,16 +282,16 @@ def face_areas(mesh: TriMesh) -> np.ndarray:
     """Unsigned area of every face (cross-product formula, xy if planar)."""
     areas = np.empty(mesh.n_faces)
     for rows in _face_blocks(mesh.n_faces):
-        areas[rows] = 0.5 * next(_corner_pass(mesh, rows))[3]
+        areas[rows] = 0.5 * next(_face_terms(mesh, rows))[2]
     return areas
 
 
 def _corner_angles(mesh: TriMesh, rows, angles):
     """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns corner 0's terms."""
-    corners = list(_corner_pass(mesh, rows))
-    for out, (_, _, dot, cross) in zip(angles, corners):
+    (u, w, cross), *dots = _face_terms(mesh, rows)
+    for out, dot in zip(angles, dots):
         np.arctan2(cross, dot, out=out)
-    return corners[0]
+    return u, w, dots[0]
 
 
 def corner_angles(mesh: TriMesh) -> np.ndarray:

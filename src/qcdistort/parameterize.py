@@ -21,7 +21,7 @@ import numpy as np
 
 from .beltrami import MeshMap
 from .errors import SolverError, TopologyError
-from .mesh import TriMesh, _corner_pass, _half_edges, boundary_loops, validate_mesh
+from .mesh import TriMesh, _face_terms, _half_edges, boundary_loops, validate_mesh
 
 WEIGHT_CHOICES = ("uniform", "cotangent")
 # max allowed infinity-norm residual of the linear system
@@ -52,7 +52,8 @@ def _edge_weights(mesh: TriMesh, kind: str) -> np.ndarray:
     inverse, counts = mesh._edges
     if kind == "uniform":
         return np.ones(counts.size)
-    c0, c1, c2 = (0.5 * (dot / cross) for _, _, dot, cross in _corner_pass(mesh))
+    (_, _, cross), *dots = _face_terms(mesh)
+    c0, c1, c2 = (0.5 * (dot / cross) for dot in dots)
     half_cot = np.concatenate([c2, c0, c1])  # half-edges (f0, f1), (f1, f2), (f2, f0)
     weights = np.bincount(inverse, half_cot, counts.size)
     # bincount adds from +0.0: an edge whose every term is -0.0 sums to -0.0

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .mesh import TriMesh, _corner_pass, _cross_2d, _half_edges
+from .mesh import TriMesh, _cross_2d, _face_terms, _half_edges
 
 try:
     from scipy.spatial import Delaunay
@@ -46,7 +46,7 @@ def triangulate(points: np.ndarray) -> np.ndarray:
     Hull slivers with near-zero area (relative to the extent) are dropped.
     """
     faces = Delaunay(points).simplices.astype(np.int64)
-    det = _cross_2d(*next(_corner_pass(TriMesh(points, faces)))[:2])  # twice the signed area
+    det = _cross_2d(*next(_face_terms(TriMesh(points, faces)))[:2])  # twice the signed area
     flip = det < 0
     faces[flip] = faces[flip][:, [0, 2, 1]]
     extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
@@ -144,7 +144,7 @@ def perturbed_target(mesh: TriMesh, rng: np.random.Generator, scale: float = 0.2
     step = scale * min_edge
     for _ in range(60):
         target = TriMesh(verts2 + step * disp, mesh.faces)
-        if _cross_2d(*next(_corner_pass(target))[:2]).min() > 1e-12:
+        if _cross_2d(*next(_face_terms(target))[:2]).min() > 1e-12:
             return target
         step *= 0.5
     raise RuntimeError("could not build a fold-free perturbation")

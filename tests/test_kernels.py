@@ -4,7 +4,8 @@ The per-face formulas read each coordinate as its own column and write
 their products out per component; the variance squares with
 ``np.square``, whose IEEE products are correctly rounded.  The references
 below are the implementations these replaced: per-face coordinates stacked
-on a last axis with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it,
+on a last axis with numpy's ``sum``, ``cross`` and ``linalg.norm`` over it
+(each corner's own dot, and corner 0's ``|u x w|`` at every corner),
 corner fields as ``(m, 3)`` columns with ``mean(axis=1)`` and a row mask
 for the bound check, and a Python generator for the variance, which
 squares with ``*`` as the package does.  ``summarize``'s fields are held to
@@ -86,23 +87,27 @@ def ref_face_areas(mesh):
     return 0.5 * ref_corner_terms(ref_face_coords(mesh), 0)[1]
 
 
-def ref_corner_angles(mesh):
-    tri = ref_face_coords(mesh)
+def ref_corner_dots_and_cross(tri):
+    """Each corner's own ``u . w``, and corner 0's ``|u x w|``, which every corner shares."""
     terms = [ref_corner_terms(tri, k) for k in range(3)]
-    _require_area(mesh, 0.5 * terms[0][1])
-    return np.column_stack([np.arctan2(cross, dot) for dot, cross in terms])
+    return [dot for dot, _ in terms], terms[0][1]
+
+
+def ref_corner_angles(mesh):
+    dots, cross = ref_corner_dots_and_cross(ref_face_coords(mesh))
+    _require_area(mesh, 0.5 * cross)
+    return np.column_stack([np.arctan2(cross, dot) for dot in dots])
 
 
 def ref_cotangent_matrix(mesh):
     faces = mesh.faces
-    tri = ref_face_coords(mesh)
+    dots, cross = ref_corner_dots_and_cross(ref_face_coords(mesh))
     rows_list, cols_list, vals_list = [], [], []
-    for k in range(3):
+    for k, dot in enumerate(dots):
         i = faces[:, (k + 1) % 3]
         j = faces[:, (k + 2) % 3]
         rows_list += [i, j]
         cols_list += [j, i]
-        dot, cross = ref_corner_terms(tri, k)
         half_cot = 0.5 * (dot / cross)
         vals_list += [half_cot, half_cot]
     n = mesh.n_vertices
@@ -435,6 +440,31 @@ def test_summarize_gathers_each_mesh_once(monkeypatch):
             assert [n for _, n in gathered] == [mapping.n_faces // n_blocks] * n_blocks
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_summarize_computes_one_cross_per_face(monkeypatch, dim):
+    """One ``|u x w|`` per face: ``summarize`` calls ``_cross_norm`` once per
+    mesh per block, for the block's faces, and not once per corner."""
+    grid = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
+    xy = grid.vertices
+    mesh = TriMesh(np.column_stack([xy, xy[:, 0] ** 2])[:, :dim], grid.faces)
+    target = TriMesh(xy * [1.0, 0.5], grid.faces)
+    assert mesh.dimension == dim
+    real = qcdistort.mesh._cross_norm
+    sizes = []
+
+    def spy(u, w):
+        sizes.append(len(u[0]))
+        return real(u, w)
+
+    monkeypatch.setattr(qcdistort.mesh, "_cross_norm", spy)
+    for block, n_blocks in [(qcdistort.mesh._FACE_BLOCK, 1), (2, 4)]:
+        mapping = MeshMap(mesh, target)  # validation measures the areas, one cross per block too
+        sizes.clear()
+        with face_blocks_of(block):
+            summarize(mapping)
+        assert sizes == [mapping.n_faces // n_blocks] * (2 * n_blocks)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -484,13 +514,15 @@ def test_fields_keep_every_bit_across_block_edges(dim, n_faces, edge):
 def test_summarize_transient_memory_has_a_fixed_bound():
     """``summarize``'s transient memory (the traced peak above what the
     report keeps) on 3D maps of 25,909 and 49,909 faces stays under 3 MiB
-    and does not grow from the one to the other; it is 2.5 and 2.1 MiB,
+    and does not grow from the one to the other; it is 1.6 and 1.1 MiB,
     where whole-mesh corner passes took 4.5 at the smaller size and the
     three masked fields, taken up front, 2.9 at the larger.  The block pass
-    holds the temporaries of one block whatever the face count, and the
-    statistics take one field at a time.  Their temporaries, the masked
-    field, its squared deviations and the two extraction buffers, about 33
-    bytes a face, still grow with the face count: 3.1 MiB at 99,854 faces."""
+    holds the temporaries of one block whatever the face count, the
+    histograms count 32,768 values per ``np.histogram`` call, and the
+    statistics take one field at a time, with no masked copy when no face is
+    folded.  Their temporaries, the squared deviations and the two
+    extraction buffers, about 24 bytes a face, still grow with the face
+    count: 2.3 MiB at 99,854 faces."""
     transients = []
     for n_vertices in (13_000, 25_000):
         source = synth.bumpy_disk(n_vertices)
@@ -521,6 +553,86 @@ def test_signed_zero_corner_keeps_its_bits(dim):
     mapping = MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces))
     check_beltrami_fields(mapping)
     check_summary_fields(mapping)
+
+
+# an exact right angle at corner 1 or 2, whose u . w sums signed-zero products, or
+# cancelling ones, to +0.0 (a negated sum, -(+0.0), would be -0.0)
+RIGHT_ANGLE_AT = {
+    (2, 1): [[0.0, 0.0], [1.0, -0.0], [1.0, 1.0]],
+    (2, 2): [[-0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+    (3, 1): [[0.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 1.0, 1.0]],
+    (3, 2): [[0.0, -0.0, 0.0], [2.0, 2.0, -0.0], [0.0, 1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("dim, k", sorted(RIGHT_ANGLE_AT))
+def test_right_angle_at_a_later_corner_has_a_positive_zero_dot(dim, k):
+    corners = np.array(RIGHT_ANGLE_AT[dim, k])
+    mesh = TriMesh(corners, [[0, 1, 2]])
+    assert mesh.dimension == dim
+    _, *dots = qcdistort.mesh._face_terms(mesh)
+    assert bits(dots[k]) == bits([0.0])
+    assert corner_angles(mesh)[0, k].hex() == (math.pi / 2).hex()
+    weights = _edge_weights(mesh, "cotangent")  # the edge opposite corner k weighs +0.0
+    assert bits(weights[weights == 0]) == bits([0.0])
+    check_mesh_formulas(mesh)
+    mapping = MeshMap(mesh, TriMesh(2.0 * corners, mesh.faces))
+    check_beltrami_fields(mapping)
+    check_summary_fields(mapping)
+
+
+# faces with integer coordinates, whose dots and |u x w| are exact: a 3-4-5 triangle
+# and a lattice sliver, planar and 3D (|u x w| = 12, 999, 12 and 68)
+INTEGER_FACES = [
+    [[0, 0], [3, 0], [0, 4]],
+    [[0, 0], [1000, 1], [2001, 3]],
+    [[1, 1, 1], [4, 1, 1], [1, 1, 5]],
+    [[5, -2, 1], [53, -1, 4], [101, -1, 8]],
+]
+
+
+@pytest.mark.parametrize("first", range(3))
+@pytest.mark.parametrize("corners", INTEGER_FACES,
+                         ids=["345-2d", "sliver-2d", "345-3d", "sliver-3d"])
+def test_integer_faces_measure_the_exact_angles(corners, first):
+    """Every corner angle is within an ulp of ``math.atan2`` of the exact
+    integer ``|u x w|`` and ``u . w``, with the face listed from each of
+    its vertices."""
+    corners = corners[first:] + corners[:first]
+    mesh = TriMesh(np.array(corners, dtype=np.float64), [[0, 1, 2]])
+    assert mesh.dimension == len(corners[0])
+    got = corner_angles(mesh)[0]
+    for k in range(3):
+        p, q, r = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
+        u, w = [b - a for a, b in zip(p, q)], [c - a for a, c in zip(p, r)]
+        dot = sum(a * b for a, b in zip(u, w))
+        if len(u) == 2:
+            cross2 = (u[0] * w[1] - u[1] * w[0]) ** 2
+        else:
+            cross2 = sum((u[i - 2] * w[i - 1] - u[i - 1] * w[i - 2]) ** 2 for i in range(3))
+        cross = math.isqrt(cross2)
+        assert cross * cross == cross2
+        want = math.atan2(cross, dot)
+        assert abs(got[k] - want) <= math.ulp(want), (k, got[k], want)
+
+
+# sliver faces, and their angles from a 200-bit mpmath evaluation at the same float
+# vertices, rounded to the nearest double; the worst errors measured are 21 ulps (3D,
+# corner 0) and 129 ulps (planar, corner 1), where the cancellation in |u x w| of
+# nearly parallel edges costs digits in the small angles
+SLIVERS = [
+    ([[0.1, 0.2, 0.3], [3.1, 1.7, 1.05], [1.3, 0.8, 0.61]],
+     [0.007087260027570289, 0.004737396715051169, 3.1297679968471717], 32),
+    ([[0.1, 0.2], [3.1, 1.7], [1.3, 0.801]],
+     [0.000666444419827165, 0.0004445432025459731, 3.14048166596742], 192),
+]
+
+
+@pytest.mark.parametrize("corners, exact, ulps", SLIVERS, ids=["3d", "2d"])
+def test_sliver_angles_match_the_mpmath_values(corners, exact, ulps):
+    got = corner_angles(TriMesh(corners, [[0, 1, 2]]))[0]
+    for k in range(3):
+        assert abs(got[k] - exact[k]) <= ulps * math.ulp(exact[k]), (k, got[k], exact[k])
 
 
 def test_lone_negative_zero_weight_keeps_its_sign():

@@ -303,16 +303,16 @@ def test_z_column_of_zeros_keeps_every_bit():
     assert flat.vertices.shape[1] == 2 and stored3.dimension == 2
     for measure in (corner_angles, face_areas):
         assert measure(stored3).tobytes() == measure(flat).tobytes()
-    # the 3D cross-product formulas on the stored columns agree bit for bit
+    # the 3D cross-product formulas on the stored columns agree bit for bit; every
+    # corner reads corner 0's |u x w|, twice the face's area
     tri = stored3.vertices[stored3.faces]
+    cross = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=-1)
+    assert (0.5 * cross).tobytes() == face_areas(flat).tobytes()
     for k in range(3):
         u = tri[:, (k + 1) % 3] - tri[:, k]
         w = tri[:, (k + 2) % 3] - tri[:, k]
-        cross = np.linalg.norm(np.cross(u, w), axis=-1)
         angle = np.arctan2(cross, (u * w).sum(axis=1))
         assert angle.tobytes() == corner_angles(flat)[:, k].tobytes()
-        if k == 0:
-            assert (0.5 * cross).tobytes() == face_areas(flat).tobytes()
 
 
 class TestFaceAreas:

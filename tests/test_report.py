@@ -18,6 +18,7 @@ import qcdistort.beltrami
 import qcdistort.mesh
 import qcdistort.report
 from qcdistort import (
+    AngularDistortionField,
     DomainError,
     EmptyInputError,
     MeshMap,
@@ -220,6 +221,18 @@ class TestSummarize:
         # folded faces, whose eps_mu is NaN, would add to the count if read as 0
         with_folded = (ang.corner.max(axis=1) > np.nan_to_num(bf.eps_mu) + tol).sum()
         assert with_folded > want
+
+    @pytest.mark.parametrize("excess, violations", [(2e-9, "all"), (5e-10, 0)])
+    def test_bound_slack_lies_between_5e_10_and_2e_9(self, flat_mesh, excess, violations):
+        """Every corner set ``excess`` above its face's eps_mu: 2e-9 counts on
+        every face, 5e-10 on none, so the check's slack is pinned near 1e-9."""
+        mapping = MeshMap(flat_mesh, scaled_map_target(flat_mesh, 1.3, 0.7))
+        bf = face_beltrami(mapping)
+        assert bf.folded_count == 0
+        corner = np.repeat((bf.eps_mu + excess)[:, None], 3, axis=1)
+        vars(mapping)["_fields"] = (bf, AngularDistortionField(corner, corner, corner[:, 0]))
+        want = mapping.n_faces if violations == "all" else violations
+        assert summarize(mapping).bound_violations == want
 
 
 class TestExports:
