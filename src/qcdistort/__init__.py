@@ -12,13 +12,7 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .angular import AngularDistortionField, corner_distortion
-from .beltrami import (
-    BeltramiField,
-    MeshMap,
-    dilatation,
-    epsilon_mu,
-    face_beltrami,
-)
+from .beltrami import BeltramiField, MeshMap, face_beltrami
 from .errors import (
     DegenerateFaceError,
     DegenerateModelError,

@@ -7,10 +7,17 @@ With Jacobian entries (a, b, c, d), the Wirtinger derivatives are
     f_z    = ((a + d) + i (c - b)) / 2
     f_zbar = ((a - d) + i (c + b)) / 2
 
-and the coefficient is mu = f_zbar / f_z.  |mu| < 1 exactly when the face
-preserves orientation (ad - bc > 0); orientation-reversing faces are flagged
-"folded" and their dilatation / angular-bound entries are left NaN rather
-than clamped, since the bound formulas assume |mu| < 1.
+and the coefficient is mu = f_zbar / f_z.  Since |f_z|^2 - |f_zbar|^2 = ad - bc,
+the dilatation and the angular-distortion bound are read from the Jacobian
+without forming 1 - |mu|, which loses the digits |mu| rounded away:
+
+    K      = 1 + 2 |f_zbar| (|f_z| + |f_zbar|) / (ad - bc)   (= (1 + |mu|) / (1 - |mu|))
+    eps_mu = 2 atan2(|f_zbar|, sqrt(ad - bc))                 (= 2 sin^-1 |mu|)
+
+The first is (|f_z| + |f_zbar|)^2 / (ad - bc) written so that K >= 1 holds in
+floats too, also on a conformal face.  A face is folded exactly when not
+ad - bc > 0; its K and eps_mu are NaN, and its mu and |mu| are the plain
+quotient (|mu| = inf and a non-finite mu where f_z is 0, as on a reflection).
 """
 
 from __future__ import annotations
@@ -20,11 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .mesh import TriMesh, _corner_angles, _cross_2d, _dot, _face_blocks, validate_mesh
-
-# relative guard: |f_z| <= FZ_GUARD * (|f_z| + |f_zbar|) means mu is undefined
-FZ_GUARD = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +80,14 @@ class MeshMap:
 class BeltramiField:
     """Per-face Beltrami data of a mesh map.
 
-    mu          complex coefficient per face (NaN where f_z vanishes)
-    abs_mu      |mu| (inf where f_z vanishes)
-    dilatation  (1+|mu|)/(1-|mu|); NaN on folded faces
-    eps_mu      2*arcsin(|mu|), the per-face angular-distortion bound in
-                radians; NaN on folded faces
-    folded      True where the face reverses orientation or |mu| >= 1
+    mu          complex coefficient f_zbar / f_z per face, the plain quotient
+                on folded faces too (non-finite where f_z is 0)
+    abs_mu      |mu| (inf where f_z is 0; 1.0 on an unfolded face whose K is
+                above about 1e16, where |mu| rounds to 1)
+    dilatation  K = (1+|mu|)/(1-|mu|), from the Jacobian; NaN on folded faces
+    eps_mu      2 sin^-1 |mu|, the per-face angular-distortion bound in
+                radians, from the Jacobian; NaN on folded faces
+    folded      True where the Jacobian determinant ad - bc is not > 0
     """
 
     mu: np.ndarray = field(repr=False)
@@ -145,27 +151,25 @@ def _affine_arrays(src, dst):
     return a, b, c, d
 
 
-def _mu_arrays(a, b, c, d):
-    """``(mu, |mu|, vanished)`` of the Jacobians (a, b, c, d), by the formulas above."""
+def _jacobian_fields(a, b, c, d):
+    """``(mu, |mu|, K, eps_mu, folded)`` of the Jacobians (a, b, c, d), by the forms above."""
     fz, fzb = 0.5 * ((a + d) + 1j * (c - b)), 0.5 * ((a - d) + 1j * (c + b))
-    abs_fz = np.abs(fz)
-    vanished = abs_fz <= FZ_GUARD * (abs_fz + np.abs(fzb))
+    abs_fz, abs_fzb, det = np.abs(fz), np.abs(fzb), a * d - b * c
+    folded = ~(det > 0)
+    det[folded] = np.nan  # a folded face's K and eps_mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
-    mu = np.where(vanished, complex(np.nan, np.nan), mu)
-    abs_mu = np.abs(mu)
-    abs_mu[vanished] = np.inf
-    return mu, abs_mu, vanished
+        return (mu, np.abs(mu), 1.0 + 2.0 * abs_fzb * (abs_fz + abs_fzb) / det,
+                2.0 * np.arctan2(abs_fzb, np.sqrt(det)), folded)
 
 
 def face_beltrami(mapping: MeshMap) -> BeltramiField:
     """Per-face Beltrami field of a mesh map.
 
     3D faces are flattened by rigid motion first; since rigid motions are
-    conformal this cannot change |mu|.  Faces whose image reverses
-    orientation (or where |mu| >= 1, equivalently) are flagged folded and
-    get NaN dilatation / eps_mu.  A face whose f_z vanishes entirely is also
-    folded, with abs_mu = inf.
+    conformal this cannot change |mu|.  Faces whose Jacobian determinant is
+    not positive are flagged folded and get NaN dilatation / eps_mu; their
+    mu and abs_mu stay the plain quotient, with abs_mu = inf where f_z is 0.
     """
     return mapping._fields[0]
 
@@ -176,45 +180,15 @@ def _map_fields(mapping: MeshMap):
     at corner k of face f."""
     n = mapping.n_faces
     mu, folded, signed = np.empty(n, complex), np.empty(n, bool), np.empty((3, n))
-    abs_mu, dil, eps = np.full((3, n), np.nan)
+    abs_mu, dil, eps = np.empty((3, n))
     for rows in _face_blocks(n):
         angles = np.empty_like(signed[:, rows])
         src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles))
         dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
         signed[:, rows] -= angles
-        a, b, c, d = _affine_arrays(src, dst)
-        mu[rows], abs_mu[rows], vanished = _mu_arrays(a, b, c, d)
-        folded[rows] = (a * d - b * c <= 0) | vanished | (abs_mu[rows] >= 1.0)
-        ok = ~folded[rows]
-        x = abs_mu[rows][ok]
-        dil[rows][ok], eps[rows][ok] = dilatation(x), epsilon_mu(x)
+        mu[rows], abs_mu[rows], dil[rows], eps[rows], folded[rows] = _jacobian_fields(
+            *_affine_arrays(src, dst))
     c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
     return (BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded),
             AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0))
-
-
-def _float_if_0d(out):
-    """``out`` as a float if it is 0-d: a scalar call of an array formula returns a float."""
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _of_abs_mu(formula, abs_mu, caller: str):
-    """``formula(abs_mu)`` for a scalar or array whose values (NaN fails) all lie in [0, 1)."""
-    x = np.asarray(abs_mu, dtype=np.float64)
-    if not ((x >= 0) & (x < 1)).all():
-        raise DomainError(f"{caller} requires 0 <= |mu| < 1")
-    return _float_if_0d(formula(x))
-
-
-def dilatation(abs_mu):
-    """(1 + |mu|) / (1 - |mu|), for |mu| in [0, 1).
-
-    Accepts scalars or arrays; raises DomainError outside the domain.
-    """
-    return _of_abs_mu(lambda x: (1.0 + x) / (1.0 - x), abs_mu, "dilatation")
-
-
-def epsilon_mu(abs_mu):
-    """Angular-distortion bound 2*arcsin(|mu|) in radians, |mu| in [0, 1)."""
-    return _of_abs_mu(lambda x: 2.0 * np.arcsin(x), abs_mu, "epsilon_mu")
 

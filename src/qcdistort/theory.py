@@ -7,7 +7,7 @@ distortion of a wedge is extremal, the maximal half-angle deviation), each
 paired with a deterministic brute-force grid oracle so the formulas can be
 verified numerically rather than trusted.  The four closed forms take
 arrays as well as scalars: a scalar call is the 0-d case of the same numpy
-code and returns floats, as :func:`qcdistort.dilatation` does.
+code and returns floats.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beltrami import _float_if_0d
 from .errors import DegenerateModelError, DomainError, _sized_by
 from .mesh import _cross_norm, _dot
 
@@ -25,6 +24,11 @@ from .mesh import _cross_norm, _dot
 MODEL_GUARD = 1e-12
 MIN_GRID = 1000
 TANGENT_RATIO_MODELS = 1000
+
+
+def _float_if_0d(out):
+    """``out`` as a float if it is 0-d: a scalar call of an array formula returns a float."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from qcdistort import (
     TriMesh,
     boundary_loops,
     corner_distortion,
-    epsilon_mu,
     face_beltrami,
     summarize,
     tutte_disk,
@@ -127,7 +126,7 @@ def test_criterion_5_max_deviation_formula():
             formula = math.asin((k - 1) / (k + 1))
             assert abs(grid_max - formula) <= 1e-6, k
             delta, _ = max_half_angle_deviation(k)
-            assert abs(2 * delta - epsilon_mu((k - 1) / (k + 1))) <= 1e-12, k
+            assert abs(2 * delta - 2.0 * np.arcsin((k - 1) / (k + 1))) <= 1e-12, k
 
 
 def test_criterion_6_discrete_bound_sweep():

@@ -22,8 +22,8 @@ PUBLIC = [
     "DistortionReport", "DomainError", "EmptyInputError", "LinearModel", "MeshMap",
     "NonManifoldEdgeError", "ParamConfig", "ParseError", "PrincipalStretch", "QcdistortError",
     "SolverError", "TopologyError", "TriMesh", "ValidationError", "boundary_loops",
-    "brute_force_max_distortion", "corner_angles", "corner_distortion", "dilatation",
-    "epsilon_mu", "export_colored_mesh", "export_report", "extremal_bisectors", "face_areas",
+    "brute_force_max_distortion", "corner_angles", "corner_distortion",
+    "export_colored_mesh", "export_report", "extremal_bisectors", "face_areas",
     "face_beltrami", "histogram", "load_mesh", "max_distortion_for_angle",
     "max_half_angle_deviation", "principal_stretch", "report_json", "report_to_dict",
     "run_all_checks", "save_mesh", "summarize", "tutte_disk", "validate_mesh",
@@ -58,8 +58,6 @@ SIGNATURES = {
     "brute_force_max_distortion": ["theta", "dilatation", "grid_size"],
     "corner_angles": ["mesh"],
     "corner_distortion": ["mapping"],
-    "dilatation": ["abs_mu"],
-    "epsilon_mu": ["abs_mu"],
     "export_colored_mesh": ["mapping", "field_name", "path", "beltrami", "angular"],
     "export_report": ["report", "path", "format"],
     "extremal_bisectors": ["theta"],

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcdistort import (
-    DomainError,
     MeshMap,
     TriMesh,
     ValidationError,
-    dilatation,
-    epsilon_mu,
     face_beltrami,
+    max_distortion_for_angle,
+    summarize,
 )
-from qcdistort.synth import scaled_map_target, wavy_disk
-from qcdistort.theory import max_half_angle_deviation
+from qcdistort.beltrami import _jacobian_fields
+from qcdistort.synth import irregular_disk, scaled_map_target, wavy_disk
 
 from test_mesh import rotation_matrix
 
@@ -244,39 +244,116 @@ class TestFaceBeltrami:
             MeshMap(a, TriMesh(a.vertices, faces))
 
 
-class TestScalarHelpers:
-    def test_dilatation_values(self):
-        assert dilatation(0.0) == 1.0
-        assert dilatation(0.5) == pytest.approx(3.0)
-        assert dilatation(1 / 3) == pytest.approx(2.0)
-        with pytest.raises(DomainError):
-            dilatation(1.0)
-        with pytest.raises(DomainError):
-            dilatation(-0.1)
+def sharp_corner(k):
+    """The one-face map (x, y) -> (x, y / k) of the triangle whose corner 0 is at the origin,
+    bisected by the x axis, with the opening 2 atan(sqrt(k)) at which the bound is attained."""
+    half = math.atan(math.sqrt(k))
+    src = [[0.0, 0.0], [math.cos(half), -math.sin(half)], [math.cos(half), math.sin(half)]]
+    return src, [[x, y / k] for x, y in src]
 
-    def test_array_inputs(self):
-        mus = np.array([0.0, 0.5, 1 / 3])
-        assert np.allclose(dilatation(mus), [1.0, 3.0, 2.0])
-        assert np.allclose(epsilon_mu(mus), 2 * np.arcsin(mus))
-        with pytest.raises(DomainError):
-            dilatation(np.array([0.2, 1.0]))
 
-    def test_epsilon_mu_values(self):
-        assert epsilon_mu(0.0) == 0.0
-        assert epsilon_mu(0.5) == pytest.approx(math.pi / 3)
-        assert epsilon_mu(1 / 3) == pytest.approx(0.679674, abs=1e-6)
-        # same quantity as twice the maximal half-angle deviation at K = 2
-        delta, _ = max_half_angle_deviation(2.0)
-        assert epsilon_mu(1 / 3) == 2 * delta
-        with pytest.raises(DomainError):
-            epsilon_mu(1.0)
+def within_ulps(got, want, n=2):
+    return abs(got - want) <= n * math.ulp(want)
 
-    @pytest.mark.parametrize("func", [dilatation, epsilon_mu])
-    @pytest.mark.parametrize("abs_mu", [math.nan, np.array([0.2, math.nan]), math.inf],
-                             ids=["nan", "nan-in-array", "inf"])
-    def test_nan_and_inf_rejected(self, func, abs_mu):
-        with pytest.raises(DomainError, match=r"requires 0 <= \|mu\| < 1"):
-            func(abs_mu)
+
+class TestJacobianForms:
+    """K and eps_mu come from |f_z|, |f_zbar| and ad - bc, not from 1 - |mu|.
+
+    The literals are K = (|f_z| + |f_zbar|)^2 / (ad - bc) and eps_mu = 2 atan2(|f_zbar|,
+    sqrt(ad - bc)) evaluated with 50-digit mpmath at the exact Jacobian of the float
+    vertices (or the float arguments).  The |mu| forms (1 + |mu|) / (1 - |mu|) and
+    2 arcsin|mu| miss K by 8.3e-8 relative at K = 1e10 and eps_mu by 1.8e-12 at 1e9.
+    """
+
+    @pytest.mark.parametrize("k, dilatation, eps_mu", [
+        (1e1, 9.9999999999999997089, 1.9164831769111153974),
+        (1e2, 100.00000000000000697, 2.7429180436251451428),
+        (1e3, 1000.0000000000000295, 3.0151436856050284791),
+        (1e4, 10000.000000000000284, 3.1015939868431322862),
+        (1e5, 100000.00000000000626, 3.1289435851125688767),
+        (1e6, 1000000.0000000001045, 3.137592654923125772),
+        (1e7, 10000000.000000000017, 3.1403277425678895863),
+        (1e8, 99999999.999999992834, 3.1411926535911265718),
+        (1e9, 999999999.99999997095, 3.141466162483428667),
+        (1e10, 10000000000.000000548, 3.1415526535897945718),
+        (1e11, 99999999999.999997915, 3.1415800044791526071),
+    ])
+    def test_sharp_corner_map_within_two_ulps(self, k, dilatation, eps_mu):
+        field = one_face(*sharp_corner(k))
+        assert field.folded.tolist() == [False]
+        assert within_ulps(field.dilatation[0], dilatation)
+        assert within_ulps(field.eps_mu[0], eps_mu)
+
+    @pytest.mark.parametrize("k, dilatation, eps_mu", [
+        (1e1, 9.9999999999999994449, 1.9164831769111153822),
+        (1e2, 99.999999999999997918, 2.7429180436251451248),
+        (1e3, 999.99999999999997918, 3.0151436856050284759),
+        (1e4, 9999.9999999999995208, 3.1015939868431322847),
+        (1e5, 99999.99999999999182, 3.1289435851125688758),
+        (1e6, 1000000.0000000000453, 3.1375926549231257719),
+        (1e7, 10000000.000000000453, 3.1403277425678895864),
+        (1e8, 99999999.999999997908, 3.1411926535911265718),
+        (1e9, 999999999.99999993772, 3.141466162483428667),
+        (1e10, 9999999999.9999996357, 3.1415526535897945718),
+        (1e11, 100000000000.00000605, 3.1415800044791526071),
+        (1e12, 1000000000000.0000201, 3.1415886535897932398),
+        (1e13, 9999999999999.9996963, 3.1415913886787291712),
+        (1e14, 100000000000000.00012, 3.1415922535897932385),
+        (1e15, 999999999999999.92229, 3.1415925270986868317),
+        (1e16, 10000000000000000.209, 3.1415926135897932385),
+    ])
+    def test_kernel_within_two_ulps(self, k, dilatation, eps_mu):
+        _, _, dil, eps, folded = _jacobian_fields(*(np.array([x]) for x in (1.0, 0.0, 0.0, 1 / k)))
+        assert folded.tolist() == [False]
+        assert within_ulps(dil[0], dilatation) and within_ulps(eps[0], eps_mu)
+
+    def test_unfolded_face_whose_modulus_rounds_to_one(self):
+        # at K = 1e17, |mu| = (1 - 1/K) / (1 + 1/K) rounds to 1.0; the face is not folded
+        # and its K and eps_mu are those of the Jacobian (mpmath literals as above)
+        mu, abs_mu, dil, eps, folded = _jacobian_fields(
+            *(np.array([x]) for x in (1.0, 0.0, 0.0, 1e-17)))
+        assert mu.tolist() == [1.0] and abs_mu.tolist() == [1.0] and folded.tolist() == [False]
+        assert within_ulps(dil[0], 99999999999999992.846)
+        assert within_ulps(eps[0], 3.1415926409406825978)
+
+    def test_fold_verdict_is_the_determinant_sign(self):
+        # ad - bc > 0, = 0 (+0.0 and -0.0), < 0 and NaN; the reflection's f_z is 0
+        jacobians = np.array([(1.0, 0.0, 0.0, 0.5), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, -0.0),
+                              (1.0, 0.0, 0.0, -1.0), (np.nan, 0.0, 0.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, abs_mu, dil, eps, folded = _jacobian_fields(*jacobians.T)
+        assert folded.tolist() == [False, True, True, True, True]
+        assert np.isnan(dil[1:]).all() and np.isnan(eps[1:]).all()
+        assert abs_mu[3] == math.inf and not np.isfinite(mu[3])
+
+    def test_conformal_faces_have_dilatation_at_least_one(self):
+        # a similarity map: (|f_z| + |f_zbar|)^2 / (ad - bc) rounds below 1 on 34 of these
+        # faces, which the theory functions reject; 1 + 2|f_zbar|(...) / (ad - bc) cannot
+        mesh = irregular_disk(3000)
+        xy = mesh.vertices[:, :2]
+        turn = 0.01 * np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+        field = face_beltrami(MeshMap(TriMesh(xy, mesh.faces), TriMesh(xy @ turn.T, mesh.faces)))
+        assert field.folded_count == 0 and field.dilatation.min() >= 1.0
+        assert field.abs_mu.max() < 1e-13 and field.dilatation.max() < 1.0 + 1e-12
+        max_distortion_for_angle(1.0, field.dilatation)
+
+    @pytest.mark.parametrize("case", ["one-fold", "reflection", "mirrored"])
+    def test_summarize_of_folded_faces_warns_nothing(self, case):
+        # two triangles with the second's apex flipped, one reflected triangle (f_z = 0),
+        # and both triangles mirrored (every face folded, the statistics empty)
+        verts = np.array([[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [3, 1]], dtype=float)
+        faces = [[0, 1, 2], [3, 4, 5]]
+        flipped = verts * [1, -1]
+        if case == "one-fold":
+            flipped[:5] = verts[:5]
+        elif case == "reflection":
+            verts, faces, flipped = UNIT, [[0, 1, 2]], apply((1, 0, 0, -1), UNIT)
+        mapping = MeshMap(TriMesh(verts, faces), TriMesh(flipped, faces))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = summarize(mapping)
+        assert report.folded_count == len(faces) - (case == "one-fold")
 
 
 class TestInvariances:

@@ -480,7 +480,7 @@ ERROR_MESSAGES = [
     (3, r"boundary edges do not form closed loops; check face orientation"),
     (3, r"expected exactly one boundary loop, found \d+"),
     (3, r"Euler characteristic is -?\d+, expected 1 for a disk"),
-    (1, r"linear-system residual \S+ exceeds tolerance \S+"),
+    (1, r"linear-system backward error \S+ exceeds threshold \S+ \(residual \S+\)"),
 ]
 
 

@@ -44,14 +44,11 @@ from qcdistort import (
     ValidationError,
     corner_angles,
     corner_distortion,
-    dilatation,
-    epsilon_mu,
     face_areas,
     face_beltrami,
     summarize,
     synth,
 )
-from qcdistort.beltrami import FZ_GUARD
 from qcdistort.mesh import _half_edges, _require_area
 from qcdistort.parameterize import _edge_weights
 from qcdistort.report import BOUND_TOL, FieldStats, _exact_sum, _fsum_stats
@@ -167,30 +164,29 @@ def ref_affine_arrays(src, dst):
     return a, b, c, d
 
 
-def ref_mu_arrays(a, b, c, d):
+def ref_jacobian_fields(a, b, c, d):
+    """``(mu, |mu|, K, eps_mu, folded)``: ``mu = f_zbar / f_z``, the plain quotient on every
+    face; ``K = 1 + 2|f_zbar|(|f_z| + |f_zbar|) / det`` and ``eps_mu = 2 atan2(|f_zbar|,
+    sqrt(det))`` on faces with ``det = ad - bc > 0``, NaN on the others, which are folded."""
     fz = 0.5 * ((a + d) + 1j * (c - b))
     fzb = 0.5 * ((a - d) + 1j * (c + b))
-    vanished = np.abs(fz) <= FZ_GUARD * (np.abs(fz) + np.abs(fzb))
+    det = a * d - b * c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
-    mu = np.where(vanished, complex(np.nan, np.nan), mu)
-    abs_mu = np.abs(mu)
-    abs_mu[vanished] = np.inf
-    return mu, abs_mu, vanished
+    folded = ~(det > 0)
+    ok = ~folded
+    dil = np.full(det.shape, np.nan)
+    eps = np.full(det.shape, np.nan)
+    p, q = np.abs(fz[ok]), np.abs(fzb[ok])
+    dil[ok] = 1.0 + 2.0 * q * (p + q) / det[ok]
+    eps[ok] = 2.0 * np.arctan2(q, np.sqrt(det[ok]))
+    return mu, np.abs(mu), dil, eps, folded
 
 
 def ref_face_beltrami(mapping):
-    m = mapping.n_faces
     a, b, c, d = ref_affine_arrays(ref_face_coords_2d(mapping.source),
                                    ref_face_coords_2d(mapping.target))
-    mu, abs_mu, vanished = ref_mu_arrays(a, b, c, d)
-    folded = (a * d - b * c <= 0) | vanished | (abs_mu >= 1.0)
-    ok = ~folded
-    dil = np.full(m, np.nan)
-    eps = np.full(m, np.nan)
-    dil[ok] = dilatation(abs_mu[ok])
-    eps[ok] = epsilon_mu(abs_mu[ok])
-    return mu, abs_mu, dil, eps, folded
+    return ref_jacobian_fields(a, b, c, d)
 
 
 def ref_corner_distortion(mapping):

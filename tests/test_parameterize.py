@@ -168,6 +168,39 @@ def test_failed_solve_raises_solver_error(monkeypatch):
         tutte_disk(flat_disk(4))
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1e-10])
+def test_inaccurate_solve_raises_solver_error(monkeypatch, offset):
+    # on flat_disk(4), a solve off by 1e-6 (1e-10) has a backward error of 2.4e-7 (2.4e-11):
+    # a threshold a million times the real one would pass the second
+    real = parameterize._multifrontal_solve
+    monkeypatch.setattr(parameterize, "_multifrontal_solve", lambda *args: real(*args) + offset)
+    with pytest.raises(SolverError, match=r"^linear-system backward error \S+ exceeds threshold "
+                                          r"1\.000e-13 \(residual \S+\)$"):
+        tutte_disk(flat_disk(4))
+
+
+def sliver_disk():
+    """``flat_disk(18)`` with the first vertex of its first all-interior face moved to 1e-8 of
+    the way from the midpoint of the opposite edge: a valid mesh whose cotangent weights reach
+    about 1e8, so a correct solve leaves an absolute residual near 7.6e-9."""
+    mesh = flat_disk(18)
+    (loop,) = boundary_loops(mesh)
+    on_boundary = np.isin(mesh.faces, loop).any(axis=1)
+    v, i, j = mesh.faces[np.argmin(on_boundary)]
+    vertices = mesh.vertices.copy()
+    middle = 0.5 * (vertices[i] + vertices[j])
+    vertices[v] = middle + 1e-8 * (vertices[v] - middle)
+    return TriMesh(vertices, mesh.faces)
+
+
+@pytest.mark.parametrize("weights", WEIGHT_CHOICES)
+def test_large_weights_solve_when_the_backward_error_is_small(weights):
+    # the check is relative to ||A|| ||x|| + ||b|| (backward error 7.0e-17 with cotangent
+    # weights), so a scale of the weights alone does not fail a good solve
+    mapping = tutte_disk(sliver_disk(), ParamConfig(weights=weights))
+    assert face_beltrami(mapping).folded_count == 0
+
+
 def test_singular_front_raises_solver_error(monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -229,7 +262,9 @@ def test_multifrontal_solve_agrees_with_dense_solve(name, weights):
                                            mesh.vertices[interior])
     want = np.linalg.solve(dense, b)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.abs(dense @ got - b).max() <= SOLVER_TOLERANCE
+    backward_error = np.abs(dense @ got - b).max() / (
+        np.abs(dense).sum(axis=1).max() * np.abs(got).max() + np.abs(b).max())
+    assert backward_error <= SOLVER_TOLERANCE
 
 
 def test_determinism_bit_identical():

@@ -17,7 +17,6 @@ from qcdistort import (
     brute_force_max_distortion,
     corner_angles,
     corner_distortion,
-    epsilon_mu,
     extremal_bisectors,
     face_beltrami,
     max_distortion_for_angle,
@@ -243,7 +242,7 @@ class TestMaxHalfAngleDeviation:
     @pytest.mark.parametrize("k", [1.01, 1.7, 6.0])
     def test_doubling_gives_full_angle_bound(self, k):
         delta, _ = max_half_angle_deviation(k)
-        assert 2 * delta == epsilon_mu((k - 1) / (k + 1))
+        assert 2 * delta == 2.0 * np.arcsin((k - 1) / (k + 1))
 
     # asin((K-1)/(K+1)) for the double K, evaluated offline with 50 digits;
     # that form's argument rounds next to 1 and is 7.8 ulp off at K = 1e4,
