@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 
 BELTRAMI = "src/qcdistort/beltrami.py"
+MESH = "src/qcdistort/mesh.py"
 
 # (name, file, old text, new text): each old text occurs exactly once in its file
 MUTANTS = [
@@ -43,15 +44,19 @@ MUTANTS = [
      "        mu = fzb / fz\n",
      "        mu = np.conj(fzb / fz)\n"),
     ("bound-check-face-average", "src/qcdistort/report.py",
-     "np.count_nonzero(np.maximum.reduce(ang.corner.T) > bf.eps_mu + BOUND_TOL)",
-     "np.count_nonzero(ang.face_avg > bf.eps_mu + BOUND_TOL)"),
-    ("pose-negated-y2", BELTRAMI,
+     "np.count_nonzero(np.maximum.reduce(ang.corner[rows].T) > bf.eps_mu[rows] + BOUND_TOL)",
+     "np.count_nonzero(ang.face_avg[rows] > bf.eps_mu[rows] + BOUND_TOL)"),
+    ("pose-negated-y2", MESH,
      "return l1, 0.0, x2, np.sqrt(_dot(perp, perp))",
      "return l1, 0.0, x2, -np.sqrt(_dot(perp, perp))"),
+    # the source's kept angles read one block behind (wrapping round from the last block)
+    ("source-angles-previous-block", BELTRAMI,
+     "signed[:, rows] -= angles[:, rows]",
+     "signed[:, rows] -= np.roll(angles, rows.stop - rows.start, axis=1)[:, rows]"),
     ("signed-corner-negated", BELTRAMI,
      "AngularDistortionField(corner.T, signed.T,",
      "AngularDistortionField(corner.T, -signed.T,"),
-    ("area-eps-factor-1e-9", "src/qcdistort/mesh.py",
+    ("area-eps-factor-1e-9", MESH,
      "AREA_EPS_FACTOR = 1e-12",
      "AREA_EPS_FACTOR = 1e-9"),
     ("tutte-uniform-boundary-spacing", "src/qcdistort/parameterize.py",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .mesh import TriMesh, _corner_angles, _cross_2d, _dot, _face_blocks, validate_mesh
+from .mesh import TriMesh, _corner_angles, _cross_2d, _face_blocks, _planar_frame, validate_mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +37,10 @@ class MeshMap:
 
     Both meshes must be valid and share the face list, and with it the source's edge table and
     orientation verdict; the map sends source vertex i to target vertex i.  The map keeps its
-    Beltrami and angular distortion fields after their first use (97 bytes per face).
+    Beltrami and angular distortion fields after their first use (97 bytes per face).  They
+    read the source's corner angles and planar frame, which the source mesh keeps for all its
+    maps (56 bytes per face planar, 48 in 3D); the target's are built per block and not kept,
+    since a study varies the target of one source.
     """
 
     source: TriMesh
@@ -123,21 +126,6 @@ class AngularDistortionField:
         return f"AngularDistortionField(n_faces={len(self.face_avg)})"
 
 
-def _pose(u, w, uw):
-    """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
-    l1 = np.sqrt(_dot(u, u))
-    x2 = uw / l1
-    t = x2 / l1
-    perp = [wc - t * uc for uc, wc in zip(u, w)]
-    return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
-
-
-def _planar_frame(mesh: TriMesh, u, w, uw):
-    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane from corner 0's terms:
-    x and y on planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
-    return (*u, *w) if mesh.dimension == 2 else _pose(u, w, uw)
-
-
 def _affine_arrays(src, dst):
     """Affine coefficients (a, b, c, d) sending the faces of one
     :func:`_planar_frame` (valid) onto those of another."""
@@ -176,16 +164,16 @@ def face_beltrami(mapping: MeshMap) -> BeltramiField:
 
 def _map_fields(mapping: MeshMap):
     """``(BeltramiField, AngularDistortionField)`` from one pass over blocks of faces that
-    writes into arrays made once; ``signed[k, f]`` is the target's angle minus the source's
-    at corner k of face f."""
+    writes into arrays made once, reading the source's kept corner terms by slice;
+    ``signed[k, f]`` is the target's angle minus the source's at corner k of face f."""
     n = mapping.n_faces
+    angles, frame = mapping.source._corner_terms  # the source's, kept; the target's per block
     mu, folded, signed = np.empty(n, complex), np.empty(n, bool), np.empty((3, n))
     abs_mu, dil, eps = np.empty((3, n))
     for rows in _face_blocks(n):
-        angles = np.empty_like(signed[:, rows])
-        src = _planar_frame(mapping.source, *_corner_angles(mapping.source, rows, angles))
+        src = [c[rows] if isinstance(c, np.ndarray) else c for c in frame]
         dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
-        signed[:, rows] -= angles
+        signed[:, rows] -= angles[:, rows]
         mu[rows], abs_mu[rows], dil[rows], eps[rows], folded[rows] = _jacobian_fields(
             *_affine_arrays(src, dst))
     c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits

@@ -79,7 +79,10 @@ class TriMesh:
     orientation) are enforced by :func:`validate_mesh`, which file loading
     and map construction call.  A validated mesh keeps its two passing verdicts
     and its edge table (about 1.8 MB per 50k faces), built once and read by
-    validation, :func:`boundary_loops`, the Tutte solve and a map's target.
+    validation, :func:`boundary_loops`, the Tutte solve and a map's target.  A
+    mesh that is a map's source, or is given to :func:`corner_angles`, also
+    keeps its corner angles and planar frame (56 bytes per face planar, 48 in
+    3D), read by every map of that source.
     """
 
     vertices: np.ndarray = field(repr=False)
@@ -180,6 +183,12 @@ class TriMesh:
     def _edges(self):
         # the face list's one edge table; MeshMap hands the source's to its target
         return _edge_pass(self)
+
+    @functools.cached_property
+    def _corner_terms(self):
+        # the angles and planar frame that every map of this source reads (56 bytes per face
+        # planar, 48 in 3D); a map's target builds its own block by block and keeps none
+        return _corner_pass(self)
 
 
 def _bad_vertex(vertices) -> str:
@@ -294,6 +303,38 @@ def _corner_angles(mesh: TriMesh, rows, angles):
     return u, w, dots[0]
 
 
+def _pose(u, w, uw):
+    """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
+    l1 = np.sqrt(_dot(u, u))
+    x2 = uw / l1
+    t = x2 / l1
+    perp = [wc - t * uc for uc, wc in zip(u, w)]
+    return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
+
+
+def _planar_frame(mesh: TriMesh, u, w, uw):
+    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane from corner 0's terms:
+    x and y on planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
+    return (*u, *w) if mesh.dimension == 2 else _pose(u, w, uw)
+
+
+def _corner_pass(mesh: TriMesh):
+    """``(angles, frame)`` of every face from one pass over blocks, after the area test: the
+    ``(3, m)`` :func:`_corner_angles` and the four :func:`_planar_frame` terms, ``(m,)``
+    arrays but for a 3D frame's ``y1 = 0.0``.  The arrays are read-only."""
+    mesh._nondegenerate  # a degenerate mesh raises here, before anything is kept
+    n = mesh.n_faces
+    kept = range(4) if mesh.dimension == 2 else (0, 2, 3)
+    angles, frame = np.empty((3, n)), [np.empty(n) if k in kept else 0.0 for k in range(4)]
+    for rows in _face_blocks(n):
+        block = _planar_frame(mesh, *_corner_angles(mesh, rows, angles[:, rows]))
+        for k in kept:
+            frame[k][rows] = block[k]
+    for array in (angles, *(frame[k] for k in kept)):
+        array.flags.writeable = False
+    return angles, tuple(frame)
+
+
 def corner_angles(mesh: TriMesh) -> np.ndarray:
     """Interior angles of every face corner.
 
@@ -302,18 +343,15 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
     np.ndarray, shape (n_faces, 3)
         ``angles[f, k]`` is the angle (radians) at the k-th listed vertex of
         face ``f``.  Each angle lies in (0, pi) and the three angles of a
-        face sum to pi up to roundoff.
+        face sum to pi up to roundoff.  A writable copy of the angles the
+        mesh keeps for the maps of which it is the source.
 
     Raises
     ------
     DegenerateFaceError
         If a face fails the degeneracy test of :func:`validate_mesh`.
     """
-    mesh._nondegenerate  # the mesh's cached area verdict: no area pass on a validated mesh
-    angles = np.empty((3, mesh.n_faces))
-    for rows in _face_blocks(mesh.n_faces):
-        _corner_angles(mesh, rows, angles[:, rows])
-    return angles.T
+    return mesh._corner_terms[0].copy().T
 
 
 def _half_edges(faces: np.ndarray):

@@ -25,7 +25,7 @@ from ._rowtext import CSV
 from .angular import corner_distortion
 from .beltrami import AngularDistortionField, BeltramiField, MeshMap, face_beltrami
 from .errors import DomainError, EmptyInputError, _sized_by
-from .mesh import _resolve_format, _write_ply, _write_text
+from .mesh import _face_blocks, _resolve_format, _write_ply, _write_text
 
 # slack for the per-corner bound check eps_angle <= eps_mu + BOUND_TOL
 BOUND_TOL = 1e-9
@@ -84,22 +84,46 @@ def histogram(values, bin_count: int):
         raise EmptyInputError("cannot histogram an empty value list")
     if bin_count < 1:
         raise DomainError("bin_count must be >= 1")
-    hi = float(vals.max())
+    edges = _uniform_edges(float(vals.max()), bin_count)
+    if vals.min() == -math.inf:  # NaN and +inf make the range non-finite
+        i = int(np.argmin(np.isfinite(vals)))
+        raise DomainError(f"cannot histogram the non-finite value {float(vals[i])!r} at index {i}")
+    return edges, _bin_counts(vals, edges)
+
+
+def _uniform_edges(hi: float, bin_count: int) -> np.ndarray:
+    """The ``bin_count + 1`` edges ``np.histogram`` builds over [0, hi], or [0, 1] when
+    hi <= 0; a DomainError when the range is not finite or too narrow for the bins."""
     if hi <= 0.0:
         hi = 1.0  # degenerate range (e.g. all zeros); widen to keep bins valid
     if not math.isfinite(hi):
         raise DomainError(f"histogram range [0.0, {hi!r}] is not finite")
     with _sized_by(f"bin_count {bin_count}"):
-        edges = np.linspace(0.0, hi, bin_count + 1)  # the edges np.histogram builds
+        edges = np.linspace(0.0, hi, bin_count + 1)
         narrow = not (edges[:-1] < edges[1:]).all()
     if narrow:
         raise DomainError(f"histogram range [0.0, {hi!r}] is too narrow for {bin_count} bins")
-    if not np.isfinite(vals).all():
-        i = int(np.argmin(np.isfinite(vals)))
-        raise DomainError(f"cannot histogram the non-finite value {float(vals[i])!r} at index {i}")
-    with _sized_by(f"bin_count {bin_count}"):  # 32,768 values a call, at ~32 bytes a value
-        return edges, sum(np.histogram(vals[i:i + 32_768], bins=bin_count, range=(0.0, hi))[0]
-                          for i in range(0, vals.size, 32_768))
+    return edges
+
+
+def _bin_counts(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram``'s counts of finite ``vals`` up to ``edges[-1]`` over the uniform
+    ``edges`` from 0, negative values left out, counted block by block with its bin index
+    and its two fix-ups at the edges, in which that index may be off by one."""
+    bins, hi = edges.size - 1, edges[-1]
+    with _sized_by(f"bin_count {bins}"):
+        counts = np.zeros(bins, np.intp)
+        for rows in _face_blocks(vals.size):
+            v = vals[rows]
+            keep = v >= 0.0
+            if not keep.all():
+                v = v[keep]
+            k = (v / hi * bins).astype(np.intp)
+            k[k == bins] -= 1
+            k[v < edges[k]] -= 1
+            k[(v >= edges[k + 1]) & (k != bins - 1)] += 1
+            counts += np.bincount(k, minlength=bins)
+    return counts
 
 
 def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField | None):
@@ -109,23 +133,36 @@ def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField |
     return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The exact sum of a 1-D float64 array rounded once: ``math.fsum``'s bits.
+def _exact_sum(values: np.ndarray, mean: float | None = None) -> float:
+    """The exact sum of a 1-D float64 array, or of the squares of its deviations from
+    ``mean``, rounded once: ``math.fsum``'s bits.  The terms are made and summed in
+    blocks of ``_FACE_BLOCK``, whose exact sums (:func:`_exact_units`) add up exactly.
+
+    Raises
+    ------
+    DomainError
+        On a NaN or an infinity among the terms.
+    """
+    total = 0
+    for rows in _face_blocks(values.size):
+        terms = values[rows] if mean is None else np.square(values[rows] - mean)
+        total += _exact_units(terms, rows.start)
+    # int / int rounds correctly, half to even
+    return total / (1 << 1074)
+
+
+def _exact_units(values: np.ndarray, start: int) -> int:
+    """The exact sum of a 1-D float64 array in units of ``2 ** -1074``, the least double.
 
     Error-free extraction: with ``|r| < 2 ** e`` and ``2 ** bits > n + 2``,
     ``sigma = 2 ** (e + bits)`` splits each ``r`` exactly into ``q = (r +
     sigma) - sigma``, a multiple of half an ulp of ``sigma`` with ``|q| <= 2
     ** e``, and ``r - q``, at most that half ulp.  Every partial sum of the
     ``q`` is such a multiple below ``sigma``, so ``q.sum()`` is exact in any
-    order.  Rounds add it to a Python int, in units of ``2 ** -1074``, until
-    every residual is zero; the total is rounded once, as ``math.fsum`` does.
+    order.  Rounds add it to a Python int until every residual is zero.
     Where ``sigma`` would overflow, the values scaled by ``2 ** -s`` are
-    extracted instead, beside the low bits that scaling drops.
-
-    Raises
-    ------
-    DomainError
-        On a NaN or an infinity.
+    extracted instead, beside the low bits that scaling drops.  A non-finite
+    value raises, named by its index plus ``start``.
     """
     bits = (values.size + 2).bit_length()
     total, q = 0, np.empty_like(values)
@@ -135,7 +172,8 @@ def _exact_sum(values: np.ndarray) -> float:
         lo, hi = float(r.min(initial=0.0)), float(r.max(initial=0.0))
         if not -math.inf < lo <= hi < math.inf:  # a NaN fails every comparison
             i = int(np.argmin(np.isfinite(values)))
-            raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} at index {i}")
+            raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} "
+                              f"at index {start + i}")
         if lo == hi == 0.0:
             pieces.pop()
             continue
@@ -151,8 +189,7 @@ def _exact_sum(values: np.ndarray) -> float:
         pieces[-1] = (np.subtract(r, q, out=None if r is values else r), scale)
         num, den = float(q.sum()).as_integer_ratio()
         total += num << (1074 + scale + 1 - den.bit_length())
-    # int / int rounds correctly, half to even
-    return total / (1 << 1074)
+    return total
 
 
 def _fsum_stats(values: np.ndarray) -> FieldStats | None:
@@ -163,7 +200,7 @@ def _fsum_stats(values: np.ndarray) -> FieldStats | None:
     mean = _exact_sum(values) / n
     # IEEE multiplication rounds each square correctly, so its bits are the same
     # on every platform, where libm's pow may differ in the last bit
-    var = _exact_sum(np.square(values - mean)) / n
+    var = _exact_sum(values, mean) / n
     return FieldStats(
         mean=mean, max=float(values.max()), min=float(values.min()),
         std=math.sqrt(var),
@@ -179,9 +216,10 @@ def summarize(
     """Full distortion report of a mesh map.
 
     Reads the map's per-face Beltrami and angular distortion fields (one
-    pass over fixed blocks of faces of both meshes, run on first use), then
-    aggregates |mu|, the face-averaged angular distortion, and the per-face
-    bound 2*arcsin(|mu|) over the non-folded faces.
+    pass over fixed blocks of faces of the target, and of the source on its
+    first map, run on first use), then aggregates |mu|, the face-averaged
+    angular distortion, and the per-face bound 2*arcsin(|mu|) over the
+    non-folded faces, in the same blocks.
 
     ``bound_violations`` counts non-folded faces where some corner's angular
     distortion exceeds the face bound by more than 1e-9; zero is the healthy
@@ -198,13 +236,17 @@ def summarize(
     bf, ang = face_beltrami(mapping), corner_distortion(mapping)
     ok = ~bf.folded if bf.folded_count else slice(None)  # with no fold, views and not copies
 
-    stats, histograms = {}, {}
+    stats, histograms = {}, dict.fromkeys(FIELD_NAMES)
     for name in FIELD_NAMES:  # one masked copy alive at a time
         vals = _field(name, bf, ang)[ok]
         stats[name] = _fsum_stats(vals)
-        histograms[name] = histogram(vals, bins) if vals.size else None
+        if vals.size:  # the statistics found every value finite, and the maximum
+            edges = _uniform_edges(stats[name].max, bins)
+            histograms[name] = edges, _bin_counts(vals, edges)
     # each face's largest corner against its bound; a folded face's NaN bound never counts
-    violations = int(np.count_nonzero(np.maximum.reduce(ang.corner.T) > bf.eps_mu + BOUND_TOL))
+    violations = sum(
+        int(np.count_nonzero(np.maximum.reduce(ang.corner[rows].T) > bf.eps_mu[rows] + BOUND_TOL))
+        for rows in _face_blocks(mapping.n_faces))
 
     meta = {
         "source": source_path,

@@ -16,9 +16,10 @@ repeated and signed-zero coordinates, and a sliver face near the
 degeneracy threshold.  The statistics' vectorised exact sum is held to
 ``math.fsum``, bit for bit, and the squares to ``Fraction``.  The per-face
 passes run in blocks of faces; the fields are also held to the references
-with blocks of 5 faces, cut at every position of small maps, and
-``summarize`` is held to a working set no larger at 49,909 faces than at
-25,909.
+with blocks of 5 faces, cut at every position of small maps, and with a
+source whose kept corner terms were built in blocks of another size, and
+``summarize`` is held to a working set no larger at 99,854 faces than at
+49,909 and 25,909.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ import qcdistort.beltrami
 import qcdistort.mesh
 import qcdistort.report
 from qcdistort import (
+    DegenerateFaceError,
     DomainError,
     MeshMap,
     TriMesh,
@@ -406,11 +408,12 @@ def face_blocks_of(size):
 
 
 def test_summarize_gathers_each_mesh_once(monkeypatch):
-    """One corner pass per mesh: ``summarize`` reads each mesh's face
-    coordinates once, block by block in face order, and the blocks cover
-    every face (the field functions it used to call read them twice)."""
-    mesh = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
-    target = TriMesh(mesh.vertices * [1.0, 0.5], mesh.faces)
+    """One corner pass per mesh: on a fresh source's first map, ``summarize``
+    reads each mesh's face coordinates once, block by block in face order,
+    and the blocks cover every face (the field functions it used to call read
+    them twice); a second map of the same source reads its target's alone,
+    since the source keeps its corner terms."""
+    grid = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     real = qcdistort.mesh._face_columns
     calls = []
 
@@ -423,28 +426,29 @@ def test_summarize_gathers_each_mesh_once(monkeypatch):
         if hasattr(module, "_face_columns"):
             monkeypatch.setattr(module, "_face_columns", spy)
     for block, n_blocks in [(qcdistort.mesh._FACE_BLOCK, 1), (2, 4)]:
-        # a fresh map, whose pass has not run; validation reads the coordinates too
-        mapping = MeshMap(mesh, target)
-        calls.clear()
-        with face_blocks_of(block):
-            summarize(mapping)
-        assert len(calls) == 2 * n_blocks
-        for m in (mesh, target):
-            gathered = [(rows, n) for who, rows, n in calls if who is m]
-            starts = [rows.start for rows, _ in gathered]
-            assert starts == [0, *(rows.stop for rows, _ in gathered[:-1])]
-            assert [n for _, n in gathered] == [mapping.n_faces // n_blocks] * n_blocks
+        mesh = TriMesh(grid.vertices, grid.faces)  # a fresh source, with no corner terms kept
+        for squeeze, gathered_meshes in [(0.5, 2), (0.25, 1)]:
+            target = TriMesh(grid.vertices * [1.0, squeeze], grid.faces)
+            # a fresh map, whose pass has not run; validation reads the coordinates too
+            mapping = MeshMap(mesh, target)
+            calls.clear()
+            with face_blocks_of(block):
+                summarize(mapping)
+            assert len(calls) == gathered_meshes * n_blocks
+            for m in (mesh, target)[2 - gathered_meshes:]:
+                gathered = [(rows, n) for who, rows, n in calls if who is m]
+                starts = [rows.start for rows, _ in gathered]
+                assert starts == [0, *(rows.stop for rows, _ in gathered[:-1])]
+                assert [n for _, n in gathered] == [mapping.n_faces // n_blocks] * n_blocks
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_summarize_computes_one_cross_per_face(monkeypatch, dim):
     """One ``|u x w|`` per face: ``summarize`` calls ``_cross_norm`` once per
-    mesh per block, for the block's faces, and not once per corner."""
+    mesh per block, for the block's faces, and not once per corner; the
+    source only on its first map, whose corner terms it keeps."""
     grid = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     xy = grid.vertices
-    mesh = TriMesh(np.column_stack([xy, xy[:, 0] ** 2])[:, :dim], grid.faces)
-    target = TriMesh(xy * [1.0, 0.5], grid.faces)
-    assert mesh.dimension == dim
     real = qcdistort.mesh._cross_norm
     sizes = []
 
@@ -454,11 +458,76 @@ def test_summarize_computes_one_cross_per_face(monkeypatch, dim):
 
     monkeypatch.setattr(qcdistort.mesh, "_cross_norm", spy)
     for block, n_blocks in [(qcdistort.mesh._FACE_BLOCK, 1), (2, 4)]:
-        mapping = MeshMap(mesh, target)  # validation measures the areas, one cross per block too
-        sizes.clear()
-        with face_blocks_of(block):
-            summarize(mapping)
-        assert sizes == [mapping.n_faces // n_blocks] * (2 * n_blocks)
+        mesh = TriMesh(np.column_stack([xy, xy[:, 0] ** 2])[:, :dim], grid.faces)
+        assert mesh.dimension == dim
+        for squeeze, crossed_meshes in [(0.5, 2), (0.25, 1)]:
+            # validation measures the areas, one cross per block too
+            mapping = MeshMap(mesh, TriMesh(xy * [1.0, squeeze], grid.faces))
+            sizes.clear()
+            with face_blocks_of(block):
+                summarize(mapping)
+            assert sizes == [mapping.n_faces // n_blocks] * (crossed_meshes * n_blocks)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_corner_terms_are_read_only(dim):
+    """The source keeps its ``(3, m)`` angles and its planar frame, read-only,
+    with a 3D frame's ``y1`` the scalar 0.0; the target keeps none."""
+    mapping = face_soup(11, dim, 3, np.random.default_rng(dim))
+    summarize(mapping)
+    angles, frame = mapping.source._corner_terms
+    arrays = [angles, *(c for c in frame if isinstance(c, np.ndarray))]
+    assert angles.shape == (3, mapping.n_faces)
+    assert len(arrays) == (5 if dim == 2 else 4)
+    if dim == 3:
+        assert frame[1] == 0.0 and type(frame[1]) is float
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[..., 0] = 1.0
+    assert "_corner_terms" not in vars(mapping.target)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kept_in, read_in", [(5, 8_192), (8_192, 5), (3, 7)])
+def test_fields_from_terms_kept_in_other_blocks_keep_every_bit(dim, kept_in, read_in):
+    """A source's corner terms built in blocks of one size serve maps whose
+    pass runs in blocks of another, and every value keeps the reference bits."""
+    for folded in (5, 13):
+        mapping = face_soup(16, dim, folded, np.random.default_rng(folded * dim))
+        with face_blocks_of(kept_in):
+            mapping.source._corner_terms
+        with face_blocks_of(read_in):
+            check_beltrami_fields(mapping)
+            check_summary_fields(mapping)
+
+
+def test_a_source_that_fails_validation_keeps_no_corner_terms():
+    degenerate = TriMesh([[0.0, 0.0], [1e-16, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    target = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    for attempt in (lambda: MeshMap(degenerate, target), lambda: corner_angles(degenerate),
+                    lambda: degenerate._corner_terms):
+        with pytest.raises(DegenerateFaceError):
+            attempt()
+        assert "_corner_terms" not in vars(degenerate)
+    # both faces run along the edge (0, 1) from 0 to 1
+    flipped = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(ValidationError, match="inconsistent face orientation"):
+        MeshMap(flipped, TriMesh(2.0 * flipped.vertices, flipped.faces))
+    assert "_corner_terms" not in vars(flipped)
+
+
+def test_corner_angles_is_a_copy_no_map_reads():
+    """``corner_angles`` returns a writable copy of the kept angles: writing
+    to it changes neither a later map's fields nor the next call's angles."""
+    mapping = face_soup(12, 3, 4, np.random.default_rng(12))
+    angles = corner_angles(mapping.source)
+    assert angles.flags.writeable
+    assert bits(angles) == bits(ref_corner_angles(mapping.source))
+    angles[...] = 0.0
+    check_beltrami_fields(mapping)
+    check_summary_fields(mapping)
+    assert bits(corner_angles(mapping.source)) == bits(ref_corner_angles(mapping.source))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -509,18 +578,18 @@ def test_fields_keep_every_bit_across_block_edges(dim, n_faces, edge):
 
 def test_summarize_transient_memory_has_a_fixed_bound():
     """``summarize``'s transient memory (the traced peak above what the
-    report keeps) on 3D maps of 25,909 and 49,909 faces stays under 3 MiB
-    and does not grow from the one to the other; it is 1.6 and 1.1 MiB,
-    where whole-mesh corner passes took 4.5 at the smaller size and the
-    three masked fields, taken up front, 2.9 at the larger.  The block pass
-    holds the temporaries of one block whatever the face count, the
-    histograms count 32,768 values per ``np.histogram`` call, and the
-    statistics take one field at a time, with no masked copy when no face is
-    folded.  Their temporaries, the squared deviations and the two
-    extraction buffers, about 24 bytes a face, still grow with the face
-    count: 2.3 MiB at 99,854 faces."""
+    report keeps) on 3D maps of 25,909, 49,909 and 99,854 faces stays under
+    3 MiB and does not grow with the face count (by 4 KiB at most from the
+    second to the third); it is 0.53, 0.20 and 0.20 MiB, where whole-mesh
+    corner passes took 4.5 at the smallest size and whole-field statistics,
+    histograms and bound check 2.3 at the largest.
+    The traced map's source already keeps its corner terms, and the block
+    pass holds the temporaries of one block whatever the face count; the
+    statistics' terms, the histograms' counts and the bound check run in
+    blocks of faces too, one field at a time, with no masked copy when no
+    face is folded."""
     transients = []
-    for n_vertices in (13_000, 25_000):
+    for n_vertices in (13_000, 25_000, 50_000):
         source = synth.bumpy_disk(n_vertices)
         target = synth.perturbed_target(source, np.random.default_rng(5))
         summarize(MeshMap(source, target))
@@ -536,6 +605,8 @@ def test_summarize_transient_memory_has_a_fixed_bound():
         transients.append((peak - kept) / 2 ** 20)
     assert max(transients) < 3.0
     assert transients[1] <= transients[0], transients
+    # the exact sums' Python ints differ by a few bytes with the data, not with the face count
+    assert transients[2] < transients[1] + 2 ** -8, transients
 
 
 @pytest.mark.parametrize("dim", [2, 3])
