@@ -62,9 +62,16 @@ MUTANTS = [
     ("tutte-uniform-boundary-spacing", "src/qcdistort/parameterize.py",
      "t = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(seg[:-1])]) / total",
      "t = 2.0 * np.pi * np.arange(seg.size) / seg.size"),
+    # the first round's ends with no room for the error of the residuals' float sum
+    ("exact-sum-no-slack", "src/qcdistort/report.py",
+     "slack += math.ceil(terms.size ** 2 * 2 ** (top - 105 + 1074))",
+     "slack += 0"),
+    ("exact-sum-drops-residual", "src/qcdistort/report.py",
+     "for part in q.sum(), res.sum():",
+     "for part in (q.sum(),):"),
     ("mean-by-np-sum", "src/qcdistort/report.py",
-     "mean = _exact_sum(values) / n",
-     "mean = float(np.sum(values)) / n"),
+     "mean = _exact_sum(values, folded=folded) / n",
+     "mean = float(sum(np.sum(block) for _, block in _terms(values, folded))) / n"),
     ("bound-tol-1e-3", "src/qcdistort/report.py",
      "BOUND_TOL = 1e-9",
      "BOUND_TOL = 1e-3"),

@@ -5,10 +5,12 @@ excluded from statistics, histograms, and the bound check; their count is
 reported separately; in CSV rows their dilatation / bound cells are left
 empty; in colored PLY exports they get the sentinel color magenta.
 
-Aggregation is deterministic: each sum is exact, by error-free extraction
-(Rump, Ogita & Oishi 2008), and rounded once, so no order of the values
-changes it; the variance sums IEEE squares, correctly rounded with no libm,
-so reports are byte-identical across runs and platforms.
+Aggregation is deterministic: each sum is exact and rounded once, so no order
+of the values changes it.  One round of error-free extraction (Rump, Ogita &
+Oishi 2008) per block of n terms leaves residuals whose float sum errs by less
+than n*n*2**(top-106); as in their AccSum, the sum stops there unless that
+bound could move the rounding.  The variance sums IEEE squares, correctly
+rounded with no libm, so reports are byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -106,15 +108,14 @@ def _uniform_edges(hi: float, bin_count: int) -> np.ndarray:
     return edges
 
 
-def _bin_counts(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _bin_counts(vals: np.ndarray, edges: np.ndarray, folded=None) -> np.ndarray:
     """``np.histogram``'s counts of finite ``vals`` up to ``edges[-1]`` over the uniform
-    ``edges`` from 0, negative values left out, counted block by block with its bin index
-    and its two fix-ups at the edges, in which that index may be off by one."""
+    ``edges`` from 0, negative and ``folded`` values left out, counted block by block with
+    its bin index and its two fix-ups at the edges, in which that index may be off by one."""
     bins, hi = edges.size - 1, edges[-1]
     with _sized_by(f"bin_count {bins}"):
         counts = np.zeros(bins, np.intp)
-        for rows in _face_blocks(vals.size):
-            v = vals[rows]
+        for _, v in _terms(vals, folded):
             keep = v >= 0.0
             if not keep.all():
                 v = v[keep]
@@ -133,26 +134,58 @@ def _field(name: str, beltrami: BeltramiField, angular: AngularDistortionField |
     return beltrami.abs_mu if name == "abs_mu" else beltrami.eps_mu
 
 
-def _exact_sum(values: np.ndarray, mean: float | None = None) -> float:
+def _terms(values: np.ndarray, folded=None, mean: float | None = None):
+    """The ``_FACE_BLOCK`` blocks of ``values`` without their ``folded`` faces (or of the
+    squares of their deviations from ``mean``), each with its first term's kept index."""
+    start = 0
+    for rows in _face_blocks(values.size):
+        block = values[rows] if folded is None else values[rows][~folded[rows]]
+        yield start, block if mean is None else np.square(block - mean)
+        start += block.size
+
+
+def _exact_sum(values: np.ndarray, mean: float | None = None, folded=None) -> float:
     """The exact sum of a 1-D float64 array, or of the squares of its deviations from
-    ``mean``, rounded once: ``math.fsum``'s bits.  The terms are made and summed in
-    blocks of ``_FACE_BLOCK``, whose exact sums (:func:`_exact_units`) add up exactly.
+    ``mean``, over the values not ``folded``, rounded once: ``math.fsum``'s bits.
+
+    Each block of ``n`` terms (:func:`_terms`) takes one round of :func:`_exact_units`:
+    parts with an exact sum, and residuals of at most ``2 ** (top - 53)``, whose float sum
+    errs by less than ``n * n * 2 ** (top - 106)`` (Higham 2002, 4.2).  As in Rump, Ogita
+    & Oishi's AccSum, the sum stops when that cannot move the rounding: when the total,
+    widened either way by twice the bound, rounds to one double below ``2 ** 1023``.
+    Otherwise every block's full extraction decides.
 
     Raises
     ------
     DomainError
-        On a NaN or an infinity among the terms.
+        On a NaN or an infinity among the terms, named by its index among the kept values.
     """
-    total = 0
-    for rows in _face_blocks(values.size):
-        terms = values[rows] if mean is None else np.square(values[rows] - mean)
-        total += _exact_units(terms, rows.start)
-    # int / int rounds correctly, half to even
-    return total / (1 << 1074)
+    total, slack, unit = 0, 0, 1 << 1074  # units of 2 ** -1074; int / int rounds correctly
+    for start, terms in _terms(values, folded, mean):
+        lo, hi = float(terms.min(initial=0.0)), float(terms.max(initial=0.0))
+        if not -math.inf < lo <= hi < math.inf:  # a NaN fails every comparison
+            i = int(np.argmin(np.isfinite(terms)))
+            raise DomainError(f"cannot sum the non-finite value {float(terms[i])!r} "
+                              f"at index {start + i}")
+        top = math.frexp(max(-lo, hi))[1] + (terms.size + 2).bit_length()
+        if lo == hi == 0.0 or top > 1023:  # no split, or a sigma past 2 ** 1023 to scale
+            total += _exact_units(terms)
+            continue
+        sigma = math.ldexp(1.0, top)
+        q = terms + sigma
+        q -= sigma
+        res = np.subtract(terms, q, out=None if mean is None else terms)
+        for part in q.sum(), res.sum():  # in units of 2 ** -1074
+            num, den = float(part).as_integer_ratio()
+            total += num << (1075 - den.bit_length())
+        slack += math.ceil(terms.size ** 2 * 2 ** (top - 105 + 1074))  # n * n * 2 ** (top - 105)
+    if abs(total) + slack < unit << 1023 and (total - slack) / unit == (total + slack) / unit:
+        return total / unit
+    return sum(_exact_units(terms) for _, terms in _terms(values, folded, mean)) / unit
 
 
-def _exact_units(values: np.ndarray, start: int) -> int:
-    """The exact sum of a 1-D float64 array in units of ``2 ** -1074``, the least double.
+def _exact_units(values: np.ndarray) -> int:
+    """The exact sum of a 1-D array of finite float64 values in units of ``2 ** -1074``.
 
     Error-free extraction: with ``|r| < 2 ** e`` and ``2 ** bits > n + 2``,
     ``sigma = 2 ** (e + bits)`` splits each ``r`` exactly into ``q = (r +
@@ -161,8 +194,7 @@ def _exact_units(values: np.ndarray, start: int) -> int:
     ``q`` is such a multiple below ``sigma``, so ``q.sum()`` is exact in any
     order.  Rounds add it to a Python int until every residual is zero.
     Where ``sigma`` would overflow, the values scaled by ``2 ** -s`` are
-    extracted instead, beside the low bits that scaling drops.  A non-finite
-    value raises, named by its index plus ``start``.
+    extracted instead, beside the low bits that scaling drops.
     """
     bits = (values.size + 2).bit_length()
     total, q = 0, np.empty_like(values)
@@ -170,10 +202,6 @@ def _exact_units(values: np.ndarray, start: int) -> int:
     while pieces:
         r, scale = pieces[-1]
         lo, hi = float(r.min(initial=0.0)), float(r.max(initial=0.0))
-        if not -math.inf < lo <= hi < math.inf:  # a NaN fails every comparison
-            i = int(np.argmin(np.isfinite(values)))
-            raise DomainError(f"cannot sum the non-finite value {float(values[i])!r} "
-                              f"at index {start + i}")
         if lo == hi == 0.0:
             pieces.pop()
             continue
@@ -192,19 +220,21 @@ def _exact_units(values: np.ndarray, start: int) -> int:
     return total
 
 
-def _fsum_stats(values: np.ndarray) -> FieldStats | None:
-    """Mean/max/min/std from exactly rounded sums."""
-    if values.size == 0:
+def _fsum_stats(values: np.ndarray, folded=None) -> FieldStats | None:
+    """Mean/max/min/std from exactly rounded sums, over the values not ``folded``."""
+    n = values.size - (0 if folded is None else int(np.count_nonzero(folded)))
+    if n == 0:
         return None
-    n = values.size
-    mean = _exact_sum(values) / n
+    mean = _exact_sum(values, folded=folded) / n
     # IEEE multiplication rounds each square correctly, so its bits are the same
     # on every platform, where libm's pow may differ in the last bit
-    var = _exact_sum(values, mean) / n
-    return FieldStats(
-        mean=mean, max=float(values.max()), min=float(values.min()),
-        std=math.sqrt(var),
-    )
+    var = _exact_sum(values, mean, folded) / n
+    if folded is None:
+        lo, hi = values.min(), values.max()
+    else:  # the sums found every kept value finite
+        lo = min(block.min(initial=math.inf) for _, block in _terms(values, folded))
+        hi = max(block.max(initial=-math.inf) for _, block in _terms(values, folded))
+    return FieldStats(mean=mean, max=float(hi), min=float(lo), std=math.sqrt(var))
 
 
 def summarize(
@@ -234,15 +264,15 @@ def summarize(
         raise DomainError("bins must be >= 1")
     # the public field functions, so a traced run times the block pass on its own
     bf, ang = face_beltrami(mapping), corner_distortion(mapping)
-    ok = ~bf.folded if bf.folded_count else slice(None)  # with no fold, views and not copies
+    folded = bf.folded if bf.folded_count else None  # each block masked on its own
 
     stats, histograms = {}, dict.fromkeys(FIELD_NAMES)
-    for name in FIELD_NAMES:  # one masked copy alive at a time
-        vals = _field(name, bf, ang)[ok]
-        stats[name] = _fsum_stats(vals)
-        if vals.size:  # the statistics found every value finite, and the maximum
+    for name in FIELD_NAMES:
+        vals = _field(name, bf, ang)
+        stats[name] = _fsum_stats(vals, folded)
+        if stats[name] is not None:  # the statistics found every value finite, and the maximum
             edges = _uniform_edges(stats[name].max, bins)
-            histograms[name] = edges, _bin_counts(vals, edges)
+            histograms[name] = edges, _bin_counts(vals, edges, folded)
     # each face's largest corner against its bound; a folded face's NaN bound never counts
     violations = sum(
         int(np.count_nonzero(np.maximum.reduce(ang.corner[rows].T) > bf.eps_mu[rows] + BOUND_TOL))

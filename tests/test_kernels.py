@@ -14,12 +14,14 @@ vertex layouts the package reads (2 columns, 3 columns with z inside the
 planar tolerance, 3D), with folded and anti-conformal target faces,
 repeated and signed-zero coordinates, and a sliver face near the
 degeneracy threshold.  The statistics' vectorised exact sum is held to
-``math.fsum``, bit for bit, and the squares to ``Fraction``.  The per-face
+``math.fsum``, bit for bit, on sums its first round decides and on sums
+near a rounding midpoint, which the full extraction decides, and the
+squares to ``Fraction``.  The per-face
 passes run in blocks of faces; the fields are also held to the references
 with blocks of 5 faces, cut at every position of small maps, and with a
 source whose kept corner terms were built in blocks of another size, and
 ``summarize`` is held to a working set no larger at 99,854 faces than at
-49,909 and 25,909.
+49,909 and 25,909, with folded faces and without.
 """
 
 import contextlib
@@ -609,6 +611,35 @@ def test_summarize_transient_memory_has_a_fixed_bound():
     assert transients[2] < transients[1] + 2 ** -8, transients
 
 
+def test_summarize_transient_memory_with_folds_has_a_fixed_bound():
+    """The same bound on planar maps with folds: ``irregular_disk`` mapped onto
+    itself mirrored beyond x = 0.9 max, with 491, 934 and 1,870 folded faces of
+    25,909, 49,909 and 99,854.  Each block is masked on its own, so the
+    transient is 0.53, 0.31 and 0.31 MiB, where a masked copy of each field
+    took 0.53, 0.79 and 1.59."""
+    transients = []
+    for n_vertices in (13_000, 25_000, 50_000):
+        source = synth.irregular_disk(n_vertices)
+        verts = source.vertices.copy()
+        edge = 0.9 * verts[:, 0].max()
+        beyond = verts[:, 0] > edge
+        verts[beyond, 0] = 2.0 * edge - verts[beyond, 0]
+        target = TriMesh(verts, source.faces)
+        summarize(MeshMap(source, target))
+        mapping = MeshMap(source, target)  # a fresh map: the traced call runs the pass
+        tracemalloc.start()
+        try:
+            report = summarize(mapping)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.folded_count > mapping.n_faces // 60
+        transients.append((peak - kept) / 2 ** 20)
+    assert max(transients) < 3.0
+    assert transients[1] <= transients[0], transients
+    assert transients[2] < transients[1] + 2 ** -8, transients
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_signed_zero_corner_keeps_its_bits(dim):
     # at corner 0, u = (1, +0, +0) and w = (-0, -1, -1): every product is
@@ -780,15 +811,15 @@ def test_exact_sum_has_fsum_bits(xs):
     assert _exact_sum(np.array(xs, dtype=np.float64)).hex() == want.hex()
 
 
-def counted(monkeypatch, name):
-    """Count the calls to ``np.<name>``, which keeps working."""
-    calls, real = [], getattr(np, name)
+def counted(monkeypatch, name, module=np):
+    """Count the calls to ``module.<name>``, which keeps working."""
+    calls, real = [], getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -823,15 +854,19 @@ def test_exact_sum_in_the_top_binade_has_fsum_bits(top, cancel, tiny, xs):
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_sum_over_many_rounds_has_fsum_bits(monkeypatch, seed):
     """One value in each binade from ``2 ** -1074`` to ``2 ** 1000``, some
-    cancelled, takes a round per 40 binades: about fifty rounds."""
+    cancelled, takes the full extraction a round per 40 binades: about fifty
+    rounds.  ``_exact_sum`` stops after its first round here; the full
+    extraction is the one that decides the sums its slack leaves open."""
     rng = np.random.default_rng(seed)
     exponents = np.arange(-1073, 1001)
     xs = np.ldexp(rng.uniform(0.5, 1.0, exponents.size) * rng.choice([-1.0, 1.0], exponents.size),
                   exponents)
     xs = np.concatenate([xs, -xs[rng.integers(0, xs.size, 40)]])
     rng.shuffle(xs)
-    rounds = counted(monkeypatch, "add")
     assert _exact_sum(xs).hex() == math.fsum(xs.tolist()).hex()
+    rounds = counted(monkeypatch, "add")
+    units = qcdistort.report._exact_units(xs)
+    assert (units / (1 << 1074)).hex() == math.fsum(xs.tolist()).hex()
     assert len(rounds) > 40
 
 
@@ -855,6 +890,79 @@ def test_fsum_stats_on_a_benchmark_sized_field():
     rng = np.random.default_rng(49_909)
     values = np.abs(rng.standard_normal(49_909)) * 10.0 ** rng.uniform(-12, 0, 49_909)
     assert outcome(_fsum_stats, values) == outcome(ref_fsum_stats, values)
+
+
+@pytest.mark.parametrize("xs", [
+    [1.0, 2.0 ** -53],                         # a tie, rounded to even
+    [1.0, 2.0 ** -53, 2.0 ** -105],            # just above the tie
+    [1.0, 2.0 ** -53, 2.0 ** -160],            # above it by less than the residuals' sum keeps
+], ids=["tie", "above-tie", "above-tie-by-a-lost-bit"])
+def test_exact_sum_decides_an_open_sum_by_the_full_extraction(monkeypatch, xs):
+    """Sums within the slack of a rounding midpoint: the first round's ends
+    round to two doubles, and the full extraction decides."""
+    full = counted(monkeypatch, "_exact_units", qcdistort.report)
+    assert _exact_sum(np.array(xs)).hex() == math.fsum(xs).hex()
+    assert full
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=st.integers(-900, 900), mantissa=st.integers(0, 2 ** 52 - 1),
+       offset=st.integers(-4, 4), noise=st.lists(FINITE, max_size=12), order=st.randoms())
+def test_exact_sum_near_a_midpoint_takes_the_full_extraction(exponent, mantissa, offset,
+                                                             noise, order):
+    """A double ``b`` in ``[2 ** exponent, 2 ** (exponent + 1))``, half its
+    ulp, and ``offset`` units of ``2 ** (exponent - 113)``, with values that
+    cancel in pairs.  The sum is within half the slack (at least ``9 * 2 **
+    (exponent - 101)`` for 3 or more terms) of the midpoint above ``b``, so
+    the ends of the first round straddle it."""
+    xs = [math.ldexp(2 ** 52 + mantissa, exponent - 52), math.ldexp(1.0, exponent - 53),
+          math.ldexp(offset, exponent - 113)] + noise + [-x for x in noise]
+    order.shuffle(xs)
+    try:
+        want = math.fsum(xs)
+    except OverflowError:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        full = counted(patch, "_exact_units", qcdistort.report)
+        assert _exact_sum(np.array(xs)).hex() == want.hex()
+    assert full
+
+
+@pytest.mark.parametrize("n", [2, 40, 8_192])
+def test_exact_sum_of_tiny_values_rounds_its_slack_up(monkeypatch, n):
+    """Values near 1e-300 and subnormals: the slack ``n * n * 2 ** (top -
+    105)`` is a fraction of ``2 ** -1074`` for the smaller blocks and is
+    rounded up to whole units; the first round still decides the sum."""
+    rng = np.random.default_rng(n)
+    xs = rng.uniform(-1.0, 2.0, n) * 1e-300
+    xs[::3] = rng.integers(-2 ** 40, 2 ** 40, xs[::3].size) * 5e-324
+    top = math.frexp(float(np.abs(xs).max()))[1] + (n + 2).bit_length()
+    assert top - 105 + 1074 < 0  # the slack's exponent in units of 2 ** -1074
+    full = counted(monkeypatch, "_exact_units", qcdistort.report)
+    assert _exact_sum(xs).hex() == math.fsum(xs.tolist()).hex()
+    assert not full
+
+
+@pytest.fixture(scope="module")
+def bumpy_map():
+    source = synth.bumpy_disk(25_000)
+    return MeshMap(source, synth.perturbed_target(source, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("field", ["benchmark-sized", *qcdistort.report.FIELD_NAMES])
+def test_exact_sums_of_benchmark_fields_take_one_round(monkeypatch, bumpy_map, field):
+    """The 49,909 values above and the three fields of a 49,909-face
+    ``bumpy_disk`` map: no sum of their values or squared deviations is left
+    open, so the first round is the path the benchmark measures."""
+    if field == "benchmark-sized":
+        rng = np.random.default_rng(49_909)
+        values = np.abs(rng.standard_normal(49_909)) * 10.0 ** rng.uniform(-12, 0, 49_909)
+    else:
+        values = qcdistort.report._field(field, *bumpy_map._fields)
+    assert values.size == 49_909
+    full = counted(monkeypatch, "_exact_units", qcdistort.report)
+    assert outcome(_fsum_stats, values) == outcome(ref_fsum_stats, values)
+    assert not full
 
 
 @pytest.mark.parametrize("xs, message", [
