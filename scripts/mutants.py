@@ -69,6 +69,10 @@ MUTANTS = [
     ("exact-sum-drops-residual", "src/qcdistort/report.py",
      "for part in q.sum(), res.sum():",
      "for part in (q.sum(),):"),
+    # the first round's total returned even where its slack leaves the rounding open
+    ("exact-sum-no-fallback", "src/qcdistort/report.py",
+     "if abs(total) + slack < unit << 1023 and (total - slack) / unit == (total + slack) / unit:",
+     "if True:"),
     ("mean-by-np-sum", "src/qcdistort/report.py",
      "mean = _exact_sum(values, folded=folded) / n",
      "mean = float(sum(np.sum(block) for _, block in _terms(values, folded))) / n"),

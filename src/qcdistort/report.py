@@ -9,8 +9,9 @@ Aggregation is deterministic: each sum is exact and rounded once, so no order
 of the values changes it.  One round of error-free extraction (Rump, Ogita &
 Oishi 2008) per block of n terms leaves residuals whose float sum errs by less
 than n*n*2**(top-106); as in their AccSum, the sum stops there unless that
-bound could move the rounding.  The variance sums IEEE squares, correctly
-rounded with no libm, so reports are byte-identical across runs and platforms.
+bound could move the rounding, and ``math.fsum`` decides the sums it leaves
+open.  The variance sums IEEE squares, correctly rounded with no libm, so
+reports are byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -148,17 +149,21 @@ def _exact_sum(values: np.ndarray, mean: float | None = None, folded=None) -> fl
     """The exact sum of a 1-D float64 array, or of the squares of its deviations from
     ``mean``, over the values not ``folded``, rounded once: ``math.fsum``'s bits.
 
-    Each block of ``n`` terms (:func:`_terms`) takes one round of :func:`_exact_units`:
-    parts with an exact sum, and residuals of at most ``2 ** (top - 53)``, whose float sum
-    errs by less than ``n * n * 2 ** (top - 106)`` (Higham 2002, 4.2).  As in Rump, Ogita
-    & Oishi's AccSum, the sum stops when that cannot move the rounding: when the total,
-    widened either way by twice the bound, rounds to one double below ``2 ** 1023``.
-    Otherwise every block's full extraction decides.
+    Each block of ``n`` terms (:func:`_terms`) takes one round of error-free extraction:
+    with ``2 ** top > (n + 2) * max |term|``, ``sigma = 2 ** top`` splits every term into
+    ``q = (term + sigma) - sigma``, whose sum is exact in any order, and a residual of at
+    most ``2 ** (top - 53)``, whose float sum errs by less than ``n * n * 2 ** (top - 106)``
+    (Higham 2002, 4.2).  As in Rump, Ogita & Oishi's AccSum, the sum stops when that
+    cannot move the rounding: when the total, widened either way by twice the bound,
+    rounds to one double below ``2 ** 1023``.  Otherwise, or when a ``sigma`` would
+    overflow, ``math.fsum`` over the same terms decides.
 
     Raises
     ------
     DomainError
         On a NaN or an infinity among the terms, named by its index among the kept values.
+    OverflowError
+        As ``math.fsum``, when the terms it sums have a partial sum past the double range.
     """
     total, slack, unit = 0, 0, 1 << 1074  # units of 2 ** -1074; int / int rounds correctly
     for start, terms in _terms(values, folded, mean):
@@ -167,9 +172,11 @@ def _exact_sum(values: np.ndarray, mean: float | None = None, folded=None) -> fl
             i = int(np.argmin(np.isfinite(terms)))
             raise DomainError(f"cannot sum the non-finite value {float(terms[i])!r} "
                               f"at index {start + i}")
+        if lo == hi == 0.0:
+            continue
         top = math.frexp(max(-lo, hi))[1] + (terms.size + 2).bit_length()
-        if lo == hi == 0.0 or top > 1023:  # no split, or a sigma past 2 ** 1023 to scale
-            total += _exact_units(terms)
+        if top > 1023:  # sigma would overflow: a slack that fails the stop test leaves it to fsum
+            slack = unit << 1023
             continue
         sigma = math.ldexp(1.0, top)
         q = terms + sigma
@@ -181,43 +188,7 @@ def _exact_sum(values: np.ndarray, mean: float | None = None, folded=None) -> fl
         slack += math.ceil(terms.size ** 2 * 2 ** (top - 105 + 1074))  # n * n * 2 ** (top - 105)
     if abs(total) + slack < unit << 1023 and (total - slack) / unit == (total + slack) / unit:
         return total / unit
-    return sum(_exact_units(terms) for _, terms in _terms(values, folded, mean)) / unit
-
-
-def _exact_units(values: np.ndarray) -> int:
-    """The exact sum of a 1-D array of finite float64 values in units of ``2 ** -1074``.
-
-    Error-free extraction: with ``|r| < 2 ** e`` and ``2 ** bits > n + 2``,
-    ``sigma = 2 ** (e + bits)`` splits each ``r`` exactly into ``q = (r +
-    sigma) - sigma``, a multiple of half an ulp of ``sigma`` with ``|q| <= 2
-    ** e``, and ``r - q``, at most that half ulp.  Every partial sum of the
-    ``q`` is such a multiple below ``sigma``, so ``q.sum()`` is exact in any
-    order.  Rounds add it to a Python int until every residual is zero.
-    Where ``sigma`` would overflow, the values scaled by ``2 ** -s`` are
-    extracted instead, beside the low bits that scaling drops.
-    """
-    bits = (values.size + 2).bit_length()
-    total, q = 0, np.empty_like(values)
-    pieces = [(values, 0)]  # arrays left to sum, each counted times 2 ** scale
-    while pieces:
-        r, scale = pieces[-1]
-        lo, hi = float(r.min(initial=0.0)), float(r.max(initial=0.0))
-        if lo == hi == 0.0:
-            pieces.pop()
-            continue
-        top = math.frexp(max(-lo, hi))[1] + bits
-        if top > 1023:  # the scaling drops only the bits below 2 ** (s - 1074)
-            s = top - 1023
-            scaled = np.ldexp(r, -s)
-            pieces[-1:] = [(r - np.ldexp(scaled, s), scale), (scaled, scale + s)]
-            continue
-        sigma = math.ldexp(1.0, top)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        pieces[-1] = (np.subtract(r, q, out=None if r is values else r), scale)
-        num, den = float(q.sum()).as_integer_ratio()
-        total += num << (1074 + scale + 1 - den.bit_length())
-    return total
+    return math.fsum(x for _, terms in _terms(values, folded, mean) for x in terms.tolist())
 
 
 def _fsum_stats(values: np.ndarray, folded=None) -> FieldStats | None:
@@ -389,8 +360,6 @@ def export_colored_mesh(
         beltrami, angular = mapping._fields
 
     values = _field(field_name, beltrami, angular)
-
-    ok = ~beltrami.folded
-    hi = float(values[ok].max()) if ok.any() else 1.0
-    colors = face_colors(values, beltrami.folded, hi)
+    hi = max(block.max(initial=0.0) for _, block in _terms(values, beltrami.folded))
+    colors = face_colors(values, beltrami.folded, float(hi))
     _write_ply(path, mapping.target.vertices, mapping.faces, face_colors=colors)
