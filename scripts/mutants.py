@@ -95,6 +95,15 @@ MUTANTS = [
     ("solver-threshold-times-1e6", "src/qcdistort/parameterize.py",
      "SOLVER_TOLERANCE = 1e-13",
      "SOLVER_TOLERANCE = 1e-7"),
+    # a zero or NaN determinant left unfolded
+    ("fold-rule-strict", BELTRAMI,
+     "    folded = ~(det > 0)\n",
+     "    folded = det < 0\n"),
+    # a collapsed target face folded only where rounding leaves ad - bc <= 0
+    ("collapsed-target-unfolded", BELTRAMI,
+     "        folded[rows] |= collapsed\n"
+     "        dil[rows][collapsed] = eps[rows][collapsed] = np.nan\n",
+     ""),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)

@@ -18,7 +18,11 @@ outputs digested are:
   (``mirrored/``), where every face is folded and the stats and histograms
   are null, and the report and CSV of that source against itself moved by
   a seeded relative jitter of 1e-9 (``near-identity/``), whose ``|mu|`` and
-  distortions sit many binades below those of the other maps;
+  distortions sit many binades below those of the other maps, and the exit
+  code with the report and CSV of that source against the target with face
+  0's third vertex moved to the midpoint of the opposite edge
+  (``collapsed/``; a file the run did not write digests as its exit code
+  alone, so trees that reject the map and trees that fold the face compare);
 * ``param --analyze`` flat OBJ and report of the ``param_flatten`` surface,
   with uniform and with cotangent weights;
 * ``report_json`` of each of the five ``analyze_lib`` maps;
@@ -171,6 +175,16 @@ def _outputs(seed: int):
             raise SystemExit("the near-identity target is not near the identity")
         for name in outs:
             yield f"near-identity/{name}", read(work / name)
+        verts = dst.vertices.copy()
+        a, b, c = dst.faces[0]
+        verts[c] = 0.5 * (verts[a] + verts[b])  # face 0 collapses onto its first edge
+        save_mesh(TriMesh(verts, dst.faces), work / "collapsed.off")
+        outs = [work / "collapsed.json", work / "collapsed.csv"]
+        code, _ = run(["analyze", str(work / "src.obj"), str(work / "collapsed.off"),
+                       "--out", str(outs[0]), "--csv", str(outs[1])])
+        for name, path in zip(("r.json", "f.csv"), outs):
+            data = read(path) if path.exists() else b""
+            yield f"collapsed/{name}", f"exit {code}\n".encode() + data
 
         save_mesh(inputs.param_flatten_surface(seed), work / "surf.obj")
         for weights in ("uniform", "cotangent"):

@@ -16,8 +16,8 @@ without forming 1 - |mu|, which loses the digits |mu| rounded away:
 
 The first is (|f_z| + |f_zbar|)^2 / (ad - bc) written so that K >= 1 holds in
 floats too, also on a conformal face.  A face is folded exactly when not
-ad - bc > 0; its K and eps_mu are NaN, and its mu and |mu| are the plain
-quotient (|mu| = inf and a non-finite mu where f_z is 0, as on a reflection).
+ad - bc > 0 or its target face fails the area test; its K and eps_mu are NaN, and its
+mu and |mu| are the plain quotient (|mu| = inf and non-finite mu where f_z is 0).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .mesh import TriMesh, _corner_angles, _cross_2d, _face_blocks, _planar_fram
 class MeshMap:
     """A piecewise-linear map f: source -> target as a vertex correspondence.
 
-    Both meshes must be valid and share the face list, and with it the source's edge table and
-    orientation verdict; the map sends source vertex i to target vertex i.  The map keeps its
-    Beltrami and angular distortion fields after their first use (97 bytes per face).  They
+    The meshes share the face list, whose checks are the valid source's; a target face that
+    fails the area test is folded.  The map sends source vertex i to target vertex i and keeps
+    its Beltrami and angular distortion fields after their first use (97 bytes per face).  They
     read the source's corner angles and planar frame, which the source mesh keeps for all its
     maps (56 bytes per face planar, 48 in 3D); the target's are built per block and not kept,
     since a study varies the target of one source.
@@ -62,8 +62,6 @@ class MeshMap:
             raise ValidationError(f"connectivity mismatch: face {f} differs "
                                   f"({src[f].tolist()} vs {dst[f].tolist()})")
         validate_mesh(self.source)
-        vars(self.target).update(_edges=self.source._edges, _oriented=self.source._oriented)
-        validate_mesh(self.target)  # its area test: the face list's facts are the source's
 
     @property
     def faces(self) -> np.ndarray:
@@ -90,7 +88,8 @@ class BeltramiField:
     dilatation  K = (1+|mu|)/(1-|mu|), from the Jacobian; NaN on folded faces
     eps_mu      2 sin^-1 |mu|, the per-face angular-distortion bound in
                 radians, from the Jacobian; NaN on folded faces
-    folded      True where the Jacobian determinant ad - bc is not > 0
+    folded      True where the Jacobian determinant ad - bc is not > 0, or
+                the target face's area is not above target.area_epsilon
     """
 
     mu: np.ndarray = field(repr=False)
@@ -154,10 +153,10 @@ def _jacobian_fields(a, b, c, d):
 def face_beltrami(mapping: MeshMap) -> BeltramiField:
     """Per-face Beltrami field of a mesh map.
 
-    3D faces are flattened by rigid motion first; since rigid motions are
-    conformal this cannot change |mu|.  Faces whose Jacobian determinant is
-    not positive are flagged folded and get NaN dilatation / eps_mu; their
-    mu and abs_mu stay the plain quotient, with abs_mu = inf where f_z is 0.
+    3D faces are flattened by rigid motion first; since rigid motions are conformal this
+    cannot change |mu|.  Faces whose Jacobian determinant is not positive, or whose target
+    face fails the area test of :func:`validate_mesh`, are flagged folded and get NaN
+    dilatation / eps_mu; their mu and abs_mu stay the plain quotient (inf where f_z is 0).
     """
     return mapping._fields[0]
 
@@ -166,16 +165,19 @@ def _map_fields(mapping: MeshMap):
     """``(BeltramiField, AngularDistortionField)`` from one pass over blocks of faces that
     writes into arrays made once, reading the source's kept corner terms by slice;
     ``signed[k, f]`` is the target's angle minus the source's at corner k of face f."""
-    n = mapping.n_faces
+    n, target = mapping.n_faces, mapping.target
     angles, frame = mapping.source._corner_terms  # the source's, kept; the target's per block
     mu, folded, signed = np.empty(n, complex), np.empty(n, bool), np.empty((3, n))
     abs_mu, dil, eps = np.empty((3, n))
     for rows in _face_blocks(n):
         src = [c[rows] if isinstance(c, np.ndarray) else c for c in frame]
-        dst = _planar_frame(mapping.target, *_corner_angles(mapping.target, rows, signed[:, rows]))
+        *corner0, cross = _corner_angles(target, rows, signed[:, rows])
         signed[:, rows] -= angles[:, rows]
         mu[rows], abs_mu[rows], dil[rows], eps[rows], folded[rows] = _jacobian_fields(
-            *_affine_arrays(src, dst))
+            *_affine_arrays(src, _planar_frame(target, *corner0)))
+        collapsed = ~(0.5 * cross > target.area_epsilon)  # the area test, as a fold
+        folded[rows] |= collapsed
+        dil[rows][collapsed] = eps[rows][collapsed] = np.nan
     c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
     return (BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded),
             AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0))

@@ -24,7 +24,7 @@ from .errors import (
     TopologyError,
     ValidationError,
 )
-from .mesh import load_mesh, save_mesh
+from .mesh import _read_mesh, load_mesh, save_mesh
 from .parameterize import WEIGHT_CHOICES, ParamConfig, tutte_disk
 from .report import (
     DEFAULT_BINS,
@@ -148,7 +148,7 @@ def _warn_folds(report) -> None:
 
 def run_analyze(args) -> int:
     src = load_mesh(args.source)
-    dst = load_mesh(args.target)
+    dst = _read_mesh(args.target, validate=False)  # MeshMap folds its collapsed faces
     mapping = MeshMap(src, dst)
     rep = summarize(
         mapping,

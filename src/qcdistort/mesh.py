@@ -9,7 +9,7 @@ Conventions used throughout the package:
   ``acos`` is not, from one ``|u x w|`` per face (:func:`_face_terms`).
 * The one degeneracy test: a face whose area (on the coordinates every
   per-face formula reads, see :func:`_face_columns`) is at or below ``1e-12``
-  times the squared bounding-box diagonal is degenerate, in any length unit.
+  times the squared bounding-box diagonal is degenerate in any unit (folded on a map's target).
 * n-gon faces in input files are fan-triangulated around their first vertex.
 * A mesh with every ``|z| <= 1e-12`` times the bounding-box diagonal is planar
   (dimension 2) in any length unit, as flat meshes read from 3D formats are.
@@ -77,12 +77,12 @@ class TriMesh:
     structural checks (index range, no repeated vertex within a face); the
     geometric invariants (non-degenerate faces, consistent combinatorial
     orientation) are enforced by :func:`validate_mesh`, which file loading
-    and map construction call.  A validated mesh keeps its two passing verdicts
-    and its edge table (about 1.8 MB per 50k faces), built once and read by
-    validation, :func:`boundary_loops`, the Tutte solve and a map's target.  A
-    mesh that is a map's source, or is given to :func:`corner_angles`, also
-    keeps its corner angles and planar frame (56 bytes per face planar, 48 in
-    3D), read by every map of that source.
+    and a map's source call (a map's target gets the structural checks alone).
+    A validated mesh keeps its two passing verdicts and its edge table (about
+    1.8 MB per 50k faces), built once and read by validation, :func:`boundary_loops`
+    and the Tutte solve.  A mesh that is a map's source, or is given to
+    :func:`corner_angles`, also keeps its corner angles and planar frame (56
+    bytes per face planar, 48 in 3D), read by every map of that source.
     """
 
     vertices: np.ndarray = field(repr=False)
@@ -165,9 +165,9 @@ class TriMesh:
 
     @functools.cached_property
     def _oriented(self) -> bool:
-        # the face list's verdict (MeshMap hands it to its target): a manifold edge is consistently
-        # oriented when exactly one of its half-edges runs from the lower to the higher vertex
-        # index; edges on more than two faces are reported by the ops needing manifoldness
+        # the face list's verdict: a manifold edge is consistently oriented when exactly one of
+        # its half-edges runs from the lower to the higher vertex index; edges on more than two
+        # faces are reported by the ops needing manifoldness
         inverse, counts = self._edges
         tails, heads = _half_edges(self.faces)
         ascending = np.bincount(inverse[tails < heads], minlength=counts.size)
@@ -181,7 +181,7 @@ class TriMesh:
 
     @functools.cached_property
     def _edges(self):
-        # the face list's one edge table; MeshMap hands the source's to its target
+        # the face list's one edge table
         return _edge_pass(self)
 
     @functools.cached_property
@@ -296,19 +296,21 @@ def face_areas(mesh: TriMesh) -> np.ndarray:
 
 
 def _corner_angles(mesh: TriMesh, rows, angles):
-    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns corner 0's terms."""
+    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns corner 0's
+    ``(u, w, u . w)`` and the faces' ``|u x w|``."""
     (u, w, cross), *dots = _face_terms(mesh, rows)
     for out, dot in zip(angles, dots):
         np.arctan2(cross, dot, out=out)
-    return u, w, dots[0]
+    return u, w, dots[0], cross
 
 
 def _pose(u, w, uw):
     """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
     l1 = np.sqrt(_dot(u, u))
-    x2 = uw / l1
-    t = x2 / l1
-    perp = [wc - t * uc for uc, wc in zip(u, w)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN x2, y2 where a collapsed l1 is 0
+        x2 = uw / l1
+        t = x2 / l1
+        perp = [wc - t * uc for uc, wc in zip(u, w)]
     return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
 
 
@@ -327,7 +329,7 @@ def _corner_pass(mesh: TriMesh):
     kept = range(4) if mesh.dimension == 2 else (0, 2, 3)
     angles, frame = np.empty((3, n)), [np.empty(n) if k in kept else 0.0 for k in range(4)]
     for rows in _face_blocks(n):
-        block = _planar_frame(mesh, *_corner_angles(mesh, rows, angles[:, rows]))
+        block = _planar_frame(mesh, *_corner_angles(mesh, rows, angles[:, rows])[:3])
         for k in kept:
             frame[k][rows] = block[k]
     for array in (angles, *(frame[k] for k in kept)):
@@ -430,17 +432,17 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
 def validate_mesh(mesh: TriMesh) -> None:
     """Enforce the geometric mesh invariants.
 
-    Checks that no face is degenerate (``face_areas`` at or below
-    ``mesh.area_epsilon``) and that face orientation is combinatorially
-    consistent wherever the mesh is manifold: every edge shared by exactly
-    two faces must be traversed once in each direction.  Inconsistent
-    orientation is reported, never repaired, because a silent flip would
-    corrupt the sign conventions of the per-face distortion fields.
+    Checks that no face is degenerate (``face_areas`` at or below ``mesh.area_epsilon``;
+    a map's target is not validated, and folds such a face) and that face orientation
+    is combinatorially consistent wherever the mesh is manifold: every edge shared by
+    exactly two faces must be traversed once in each direction.  Inconsistent
+    orientation is reported, never repaired, because a silent flip would corrupt the
+    sign conventions of the per-face distortion fields.
 
     A ``TriMesh`` is immutable, so both passing verdicts are kept on the mesh,
     the orientation one with the edge table it reads (about 1.8 MB per 50k
-    faces, read by :func:`boundary_loops`, the Tutte solve and a map's target);
-    later calls return at once, and a failure is raised again on every call.
+    faces, read by :func:`boundary_loops` and the Tutte solve); later calls
+    return at once, and a failure is raised again on every call.
 
     Raises
     ------
@@ -699,6 +701,11 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
         From :class:`TriMesh` or :func:`validate_mesh`, the path put first.
     OSError
     """
+    return _read_mesh(path, format)
+
+
+def _read_mesh(path, format=None, validate: bool = True) -> TriMesh:
+    """:func:`load_mesh`; ``validate=False`` skips :func:`validate_mesh`, as for a map's target."""
     try:
         fmt = _resolve_format(path, format, _LOAD_FORMATS)
     except ValueError as exc:
@@ -708,7 +715,8 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     verts, faces = (_read_obj if fmt == "obj" else _read_off)(path, data)
     try:
         mesh = TriMesh(verts, faces)
-        validate_mesh(mesh)
+        if validate:
+            validate_mesh(mesh)
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

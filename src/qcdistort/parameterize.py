@@ -172,9 +172,9 @@ def tutte_disk(mesh: TriMesh, config: ParamConfig = ParamConfig()) -> MeshMap:
     Returns
     -------
     MeshMap
-        ``source`` is the input, ``target`` the planar embedding.  Its
-        total signed area is positive: the boundary loop, walked the way
-        its faces induce, goes counter-clockwise round the unit circle.
+        ``source`` is the input, ``target`` the planar embedding (total signed area
+        positive: the boundary loop, walked the way its faces induce, goes counter-
+        clockwise round the unit circle); a face it collapses is folded, not an error.
 
     Raises
     ------

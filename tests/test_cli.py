@@ -365,18 +365,30 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
-    def test_degenerate_target_names_file_and_face(self, meshes, tmp_path, capsys):
-        disk = load_mesh(meshes / "disk.obj")
+    @pytest.mark.filterwarnings("error")
+    def test_collapsed_target_face_folds_and_exits_0(self, tmp_path, capsys):
+        disk = flat_disk(6)
         verts = disk.vertices.copy()
-        a, b, c = disk.faces[5]
-        verts[c] = 0.25 * verts[a] + 0.75 * verts[b]  # face 5 collapses onto edge ab
-        target = tmp_path / "collapsed.obj"
+        a, b, c = disk.faces[0]
+        verts[c] = 0.5 * (verts[a] + verts[b])  # face 0 collapses onto edge ab
+        source, target = tmp_path / "disk.obj", tmp_path / "collapsed.obj"
+        save_mesh(disk, source)
         save_mesh(qcdistort.TriMesh(verts, disk.faces), target)
-        assert main(["analyze", str(meshes / "disk.obj"), str(target),
-                     "--out", str(tmp_path / "r.json")]) == 3
+        report, table = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main(["analyze", str(source), str(target), "--out", str(report),
+                     "--csv", str(table), "--quiet"]) == 0
+        folded = json.loads(report.read_text())["folded_count"]
+        assert folded >= 1 and json.loads(report.read_text())["bound_violations"] == 0
+        assert capsys.readouterr().err == (f"warning: {folded} folded faces "
+                                           "(excluded from statistics)\n")
+        row = table.read_text().splitlines()[1].split(",")
+        assert row[0] == "0" and row[2:4] == ["", ""] and row[-1] == "true"
+        assert all(math.isfinite(float(x)) for x in row[4:8])
+        # the same file as a source is an error that names it and the face
+        assert main(["analyze", str(target), str(source), "--out", str(report)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {target}: face 5 is degenerate (area ")
+        assert err[0].startswith(f"error: {target}: face 0 is degenerate (area ")
 
 
 class TestMisc:

@@ -2,7 +2,10 @@
 ``1e-12 * diag**2`` fails validation, and every face that passes gives
 finite fields.  Faces just above and just below the threshold, in each
 vertex layout the package reads (2 columns, 3 columns with every |z| at most
-1e-12 times the bounding-box diagonal, 3D)."""
+1e-12 times the bounding-box diagonal, 3D).  On a map's target the same test
+is a fold verdict: collapsed target faces are folded, without a warning."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +20,13 @@ from qcdistort import (
     face_beltrami,
     load_mesh,
     save_mesh,
+    summarize,
     validate_mesh,
 )
 from qcdistort.cli import main
+from qcdistort.mesh import _pose
 from qcdistort.parameterize import _edge_weights
+from qcdistort.synth import bumpy_disk, irregular_disk
 
 LAYOUTS = ["2-column", "3-column-planar", "3d"]
 ABOVE, BELOW = 1 + 1e-6, 1 - 1e-6
@@ -121,3 +127,50 @@ def test_thin_3d_triangle_is_read_in_3d(tmp_path):
     assert load_mesh(path).dimension == 3
     assert main(["analyze", str(path), str(path), "--out", str(tmp_path / "r.json"),
                  "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("surface", [irregular_disk, bumpy_disk], ids=["planar", "3d"])
+def test_collapsed_target_faces_are_folded(surface):
+    """150 maps of one source, each with one face's third corner moved onto the opposite
+    edge at a random ratio, onto the first corner, or 1e-9 of the edge away from it.
+    Rounding leaves ``ad - bc > 0`` on many such faces; the area test folds every one."""
+    source = surface(300)
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, f in enumerate(rng.choice(source.n_faces, 150, replace=False)):
+            a, b, c = source.faces[f]
+            verts = source.vertices.copy()
+            edge = verts[b] - verts[a]
+            verts[c] = verts[a] + (rng.uniform(), 0.0, 1e-9)[i % 3] * edge
+            report = summarize(MeshMap(source, TriMesh(verts, source.faces)))
+            assert report.beltrami.folded[f], (i, f)
+            assert np.isnan(report.beltrami.dilatation[f]) and np.isnan(report.beltrami.eps_mu[f])
+            assert report.bound_violations == 0
+            assert np.isfinite(report.angular.corner).all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_target_with_coincident_corners_folds_without_warning(dim):
+    """A target face whose corners 0 and 1 coincide (its corner-0 edge has length 0), or
+    all three: folded, with finite corner values and no warning.  In 3D its flattening has
+    no direction, so its frame terms, ``mu`` and ``abs_mu`` are NaN; in the plane ``mu`` is
+    finite until all three corners coincide, where it is 0 / 0."""
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [1.0, 1.0, 0.0]])
+    source = TriMesh(corners[:, :dim], [[0, 1, 2], [1, 3, 2]])
+    assert source.dimension == dim
+    for moved in ([1], [1, 2]):
+        verts = source.vertices.copy()
+        verts[moved] = verts[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = face_beltrami(MeshMap(source, TriMesh(verts, source.faces)))
+            corner = corner_distortion(MeshMap(source, TriMesh(verts, source.faces))).corner
+        assert field.folded[0] and np.isnan(field.dilatation[0]) and np.isnan(field.eps_mu[0])
+        assert np.isfinite(corner).all()
+        assert np.isnan(field.abs_mu[0]) == (dim == 3 or moved == [1, 2])
+    zero = [np.zeros(1)] * dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l1, y1, x2, y2 = _pose(zero, [np.ones(1)] * dim, np.zeros(1))
+    assert l1.tolist() == [0.0] and np.isnan(x2).all() and np.isnan(y2).all()

@@ -11,8 +11,8 @@ for the bound check, and a Python generator for the variance, which
 squares with ``*`` as the package does.  ``summarize``'s fields are held to
 them as well as the public field functions.  Meshes are drawn in the three
 vertex layouts the package reads (2 columns, 3 columns with z inside the
-planar tolerance, 3D), with folded and anti-conformal target faces,
-repeated and signed-zero coordinates, and a sliver face near the
+planar tolerance, 3D), with folded, anti-conformal and collapsed target
+faces, repeated and signed-zero coordinates, and a sliver face near the
 degeneracy threshold.  The statistics' vectorised exact sum is held to
 ``math.fsum``, bit for bit, on sums its first round decides and on sums
 near a rounding midpoint, which it leaves to ``math.fsum``, and the squares
@@ -94,9 +94,11 @@ def ref_corner_dots_and_cross(tri):
     return [dot for dot, _ in terms], terms[0][1]
 
 
-def ref_corner_angles(mesh):
+def ref_corner_angles(mesh, area_test=True):
+    """The angles, after the area test unless ``area_test`` is false (a map's target)."""
     dots, cross = ref_corner_dots_and_cross(ref_face_coords(mesh))
-    _require_area(mesh, 0.5 * cross)
+    if area_test:
+        _require_area(mesh, 0.5 * cross)
     return np.column_stack([np.arctan2(cross, dot) for dot in dots])
 
 
@@ -188,13 +190,19 @@ def ref_jacobian_fields(a, b, c, d):
 
 
 def ref_face_beltrami(mapping):
-    a, b, c, d = ref_affine_arrays(ref_face_coords_2d(mapping.source),
-                                   ref_face_coords_2d(mapping.target))
-    return ref_jacobian_fields(a, b, c, d)
+    """The Jacobian fields, with every target face whose area is not above the target's
+    threshold folded too, with NaN K and eps_mu."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a 3D face with P0 = P1 has no pose
+        a, b, c, d = ref_affine_arrays(ref_face_coords_2d(mapping.source),
+                                       ref_face_coords_2d(mapping.target))
+    mu, abs_mu, dil, eps, folded = ref_jacobian_fields(a, b, c, d)
+    collapsed = ~(ref_face_areas(mapping.target) > mapping.target.area_epsilon)
+    dil[collapsed] = eps[collapsed] = np.nan
+    return mu, abs_mu, dil, eps, folded | collapsed
 
 
 def ref_corner_distortion(mapping):
-    signed = ref_corner_angles(mapping.target) - ref_corner_angles(mapping.source)
+    signed = ref_corner_angles(mapping.target, False) - ref_corner_angles(mapping.source)
     corner = np.abs(signed)
     return corner, signed, corner.mean(axis=1)
 
@@ -286,7 +294,9 @@ def mesh_maps(draw, layout):
     possibly a detached sliver face inside its bounding box whose area is
     0.5 to 2 times the degeneracy threshold.  The target is the source
     mirrored in x (on a planar source f_z then vanishes on every face) or a
-    jittered grid in any layout, whose faces may fold.
+    jittered grid in any layout, whose faces may fold; the target's copy of
+    the sliver may collapse, its third corner moved onto the first edge's
+    midpoint, its second onto its first, or both.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     scale = draw(st.sampled_from(SCALES))
@@ -324,6 +334,12 @@ def mesh_maps(draw, layout):
             if dst.shape[1] == 3:
                 sliver = np.column_stack([sliver, np.full(3, dst[0, 2])])
             dst = np.vstack([dst, sliver])
+    if ratio is not None:
+        collapse = draw(st.sampled_from([None, "onto-edge", "first-edge-zero", "one-point"]))
+        if collapse == "onto-edge":
+            dst[n + 2] = 0.5 * (dst[n] + dst[n + 1])
+        elif collapse is not None:
+            dst[n + 1:n + (2 if collapse == "first-edge-zero" else 3)] = dst[n]
     source, target = TriMesh(src, faces), TriMesh(dst, faces)
     if layout != "3d":
         assert source.dimension == 2
@@ -380,7 +396,7 @@ def test_per_face_formulas_keep_every_bit(layout, data):
     try:
         mapping = MeshMap(source, target)
     except ValidationError:
-        return  # a sliver below the threshold, or a target face collapsed
+        return  # a source sliver below the threshold; a collapsed target face is folded
     check_beltrami_fields(mapping)
     check_summary_fields(mapping)
 

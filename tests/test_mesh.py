@@ -173,17 +173,23 @@ class TestTriMesh:
     def test_validation_runs_once_per_mesh(self, tmp_path, monkeypatch):
         sized = spy_verdict(monkeypatch, "_nondegenerate")
         oriented = spy_verdict(monkeypatch, "_oriented")
-        save_mesh(hemisphere(6), tmp_path / "hemi.obj")
-        src = load_mesh(tmp_path / "hemi.obj")
-        dst = load_mesh(tmp_path / "hemi.obj")
+        surface = tmp_path / "hemi.obj"
+        save_mesh(hemisphere(6), surface)
+        src = load_mesh(surface)
+        dst = load_mesh(surface)
         assert len(sized) == len(oriented) == 2
         MeshMap(src, dst)
         validate_mesh(src)
         assert len(sized) == len(oriented) == 2
         flat = tutte_disk(src)
-        # the target runs its own area test and takes its source's orientation verdict
-        assert len(sized) == 3 and sized[2] is flat.target
-        assert len(oriented) == 2
+        # a map's target runs neither test: its face list is its source's, and the block
+        # pass folds a collapsed face of it
+        assert len(sized) == len(oriented) == 2
+        assert {"_nondegenerate", "_oriented"}.isdisjoint(vars(flat.target))
+        sized.clear()
+        oriented.clear()
+        assert main(["analyze", str(surface), str(surface), "--json"]) == 0
+        assert len(sized) == len(oriented) == 1  # the source file's
 
     def test_one_orientation_test_per_face_list(self, tmp_path, monkeypatch):
         oriented = spy_verdict(monkeypatch, "_oriented")
@@ -192,7 +198,7 @@ class TestTriMesh:
         oriented.clear()
         src = hemisphere(6)
         mapping = MeshMap(src, TriMesh(2 * src.vertices, src.faces))
-        assert oriented == [src] and mapping.target._oriented
+        assert oriented == [src] and "_oriented" not in vars(mapping.target)
         surface, flat = tmp_path / "hemi.obj", tmp_path / "flat.obj"
         save_mesh(hemisphere(6), surface)
         oriented.clear()
@@ -200,18 +206,21 @@ class TestTriMesh:
         assert len(oriented) == 1
         oriented.clear()
         assert main(["analyze", str(surface), str(flat), "--json"]) == 0
-        assert len(oriented) == 2  # one per file read
+        assert len(oriented) == 1  # the source file's
 
     def test_target_area_test_follows_the_source_checks(self):
-        # a degenerate target face is reported only once the source has passed both tests
+        # a source that fails a check raises whatever its target; the target's area test is
+        # then a fold verdict: its collapsed face gets NaN K and eps_mu, its neighbour does not
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         flipped = TriMesh(verts, [[0, 1, 2], [1, 2, 3]])
-        collapsed = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], flipped.faces)
+        collapsed = TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, -1.0]], flipped.faces)
         with pytest.raises(ValidationError, match="inconsistent face orientation"):
             MeshMap(flipped, collapsed)
         good = TriMesh(verts, [[0, 1, 2], [2, 1, 3]])
-        with pytest.raises(DegenerateFaceError, match="face 0 is degenerate"):
-            MeshMap(good, TriMesh(collapsed.vertices, good.faces))
+        field = face_beltrami(MeshMap(good, TriMesh(collapsed.vertices, good.faces)))
+        assert field.folded.tolist() == [True, False]
+        assert np.isnan(field.dilatation[0]) and np.isnan(field.eps_mu[0])
+        assert np.isfinite(field.dilatation[1]) and np.isfinite(field.eps_mu[1])
 
     def test_one_edge_pass_per_face_list(self, tmp_path, monkeypatch):
         passes = []
@@ -226,7 +235,7 @@ class TestTriMesh:
             assert len(passes) == 1
         passes.clear()
         assert main(["analyze", str(surface), str(flat), "--json"]) == 0
-        assert len(passes) == 2  # one per file read
+        assert len(passes) == 1  # the source file's
 
         passes.clear()
         tutte_disk(hemisphere(6))
@@ -235,12 +244,8 @@ class TestTriMesh:
         src = hemisphere(6)
         mapping = MeshMap(src, TriMesh(2.0 * src.vertices, src.faces))
         assert len(passes) == 1
-        assert mapping.target._edges is src._edges
+        assert "_edges" not in vars(mapping.target)
         assert not any(array.flags.writeable for array in src._edges)
-        # a table the target built itself is replaced, so one stays alive per map
-        target = TriMesh(2.0 * src.vertices, src.faces)
-        validate_mesh(target)
-        assert MeshMap(src, target).target._edges is src._edges
 
 
 class TestCornerAngles:
