@@ -104,6 +104,14 @@ MUTANTS = [
      "        folded[rows] |= collapsed\n"
      "        dil[rows][collapsed] = eps[rows][collapsed] = np.nan\n",
      ""),
+    # reading a file validates it again, so a map's collapsed target is refused
+    ("load-mesh-validates", MESH,
+     "        return TriMesh(verts, faces)\n",
+     "        mesh = TriMesh(verts, faces)\n        validate_mesh(mesh)\n        return mesh\n"),
+    # a CLI source's validation message without the file's path in front
+    ("source-path-dropped", "src/qcdistort/cli.py",
+     'exc.args = (f"{path}: {exc}",)',
+     "exc.args = (str(exc),)"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)

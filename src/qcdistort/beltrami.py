@@ -35,12 +35,13 @@ from .mesh import TriMesh, _corner_angles, _cross_2d, _face_blocks, _planar_fram
 class MeshMap:
     """A piecewise-linear map f: source -> target as a vertex correspondence.
 
-    The meshes share the face list, whose checks are the valid source's; a target face that
-    fails the area test is folded.  The map sends source vertex i to target vertex i and keeps
-    its Beltrami and angular distortion fields after their first use (97 bytes per face).  They
-    read the source's corner angles and planar frame, which the source mesh keeps for all its
-    maps (56 bytes per face planar, 48 in 3D); the target's are built per block and not kept,
-    since a study varies the target of one source.
+    The meshes share the face list, whose checks are those of the source, which the map
+    validates (``load_mesh`` does not); a target face that fails the area test is folded.  The
+    map sends source vertex i to target vertex i and keeps its Beltrami and angular distortion
+    fields after their first use (97 bytes per face).  They read the source's corner angles and
+    planar frame, which the source mesh keeps for all its maps (56 bytes per face planar, 48 in
+    3D); the target's are built per block and not kept, since a study varies the target of one
+    source.
     """
 
     source: TriMesh

@@ -24,7 +24,7 @@ from .errors import (
     TopologyError,
     ValidationError,
 )
-from .mesh import _read_mesh, load_mesh, save_mesh
+from .mesh import load_mesh, save_mesh, validate_mesh
 from .parameterize import WEIGHT_CHOICES, ParamConfig, tutte_disk
 from .report import (
     DEFAULT_BINS,
@@ -146,9 +146,20 @@ def _warn_folds(report) -> None:
               f"(excluded from statistics)", file=sys.stderr)
 
 
+def _load_source(path):
+    """A map's source: :func:`load_mesh`, then :func:`validate_mesh` with the path put first."""
+    mesh = load_mesh(path)
+    try:
+        validate_mesh(mesh)
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    return mesh
+
+
 def run_analyze(args) -> int:
-    src = load_mesh(args.source)
-    dst = _read_mesh(args.target, validate=False)  # MeshMap folds its collapsed faces
+    src = _load_source(args.source)  # validated before the target is read
+    dst = load_mesh(args.target)  # MeshMap folds its collapsed faces
     mapping = MeshMap(src, dst)
     rep = summarize(
         mapping,
@@ -169,7 +180,7 @@ def run_analyze(args) -> int:
 
 
 def run_param(args) -> int:
-    mesh = load_mesh(args.source)
+    mesh = _load_source(args.source)
     mapping = tutte_disk(mesh, ParamConfig(weights=args.weights))
     out = args.output
     if out is None:

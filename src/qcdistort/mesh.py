@@ -76,8 +76,8 @@ class TriMesh:
     Construction sets ``dimension`` and ``bbox_diagonal`` and performs the
     structural checks (index range, no repeated vertex within a face); the
     geometric invariants (non-degenerate faces, consistent combinatorial
-    orientation) are enforced by :func:`validate_mesh`, which file loading
-    and a map's source call (a map's target gets the structural checks alone).
+    orientation) are enforced by :func:`validate_mesh`, which a map's source and a Tutte input
+    get (a mesh read by :func:`load_mesh`, or a map's target, gets the structural checks alone).
     A validated mesh keeps its two passing verdicts and its edge table (about
     1.8 MB per 50k faces), built once and read by validation, :func:`boundary_loops`
     and the Tutte solve.  A mesh that is a map's source, or is given to
@@ -433,11 +433,11 @@ def validate_mesh(mesh: TriMesh) -> None:
     """Enforce the geometric mesh invariants.
 
     Checks that no face is degenerate (``face_areas`` at or below ``mesh.area_epsilon``;
-    a map's target is not validated, and folds such a face) and that face orientation
-    is combinatorially consistent wherever the mesh is manifold: every edge shared by
-    exactly two faces must be traversed once in each direction.  Inconsistent
-    orientation is reported, never repaired, because a silent flip would corrupt the
-    sign conventions of the per-face distortion fields.
+    :func:`load_mesh` does not validate, and a map's target folds such a face) and that
+    face orientation is combinatorially consistent wherever the mesh is manifold: every
+    edge shared by exactly two faces must be traversed once in each direction.
+    Inconsistent orientation is reported, never repaired, because a silent flip would
+    corrupt the sign conventions of the per-face distortion fields.
 
     A ``TriMesh`` is immutable, so both passing verdicts are kept on the mesh,
     the orientation one with the edge table it reads (about 1.8 MB per 50k
@@ -679,7 +679,8 @@ def _read_off(path, data: bytes):
 
 
 def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
-    """Load and validate a triangle mesh from an OBJ or OFF file.
+    """Read a triangle mesh from an OBJ or OFF file, checked by :class:`TriMesh` alone: the roles
+    that need :func:`validate_mesh` run it (a map's source, a Tutte input, :func:`corner_angles`).
 
     Parameters
     ----------
@@ -690,22 +691,17 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     Returns
     -------
     TriMesh
-        Validated mesh.  Non-triangular faces are fan-triangulated; the
-        dimension is 2 when the mesh is planar (see :class:`TriMesh`), else 3.
+        Non-triangular faces are fan-triangulated; the dimension is 2 when
+        the mesh is planar (see :class:`TriMesh`), else 3.
 
     Raises
     ------
     ParseError
         Malformed file, or a format other than OBJ and OFF.
     ValidationError
-        From :class:`TriMesh` or :func:`validate_mesh`, the path put first.
+        From :class:`TriMesh`, the path put first.
     OSError
     """
-    return _read_mesh(path, format)
-
-
-def _read_mesh(path, format=None, validate: bool = True) -> TriMesh:
-    """:func:`load_mesh`; ``validate=False`` skips :func:`validate_mesh`, as for a map's target."""
     try:
         fmt = _resolve_format(path, format, _LOAD_FORMATS)
     except ValueError as exc:
@@ -714,13 +710,10 @@ def _read_mesh(path, format=None, validate: bool = True) -> TriMesh:
         data = fh.read()
     verts, faces = (_read_obj if fmt == "obj" else _read_off)(path, data)
     try:
-        mesh = TriMesh(verts, faces)
-        if validate:
-            validate_mesh(mesh)
+        return TriMesh(verts, faces)
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    return mesh
 
 
 def _as_3d(vertices: np.ndarray) -> np.ndarray:

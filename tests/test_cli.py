@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcdistort
+import qcdistort.cli
 import qcdistort.mesh
 from qcdistort import (
     MeshMap,
@@ -20,6 +21,7 @@ from qcdistort import (
     export_report,
     load_mesh,
     parameterize,
+    report_json,
     save_mesh,
     summarize,
     theory,
@@ -365,6 +367,30 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
+    @pytest.mark.parametrize("target", ["valid", "unparseable"])
+    @pytest.mark.parametrize("text, message", [
+        ("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-19\nf 1 2 3\n",
+         "face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 3 4\n",
+         "inconsistent face orientation across edge (1, 2)"),
+    ], ids=["degenerate", "misoriented"])
+    def test_invalid_source_is_named_before_the_target_is_read(self, tmp_path, capsys,
+                                                               text, message, target):
+        source, other = tmp_path / "src.obj", tmp_path / "dst.obj"
+        source.write_text(text)
+        other.write_text(text if target == "valid" else "v 0 0 0\nf 1 2 x\n")
+        assert main(["analyze", str(source), str(other)]) == 3
+        assert capsys.readouterr().err == f"error: {source}: {message}\n"
+
+    def test_analyze_reads_each_file_once(self, meshes, monkeypatch):
+        read, real = [], qcdistort.cli.load_mesh
+        monkeypatch.setattr(qcdistort.cli, "load_mesh",
+                            lambda path: read.append(path) or real(path))
+        source, target = str(meshes / "disk.obj"), str(meshes / "disk_half.obj")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", source, target, "--json"]) == 0
+        assert read == [source, target]
+
     @pytest.mark.filterwarnings("error")
     def test_collapsed_target_face_folds_and_exits_0(self, tmp_path, capsys):
         disk = flat_disk(6)
@@ -389,6 +415,14 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {target}: face 0 is degenerate (area ")
+        # the library path folds as analyze does: the same report apart from meta
+        assert main(["analyze", str(source), str(target), "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)
+        mapping = MeshMap(load_mesh(source), load_mesh(target))
+        lib = json.loads(report_json(summarize(mapping)))
+        assert lib["folded_count"] == cli["folded_count"] == folded
+        del lib["meta"], cli["meta"]
+        assert lib == cli
 
 
 class TestMisc:

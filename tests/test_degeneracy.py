@@ -109,14 +109,20 @@ class TestNearThreshold:
             assert err == ""
 
 
-def test_collinear_in_xy_fails_at_load(tmp_path):
-    # planar (|z| <= 1e-12 times the diagonal 2e-6) and collinear in xy
+def test_collinear_in_xy_fails_at_load(tmp_path, capsys):
+    # planar (|z| <= 1e-12 times the diagonal 2e-6) and collinear in xy: read as a planar
+    # mesh, and refused when it is validated, as the CLI's source read does with the path
     path = tmp_path / "thin.obj"
     path.write_text("v 0 0 0\nv 1e-6 0 0\nv 2e-6 0 1e-19\nf 1 2 3\n")
+    mesh = load_mesh(path)
+    assert mesh.dimension == 2
     with pytest.raises(DegenerateFaceError) as info:
-        load_mesh(path)
+        validate_mesh(mesh)
     assert info.value.face == 0
-    assert str(info.value) == f"{path}: face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"
+    assert str(info.value) == "face 0 is degenerate (area 0.000e+00 <= 4.000e-24)"
+    assert main(["param", str(path), "-o", str(tmp_path / "flat.obj")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: face 0 is degenerate (area 0.000e+00 <= 4.000e-24)\n")
 
 
 def test_thin_3d_triangle_is_read_in_3d(tmp_path):

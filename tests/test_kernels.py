@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -53,7 +53,7 @@ from qcdistort import (
     summarize,
     synth,
 )
-from qcdistort.mesh import _half_edges, _require_area
+from qcdistort.mesh import _half_edges
 from qcdistort.parameterize import _edge_weights
 from qcdistort.report import BOUND_TOL, FieldStats, _exact_sum, _fsum_stats
 
@@ -94,11 +94,21 @@ def ref_corner_dots_and_cross(tri):
     return [dot for dot, _ in terms], terms[0][1]
 
 
+def ref_require_area(mesh, areas):
+    """The degeneracy test: the first face (NaN included) whose area is not above
+    ``mesh.area_epsilon`` raises, named by its index and area."""
+    degenerate = ~(areas > mesh.area_epsilon)
+    if degenerate.any():
+        f = int(np.argmax(degenerate))
+        raise DegenerateFaceError(f"face {f} is degenerate (area {areas[f]:.3e} "
+                                  f"<= {mesh.area_epsilon:.3e})", face=f)
+
+
 def ref_corner_angles(mesh, area_test=True):
     """The angles, after the area test unless ``area_test`` is false (a map's target)."""
     dots, cross = ref_corner_dots_and_cross(ref_face_coords(mesh))
     if area_test:
-        _require_area(mesh, 0.5 * cross)
+        ref_require_area(mesh, 0.5 * cross)
     return np.column_stack([np.arctan2(cross, dot) for dot in dots])
 
 
@@ -258,7 +268,10 @@ SCALES = [1.0, 1e-9, 3e7, 2.0 ** -40, 1e60, 1e-80]
 JITTER = st.one_of(st.sampled_from([0.0, -0.0, 0.125, -0.2]), st.floats(-0.2, 0.2))
 HEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1.0, 1.0))
 FLAT_Z = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-13, 1e-13))
-SLIVER_RATIOS = [None, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0]
+# a source sliver's area in units of the degeneracy threshold: above it for the maps whose
+# fields are checked, below it for the maps whose source must be refused
+SLIVER_RATIOS = [None, 1 + 1e-6, 2.0]
+BELOW_THRESHOLD = [0.5, 1 - 1e-6]
 
 
 def _grid_faces(draw, rows, cols):
@@ -287,12 +300,16 @@ def _z_column(draw, layout, n, scale):
 
 
 @st.composite
-def mesh_maps(draw, layout):
+def mesh_maps(draw, layout, ratios=SLIVER_RATIOS):
     """``(source, target)`` on one grid connectivity, not validated.
 
     The source is a jittered grid of 1 to 9 cells, two faces each, plus
     possibly a detached sliver face inside its bounding box whose area is
-    0.5 to 2 times the degeneracy threshold.  The target is the source
+    one of ``ratios`` times the degeneracy threshold.  Rounding the sliver's
+    corners moves its area by up to a few 1e-6 of itself (to 0 in 3D at scale 1e-80,
+    where the squared cross products underflow), so a draw whose sliver lands
+    on the other side of the threshold from its ratio is rejected: the source
+    passes the area test unless a ratio is below 1.  The target is the source
     mirrored in x (on a planar source f_z then vanishes on every face) or a
     jittered grid in any layout, whose faces may fold; the target's copy of
     the sliver may collapse, its third corner moved onto the first edge's
@@ -311,7 +328,7 @@ def mesh_maps(draw, layout):
         return np.column_stack(xy)
 
     src = grid(layout, JITTER)
-    ratio = draw(st.sampled_from(SLIVER_RATIOS))
+    ratio = draw(st.sampled_from(ratios))
     if ratio is not None:
         eps = TriMesh(src, faces).area_epsilon
         base = 0.2 * scale
@@ -322,6 +339,8 @@ def mesh_maps(draw, layout):
             sliver = np.column_stack([sliver, np.full(3, src[0, 2])])
         faces = faces + [[n, n + 1, n + 2]]
         src = np.vstack([src, sliver])
+        sized = TriMesh(src, faces)
+        assume((ref_face_areas(sized)[-1] > sized.area_epsilon) == (ratio > 1))
 
     if draw(st.booleans()):
         dst = src.copy()
@@ -393,12 +412,21 @@ def test_per_face_formulas_keep_every_bit(layout, data):
     source, target = data.draw(mesh_maps(layout))
     check_mesh_formulas(source)
     check_mesh_formulas(target)
-    try:
-        mapping = MeshMap(source, target)
-    except ValidationError:
-        return  # a source sliver below the threshold; a collapsed target face is folded
+    mapping = MeshMap(source, target)  # a collapsed target face is folded
     check_beltrami_fields(mapping)
     check_summary_fields(mapping)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_source_sliver_below_the_threshold_is_refused(layout, data):
+    """A source whose sliver's area is not above the threshold fails the area test at the
+    sliver, the last face: the map is refused with its index and the reference's message."""
+    source, target = data.draw(mesh_maps(layout, BELOW_THRESHOLD))
+    expected = outcome(ref_require_area, source, ref_face_areas(source))
+    assert expected[0] is DegenerateFaceError and expected[2] == source.n_faces - 1
+    assert outcome(MeshMap, source, target) == expected
 
 
 # non-negative corner values with zeros, ties and a subnormal
@@ -558,10 +586,7 @@ def test_per_face_formulas_keep_every_bit_in_small_blocks(layout, data):
     with face_blocks_of(5):
         check_mesh_formulas(source)
         check_mesh_formulas(target)
-        try:
-            mapping = MeshMap(source, target)
-        except ValidationError:
-            return
+        mapping = MeshMap(source, target)
         check_beltrami_fields(mapping)
         check_summary_fields(mapping)
 

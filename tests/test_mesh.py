@@ -28,8 +28,14 @@ from qcdistort import (
     tutte_disk,
     validate_mesh,
 )
-from qcdistort.cli import main
-from qcdistort.synth import hemisphere, irregular_disk, tetrahedron, wavy_disk
+from qcdistort.cli import _load_source, main
+from qcdistort.synth import (
+    hemisphere,
+    irregular_disk,
+    perturbed_target,
+    tetrahedron,
+    wavy_disk,
+)
 
 from mesh_text import (
     COLORS,
@@ -177,19 +183,25 @@ class TestTriMesh:
         save_mesh(hemisphere(6), surface)
         src = load_mesh(surface)
         dst = load_mesh(surface)
-        assert len(sized) == len(oriented) == 2
+        assert sized == oriented == []  # reading validates nothing
         MeshMap(src, dst)
         validate_mesh(src)
-        assert len(sized) == len(oriented) == 2
+        assert sized == oriented == [src]
+        validate_mesh(dst)
+        validate_mesh(dst)
+        assert sized == oriented == [src, dst]
         flat = tutte_disk(src)
         # a map's target runs neither test: its face list is its source's, and the block
         # pass folds a collapsed face of it
-        assert len(sized) == len(oriented) == 2
+        assert sized == oriented == [src, dst]
         assert {"_nondegenerate", "_oriented"}.isdisjoint(vars(flat.target))
         sized.clear()
         oriented.clear()
-        assert main(["analyze", str(surface), str(surface), "--json"]) == 0
+        save_mesh(flat.target, tmp_path / "flat.obj")
+        assert main(["analyze", str(surface), str(tmp_path / "flat.obj"), "--json"]) == 0
         assert len(sized) == len(oriented) == 1  # the source file's
+        assert sized[0].vertices.tobytes() == src.vertices.tobytes()
+        assert oriented[0] is sized[0]
 
     def test_one_orientation_test_per_face_list(self, tmp_path, monkeypatch):
         oriented = spy_verdict(monkeypatch, "_oriented")
@@ -247,6 +259,21 @@ class TestTriMesh:
         assert "_edges" not in vars(mapping.target)
         assert not any(array.flags.writeable for array in src._edges)
 
+    def test_reading_a_target_builds_no_verdict(self, tmp_path, monkeypatch):
+        # the benchmark's 49,909-face analyze target, read as analyze reads it
+        passes = []
+        edge_pass = qcdistort.mesh._edge_pass
+        monkeypatch.setattr(qcdistort.mesh, "_edge_pass",
+                            lambda mesh: passes.append(mesh) or edge_pass(mesh))
+        sized = spy_verdict(monkeypatch, "_nondegenerate")
+        oriented = spy_verdict(monkeypatch, "_oriented")
+        disk = irregular_disk(25_000)
+        save_mesh(perturbed_target(disk, np.random.default_rng(1)), tmp_path / "dst.off")
+        target = load_mesh(tmp_path / "dst.off")
+        assert target.n_faces == 49_909
+        assert passes == sized == oriented == []
+        assert {"_edges", "_nondegenerate", "_oriented"}.isdisjoint(vars(target))
+
 
 class TestCornerAngles:
     def test_equilateral(self):
@@ -288,6 +315,8 @@ class TestCornerAngles:
                             lambda mesh, areas: tested.append(mesh) or real(mesh, areas))
         save_mesh(wavy_disk(300), tmp_path / "wavy.obj")
         loaded = load_mesh(tmp_path / "wavy.obj")
+        assert tested == []  # reading runs no area test
+        validate_mesh(loaded)
         assert tested == [loaded]
         corner_angles(loaded)
         assert tested == [loaded]
@@ -655,8 +684,9 @@ MUTATION_LISTS = st.lists(
 
 
 class TestBulkReader:
-    """``load_mesh`` reads every input as the line parsers in ``mesh_text`` do:
-    the same arrays bit for bit, or the same error with the same message."""
+    """``load_mesh``, and a source's validation after it, read every input as the line
+    parsers in ``mesh_text`` do: the same arrays bit for bit, or the same error with the
+    same message."""
 
     @pytest.mark.parametrize("fmt", ["obj", "off"])
     @settings(max_examples=200, deadline=None)
@@ -755,11 +785,12 @@ class TestBulkReader:
             try:
                 mesh = TriMesh(verts, faces)
                 validate_mesh(mesh)
-            except ValidationError as exc:  # load_mesh names the file
+            except ValidationError as exc:  # a source file is named in front
                 raise type(exc)(f"{path}: {exc}") from None
             return mesh
 
-        expected, actual = outcome(line_parsed), outcome(lambda: load_mesh(path))
+        # the CLI's source read: load_mesh, then validation with the path in front
+        expected, actual = outcome(line_parsed), outcome(lambda: _load_source(path))
         if isinstance(expected[0], type):
             assert actual == expected
         else:
