@@ -97,13 +97,16 @@ MUTANTS = [
      "SOLVER_TOLERANCE = 1e-7"),
     # a zero or NaN determinant left unfolded
     ("fold-rule-strict", BELTRAMI,
-     "    folded = ~(det > 0)\n",
-     "    folded = det < 0\n"),
+     "    folded = ~(det > 0) | collapsed\n",
+     "    folded = (det < 0) | collapsed\n"),
     # a collapsed target face folded only where rounding leaves ad - bc <= 0
     ("collapsed-target-unfolded", BELTRAMI,
-     "        folded[rows] |= collapsed\n"
-     "        dil[rows][collapsed] = eps[rows][collapsed] = np.nan\n",
-     ""),
+     "    folded = ~(det > 0) | collapsed\n",
+     "    folded = ~(det > 0)\n"),
+    # planar faces brought to the canonical pose too, which loses their orientation
+    ("planar-frame-posed", MESH,
+     "return ((*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])), cross",
+     "return _pose(u, w, dots[0]), cross"),
     # reading a file validates it again, so a map's collapsed target is refused
     ("load-mesh-validates", MESH,
      "        return TriMesh(verts, faces)\n",

@@ -3,7 +3,8 @@
 Standard library only, so it also runs as a worker, ``python -S -I
 _rowtext.py``, which starts far faster than the package imports.  The worker
 reads ``(block_rows, [(form, n_rows, [(typecode, column bytes), ...]),
-...])`` in ``marshal`` form on stdin and writes the rows on stdout.
+...])`` in ``marshal`` form on stdin and writes the rows on stdout, a
+temporary file, ``block_rows`` rows at a time as it formats them.
 """
 
 from __future__ import annotations
@@ -54,11 +55,7 @@ def _serve(stdin, stdout) -> None:
     block_rows, pieces = marshal.load(stdin)
     share = [(form, [memoryview(data).cast(code) for code, data in columns], 0, n)
              for form, n, columns in pieces]
-    # sent whole at the end: block by block, the text would fill the pipe and
-    # stop the worker while the parent still formats its own share
-    blocks = []
-    write_share(lambda text: blocks.append(text.encode("ascii")), share, block_rows)
-    stdout.writelines(blocks)
+    write_share(lambda text: stdout.write(text.encode("ascii")), share, block_rows)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ without forming 1 - |mu|, which loses the digits |mu| rounded away:
     eps_mu = 2 atan2(|f_zbar|, sqrt(ad - bc))                 (= 2 sin^-1 |mu|)
 
 The first is (|f_z| + |f_zbar|)^2 / (ad - bc) written so that K >= 1 holds in
-floats too, also on a conformal face.  A face is folded exactly when not
-ad - bc > 0 or its target face fails the area test; its K and eps_mu are NaN, and its
-mu and |mu| are the plain quotient (|mu| = inf and non-finite mu where f_z is 0).
+floats too, also on a conformal face.  A face is folded exactly when not ad - bc > 0
+or its target face fails the area test (:func:`_jacobian_fields` alone decides); its K and
+eps_mu are NaN, and its mu and |mu| are the plain quotient (|mu| = inf and non-finite mu
+where f_z is 0).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .mesh import TriMesh, _corner_angles, _cross_2d, _face_blocks, _planar_frame, validate_mesh
+from .mesh import TriMesh, _corner_block, _cross_2d, _face_blocks, validate_mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +128,8 @@ class AngularDistortionField:
 
 
 def _affine_arrays(src, dst):
-    """Affine coefficients (a, b, c, d) sending the faces of one
-    :func:`_planar_frame` (valid) onto those of another."""
+    """Affine coefficients (a, b, c, d) sending the faces of one planar frame
+    (:func:`_corner_block`, valid) onto those of another."""
     dx1, dy1, dx2, dy2 = src
     du1, dv1, du2, dv2 = dst
     det = _cross_2d((dx1, dy1), (dx2, dy2))
@@ -139,11 +140,12 @@ def _affine_arrays(src, dst):
     return a, b, c, d
 
 
-def _jacobian_fields(a, b, c, d):
-    """``(mu, |mu|, K, eps_mu, folded)`` of the Jacobians (a, b, c, d), by the forms above."""
+def _jacobian_fields(a, b, c, d, collapsed):
+    """``(mu, |mu|, K, eps_mu, folded)`` of the Jacobians (a, b, c, d) by the forms above, of
+    faces whose target fails the area test where ``collapsed``: the one fold verdict."""
     fz, fzb = 0.5 * ((a + d) + 1j * (c - b)), 0.5 * ((a - d) + 1j * (c + b))
     abs_fz, abs_fzb, det = np.abs(fz), np.abs(fzb), a * d - b * c
-    folded = ~(det > 0)
+    folded = ~(det > 0) | collapsed
     det[folded] = np.nan  # a folded face's K and eps_mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu = fzb / fz
@@ -172,13 +174,10 @@ def _map_fields(mapping: MeshMap):
     abs_mu, dil, eps = np.empty((3, n))
     for rows in _face_blocks(n):
         src = [c[rows] if isinstance(c, np.ndarray) else c for c in frame]
-        *corner0, cross = _corner_angles(target, rows, signed[:, rows])
+        dst, cross = _corner_block(target, rows, signed[:, rows])
         signed[:, rows] -= angles[:, rows]
         mu[rows], abs_mu[rows], dil[rows], eps[rows], folded[rows] = _jacobian_fields(
-            *_affine_arrays(src, _planar_frame(target, *corner0)))
-        collapsed = ~(0.5 * cross > target.area_epsilon)  # the area test, as a fold
-        folded[rows] |= collapsed
-        dil[rows][collapsed] = eps[rows][collapsed] = np.nan
+            *_affine_arrays(src, dst), ~(0.5 * cross > target.area_epsilon))  # the area test
     c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
     return (BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded),
             AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0))

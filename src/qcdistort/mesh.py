@@ -6,7 +6,8 @@ Conventions used throughout the package:
   the interior angle at that vertex.  All per-corner fields downstream share
   this indexing.
 * Corner angles are ``atan2(|u x w|, u . w)``, stable near 0 and pi where
-  ``acos`` is not, from one ``|u x w|`` per face (:func:`_face_terms`).
+  ``acos`` is not, from one ``|u x w|`` per face (:func:`_face_terms`); one
+  block kernel (:func:`_corner_block`) gives them with each face's planar frame.
 * The one degeneracy test: a face whose area (on the coordinates every
   per-face formula reads, see :func:`_face_columns`) is at or below ``1e-12``
   times the squared bounding-box diagonal is degenerate in any unit (folded on a map's target).
@@ -43,13 +44,11 @@ AREA_EPS_FACTOR = 1e-12     # times (bbox diagonal)^2
 _LOAD_FORMATS = ("obj", "off")
 _SAVE_FORMATS = ("obj", "off", "ply")
 
-# rows per block of text written at once
-_WRITE_BLOCK_ROWS = 65_536
 # fewest rows in a share of a text export: a worker costs about 18 ms, and
 # two shares break even at 8k rows each on the CSV, 12k on the PLY
 _SHARE_MIN_ROWS = 8_192
-# faces per block of the per-face passes: a block's temporaries (arrays of
-# 64 KB, about 2.5 MB in all) are reused from the heap, not faulted in again
+# faces per block of the per-face passes, whose temporaries (arrays of 64 KB, about 2.5 MB in
+# all) are reused from the heap, not faulted in again; rows per block of the text exports
 _FACE_BLOCK = 8_192
 
 # the code points str.split() takes for whitespace, those str.isspace() accepts
@@ -295,15 +294,6 @@ def face_areas(mesh: TriMesh) -> np.ndarray:
     return areas
 
 
-def _corner_angles(mesh: TriMesh, rows, angles):
-    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns corner 0's
-    ``(u, w, u . w)`` and the faces' ``|u x w|``."""
-    (u, w, cross), *dots = _face_terms(mesh, rows)
-    for out, dot in zip(angles, dots):
-        np.arctan2(cross, dot, out=out)
-    return u, w, dots[0], cross
-
-
 def _pose(u, w, uw):
     """``(l1, 0.0, x2, y2)``: corners (0, 0), (l1, 0), (x2, y2 > 0) of faces with corner-0 u, w."""
     l1 = np.sqrt(_dot(u, u))
@@ -314,22 +304,26 @@ def _pose(u, w, uw):
     return l1, 0.0, x2, np.sqrt(_dot(perp, perp))
 
 
-def _planar_frame(mesh: TriMesh, u, w, uw):
-    """Corner-0 vectors ``(x1, y1, x2, y2)`` of every face in the plane from corner 0's terms:
-    x and y on planar meshes (keeping signed orientation), the canonical pose on 3D ones."""
-    return (*u, *w) if mesh.dimension == 2 else _pose(u, w, uw)
+def _corner_block(mesh: TriMesh, rows, angles):
+    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns ``(frame, cross)``:
+    the faces' corner-0 vectors ``(x1, y1, x2, y2)`` in the plane (x and y on planar meshes,
+    keeping signed orientation, the canonical pose on 3D ones) and their ``|u x w|``."""
+    (u, w, cross), *dots = _face_terms(mesh, rows)
+    for out, dot in zip(angles, dots):
+        np.arctan2(cross, dot, out=out)
+    return ((*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])), cross
 
 
 def _corner_pass(mesh: TriMesh):
-    """``(angles, frame)`` of every face from one pass over blocks, after the area test: the
-    ``(3, m)`` :func:`_corner_angles` and the four :func:`_planar_frame` terms, ``(m,)``
-    arrays but for a 3D frame's ``y1 = 0.0``.  The arrays are read-only."""
+    """``(angles, frame)`` of every face from one :func:`_corner_block` pass over blocks, after
+    the area test: the ``(3, m)`` angles and the four frame terms, ``(m,)`` arrays but for a 3D
+    frame's ``y1 = 0.0``.  The arrays are read-only."""
     mesh._nondegenerate  # a degenerate mesh raises here, before anything is kept
     n = mesh.n_faces
     kept = range(4) if mesh.dimension == 2 else (0, 2, 3)
     angles, frame = np.empty((3, n)), [np.empty(n) if k in kept else 0.0 for k in range(4)]
     for rows in _face_blocks(n):
-        block = _planar_frame(mesh, *_corner_angles(mesh, rows, angles[:, rows])[:3])
+        block, _ = _corner_block(mesh, rows, angles[:, rows])
         for k in kept:
             frame[k][rows] = block[k]
     for array in (angles, *(frame[k] for k in kept)):
@@ -744,11 +738,11 @@ def _reap(proc) -> None:
     if proc.poll() is None:
         proc.kill()
     proc.wait()
-    proc.stdout.close()
 
 
 def _start_worker(stack, share):
-    """A worker formatting ``share``, reaped as ``stack`` closes; None if it cannot start."""
+    """``(proc, out)``: a worker writing the text of ``share`` into the temporary file ``out``,
+    reaped and closed as ``stack`` closes; None if it cannot start."""
     if not sys.executable or not os.path.isfile(_rowtext.__file__):
         return None
     import subprocess  # paid only by an export split into shares
@@ -757,25 +751,31 @@ def _start_worker(stack, share):
                              for col in _rowtext.column_rows(form, columns, a, b)])
               for form, columns, a, b in share]
     try:
+        out = stack.enter_context(tempfile.TemporaryFile())
         # a file, unlike a pipe, takes the whole request before the worker runs
         with tempfile.TemporaryFile() as request:
-            marshal.dump((_WRITE_BLOCK_ROWS, pieces), request)
+            marshal.dump((_FACE_BLOCK, pieces), request)
             request.seek(0)
             proc = subprocess.Popen([sys.executable, "-S", "-I", _rowtext.__file__],
-                                    stdin=request, stdout=subprocess.PIPE,
-                                    stderr=subprocess.DEVNULL)
+                                    stdin=request, stdout=out, stderr=subprocess.DEVNULL)
             stack.callback(_reap, proc)
     except OSError:
         return None
-    return proc
+    return proc, out
 
 
-def _worker_text(proc, n_rows: int) -> str | None:
-    """A worker's text, or None when it failed or did not give ``n_rows`` rows."""
-    data = proc.stdout.read() if proc else b""
-    if not proc or proc.wait() != 0 or data.count(b"\n") != n_rows or not data.isascii():
+def _chunks(file):
+    """The bytes of ``file`` from its start, a MiB at a time."""
+    file.seek(0)
+    return iter(functools.partial(file.read, 1 << 20), b"")
+
+
+def _worker_text(worker, n_rows: int):
+    """A worker's output file, or None when it failed or did not give ``n_rows`` ASCII rows."""
+    if not worker or worker[0].wait() != 0:
         return None
-    return data.decode("ascii")
+    rows = [chunk.count(b"\n") if chunk.isascii() else -1 for chunk in _chunks(worker[1])]
+    return worker[1] if -1 not in rows and sum(rows) == n_rows else None
 
 
 def _write_text(fh, sections) -> None:
@@ -790,14 +790,15 @@ def _write_text(fh, sections) -> None:
     bounds = [n_rows * i // n_shares for i in range(n_shares + 1)]
     first, *rest = [_share(sections, a, b) for a, b in zip(bounds, bounds[1:])]
     with contextlib.ExitStack() as stack:
-        procs = [_start_worker(stack, share) for share in rest]
-        _rowtext.write_share(fh.write, first, _WRITE_BLOCK_ROWS)
-        for share, proc in zip(rest, procs):
-            text = _worker_text(proc, sum(b - a for *_, a, b in share))
-            if text is None:
-                _rowtext.write_share(fh.write, share, _WRITE_BLOCK_ROWS)
+        workers = [_start_worker(stack, share) for share in rest]
+        _rowtext.write_share(fh.write, first, _FACE_BLOCK)
+        for share, worker in zip(rest, workers):
+            out = _worker_text(worker, sum(b - a for *_, a, b in share))
+            if out is None:
+                _rowtext.write_share(fh.write, share, _FACE_BLOCK)
             else:
-                fh.write(text)
+                for chunk in _chunks(out):
+                    fh.write(chunk.decode("ascii"))
 
 
 def _write_ply(path, vertices: np.ndarray, faces: np.ndarray,
@@ -847,4 +848,4 @@ def save_mesh(mesh: TriMesh, path: str | os.PathLike, format: str | None = None)
         # OpenBLAS's worker thread spins on another CPU for about 0.09 s; on 2 CPUs two shares
         # then lose (median 92 against 67 ms at 49,909 faces), and gain 10 ms at most without it
         _rowtext.write_share(fh.write, [(forms[0], (verts,), 0, mesh.n_vertices),
-                                        (forms[1], (faces,), 0, mesh.n_faces)], _WRITE_BLOCK_ROWS)
+                                        (forms[1], (faces,), 0, mesh.n_faces)], _FACE_BLOCK)

@@ -96,7 +96,7 @@ class TestAnalyze:
     def test_exports_split_into_shares_match_one_share_writers(self, tmp_path, monkeypatch):
         """A CLI analyze whose CSV and PLY are each at least two shares, run
         with warnings as errors: it prints nothing, leaves no child process
-        behind (an unclosed pipe or a running worker would show) and writes
+        behind (an unclosed file or a running worker would show) and writes
         the bytes of the one-share writers in this process."""
         src = irregular_disk(8_500)
         assert src.n_faces >= 2 * qcdistort.mesh._SHARE_MIN_ROWS

@@ -48,6 +48,8 @@ from qcdistort import (
     ValidationError,
     corner_angles,
     corner_distortion,
+    export_colored_mesh,
+    export_report,
     face_areas,
     face_beltrami,
     summarize,
@@ -679,6 +681,33 @@ def test_summarize_transient_memory_with_folds_has_a_fixed_bound():
     assert max(transients) < 3.0
     assert transients[1] <= transients[0], transients
     assert transients[2] < transients[1] + 2 ** -8, transients
+
+
+def test_text_export_transient_memory_has_a_fixed_bound(tmp_path, monkeypatch):
+    """The transient memory of a CSV and a PLY export in one share: ``irregular_disk``
+    mapped to ``perturbed_target`` at 25,909, 49,909 and 99,854 faces.  The CSV's text
+    is formatted and written ``_FACE_BLOCK`` rows at a time, so its transient is 9.3,
+    9.6 and 9.9 MiB, where blocks of 65,536 rows took 29.0, 56.6 and 74.1; the PLY's is
+    7.9 MiB at the largest size (21.2 before), most of it its whole-mesh color arrays."""
+    monkeypatch.setattr(qcdistort.mesh, "_usable_cpus", lambda: 1)
+    csv_mib, ply_mib = [], []
+    for n_vertices in (13_000, 25_000, 50_000):
+        source = synth.irregular_disk(n_vertices)
+        mapping = MeshMap(source, synth.perturbed_target(source, np.random.default_rng(5)))
+        report = summarize(mapping)
+        for transients, export in (
+                (csv_mib, lambda: export_report(report, tmp_path / "f.csv", "csv")),
+                (ply_mib, lambda: export_colored_mesh(mapping, "abs_mu", tmp_path / "f.ply"))):
+            tracemalloc.start()
+            try:
+                export()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transients.append((peak - kept) / 2 ** 20)
+    assert max(csv_mib) < 12.0, csv_mib
+    assert csv_mib[1] < csv_mib[0] + 1.0 and csv_mib[2] < csv_mib[1] + 1.0, csv_mib
+    assert ply_mib[2] < 10.0, ply_mib
 
 
 @pytest.mark.parametrize("dim", [2, 3])

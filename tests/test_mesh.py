@@ -899,20 +899,20 @@ def awkward_mesh(dim):
 class TestWrittenBytes:
     """The block writers give the bytes of the per-row writers exactly."""
 
-    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._FACE_BLOCK])
     @pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_save_mesh(self, tmp_path, monkeypatch, block_rows, fmt, dim):
-        monkeypatch.setattr(qcdistort.mesh, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(qcdistort.mesh, "_FACE_BLOCK", block_rows)
         mesh = awkward_mesh(dim)
         path = tmp_path / f"m.{fmt}"
         save_mesh(mesh, path)
         assert path.read_bytes() == reference_mesh_text(
             mesh.vertices, mesh.faces, fmt).encode("ascii")
 
-    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._FACE_BLOCK])
     def test_colored_ply(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(qcdistort.mesh, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(qcdistort.mesh, "_FACE_BLOCK", block_rows)
         src = wavy_disk(60)
         flat = src.vertices[:, :2].copy()
         flat[30] = flat[0] + 1.5 * (flat[0] - flat[30])  # folds faces around 30

@@ -284,9 +284,9 @@ class TestExports:
         assert row[2] == "" and row[3] == ""
         assert row[-1] == "true"
 
-    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [7, qcdistort.mesh._FACE_BLOCK])
     def test_csv_bytes_match_csv_writer(self, flat_mesh, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(qcdistort.mesh, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(qcdistort.mesh, "_FACE_BLOCK", block_rows)
         target = scaled_map_target(flat_mesh, 1.3, 0.7).vertices.copy()
         target[40] = target[0] + 1.5 * (target[0] - target[40])  # folds faces around 40
         rep = summarize(MeshMap(flat_mesh, TriMesh(target, flat_mesh.faces)))
