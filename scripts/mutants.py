@@ -105,16 +105,21 @@ MUTANTS = [
      "    folded = ~(det > 0)\n"),
     # planar faces brought to the canonical pose too, which loses their orientation
     ("planar-frame-posed", MESH,
-     "return ((*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])), cross",
-     "return _pose(u, w, dots[0]), cross"),
+     "yield (*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])",
+     "yield _pose(u, w, dots[0])"),
     # reading a file validates it again, so a map's collapsed target is refused
     ("load-mesh-validates", MESH,
-     "        return TriMesh(verts, faces)\n",
-     "        mesh = TriMesh(verts, faces)\n        validate_mesh(mesh)\n        return mesh\n"),
-    # a CLI source's validation message without the file's path in front
-    ("source-path-dropped", "src/qcdistort/cli.py",
+     "    return _path_first(path, TriMesh, verts, faces)\n",
+     "    mesh = _path_first(path, TriMesh, verts, faces)\n"
+     "    _path_first(path, validate_mesh, mesh)\n    return mesh\n"),
+    # a validation message without the file's path in front (a CLI source's, a loaded mesh's)
+    ("source-path-dropped", MESH,
      'exc.args = (f"{path}: {exc}",)',
      "exc.args = (str(exc),)"),
+    # a degenerate source face named by its index within its block of faces
+    ("degenerate-face-index-in-block", MESH,
+     "f = rows.start + i",
+     "f = i"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .mesh import TriMesh, _corner_block, _cross_2d, _face_blocks, validate_mesh
+from .mesh import TriMesh, _corner_block, _cross_2d, _degenerate, _face_blocks, validate_mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +40,9 @@ class MeshMap:
     validates (``load_mesh`` does not); a target face that fails the area test is folded.  The
     map sends source vertex i to target vertex i and keeps its Beltrami and angular distortion
     fields after their first use (97 bytes per face).  They read the source's corner angles and
-    planar frame, which the source mesh keeps for all its maps (56 bytes per face planar, 48 in
-    3D); the target's are built per block and not kept, since a study varies the target of one
-    source.
+    planar frame, which the source's validation builds and the source mesh keeps for all its
+    maps (56 bytes per face planar, 48 in 3D); the target's are built per block and not kept,
+    since a study varies the target of one source.
     """
 
     source: TriMesh
@@ -174,10 +174,10 @@ def _map_fields(mapping: MeshMap):
     abs_mu, dil, eps = np.empty((3, n))
     for rows in _face_blocks(n):
         src = [c[rows] if isinstance(c, np.ndarray) else c for c in frame]
-        dst, cross = _corner_block(target, rows, signed[:, rows])
+        cross, dst = _corner_block(target, rows, signed[:, rows])
         signed[:, rows] -= angles[:, rows]
         mu[rows], abs_mu[rows], dil[rows], eps[rows], folded[rows] = _jacobian_fields(
-            *_affine_arrays(src, dst), ~(0.5 * cross > target.area_epsilon))  # the area test
+            *_affine_arrays(src, dst), _degenerate(target, cross))
     c0, c1, c2 = corner = np.abs(signed)  # ((c0 + c1) + c2) / 3.0 has mean(axis=1)'s bits
     return (BeltramiField(mu=mu, abs_mu=abs_mu, dilatation=dil, eps_mu=eps, folded=folded),
             AngularDistortionField(corner.T, signed.T, ((c0 + c1) + c2) / 3.0))

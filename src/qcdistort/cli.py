@@ -24,7 +24,7 @@ from .errors import (
     TopologyError,
     ValidationError,
 )
-from .mesh import load_mesh, save_mesh, validate_mesh
+from .mesh import _path_first, load_mesh, save_mesh, validate_mesh
 from .parameterize import WEIGHT_CHOICES, ParamConfig, tutte_disk
 from .report import (
     DEFAULT_BINS,
@@ -149,11 +149,7 @@ def _warn_folds(report) -> None:
 def _load_source(path):
     """A map's source: :func:`load_mesh`, then :func:`validate_mesh` with the path put first."""
     mesh = load_mesh(path)
-    try:
-        validate_mesh(mesh)
-    except ValidationError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    _path_first(path, validate_mesh, mesh)
     return mesh
 
 

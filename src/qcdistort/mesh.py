@@ -8,7 +8,7 @@ Conventions used throughout the package:
 * Corner angles are ``atan2(|u x w|, u . w)``, stable near 0 and pi where
   ``acos`` is not, from one ``|u x w|`` per face (:func:`_face_terms`); one
   block kernel (:func:`_corner_block`) gives them with each face's planar frame.
-* The one degeneracy test: a face whose area (on the coordinates every
+* The one degeneracy test (:func:`_degenerate`): a face whose area (on the coordinates every
   per-face formula reads, see :func:`_face_columns`) is at or below ``1e-12``
   times the squared bounding-box diagonal is degenerate in any unit (folded on a map's target).
 * n-gon faces in input files are fan-triangulated around their first vertex.
@@ -77,11 +77,10 @@ class TriMesh:
     geometric invariants (non-degenerate faces, consistent combinatorial
     orientation) are enforced by :func:`validate_mesh`, which a map's source and a Tutte input
     get (a mesh read by :func:`load_mesh`, or a map's target, gets the structural checks alone).
-    A validated mesh keeps its two passing verdicts and its edge table (about
-    1.8 MB per 50k faces), built once and read by validation, :func:`boundary_loops`
-    and the Tutte solve.  A mesh that is a map's source, or is given to
-    :func:`corner_angles`, also keeps its corner angles and planar frame (56
-    bytes per face planar, 48 in 3D), read by every map of that source.
+    A validated mesh keeps three facts, each built once: its edge table (about 1.8 MB per 50k
+    faces) and orientation verdict, read by :func:`boundary_loops` and the Tutte solve, and the
+    corner angles and planar frame (56 bytes per face planar, 48 in 3D) built with its area
+    test, read by every map of that source and by :func:`corner_angles`.
     """
 
     vertices: np.ndarray = field(repr=False)
@@ -157,12 +156,6 @@ class TriMesh:
         return AREA_EPS_FACTOR * (d * d)
 
     @functools.cached_property
-    def _nondegenerate(self) -> bool:
-        # validate_mesh's area verdict: a pass is cached, a raised error is not
-        _require_area(self, face_areas(self))
-        return True
-
-    @functools.cached_property
     def _oriented(self) -> bool:
         # the face list's verdict: a manifold edge is consistently oriented when exactly one of
         # its half-edges runs from the lower to the higher vertex index; edges on more than two
@@ -185,8 +178,8 @@ class TriMesh:
 
     @functools.cached_property
     def _corner_terms(self):
-        # the angles and planar frame that every map of this source reads (56 bytes per face
-        # planar, 48 in 3D); a map's target builds its own block by block and keeps none
+        # validate_mesh's area verdict, kept as the angles and planar frame every map of this
+        # source reads; a map's target builds its own block by block and keeps none
         return _corner_pass(self)
 
 
@@ -276,14 +269,10 @@ def _cross_norm(u, w) -> np.ndarray:
     return np.sqrt(_dot(cross, cross))
 
 
-def _require_area(mesh: TriMesh, areas: np.ndarray) -> None:
-    """The degeneracy test: raise on the first face (NaN included) whose
-    area is not above ``mesh.area_epsilon``."""
-    degenerate = ~(areas > mesh.area_epsilon)
-    if degenerate.any():
-        idx = int(np.argmax(degenerate))
-        raise DegenerateFaceError(f"face {idx} is degenerate (area {areas[idx]:.3e} "
-                                  f"<= {mesh.area_epsilon:.3e})", face=idx)
+def _degenerate(mesh: TriMesh, cross: np.ndarray) -> np.ndarray:
+    """The degeneracy test of faces whose ``|u x w|`` is ``cross``: where the area (NaN
+    included) is not above ``mesh.area_epsilon``."""
+    return ~(0.5 * cross > mesh.area_epsilon)
 
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
@@ -305,27 +294,37 @@ def _pose(u, w, uw):
 
 
 def _corner_block(mesh: TriMesh, rows, angles):
-    """Angles at corner k of the faces ``rows`` into ``angles[k]``; returns ``(frame, cross)``:
-    the faces' corner-0 vectors ``(x1, y1, x2, y2)`` in the plane (x and y on planar meshes,
-    keeping signed orientation, the canonical pose on 3D ones) and their ``|u x w|``."""
-    (u, w, cross), *dots = _face_terms(mesh, rows)
+    """Yields the faces' ``|u x w|`` before their dots exist; then, with corner k's angles in
+    ``angles[k]``, their corner-0 vectors ``(x1, y1, x2, y2)`` in the plane (x and y on planar
+    meshes, keeping signed orientation, the canonical pose on 3D ones)."""
+    terms = _face_terms(mesh, rows)
+    u, w, cross = next(terms)
+    yield cross
+    dots = list(terms)
     for out, dot in zip(angles, dots):
         np.arctan2(cross, dot, out=out)
-    return ((*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])), cross
+    yield (*u, *w) if mesh.dimension == 2 else _pose(u, w, dots[0])
 
 
 def _corner_pass(mesh: TriMesh):
-    """``(angles, frame)`` of every face from one :func:`_corner_block` pass over blocks, after
-    the area test: the ``(3, m)`` angles and the four frame terms, ``(m,)`` arrays but for a 3D
-    frame's ``y1 = 0.0``.  The arrays are read-only."""
-    mesh._nondegenerate  # a degenerate mesh raises here, before anything is kept
+    """``(angles, frame)`` of every face from one :func:`_corner_block` pass over blocks, each
+    block's area test run before its corners: the ``(3, m)`` angles and the four frame terms,
+    ``(m,)`` arrays but for a 3D frame's ``y1 = 0.0``.  The arrays are read-only."""
     n = mesh.n_faces
     kept = range(4) if mesh.dimension == 2 else (0, 2, 3)
     angles, frame = np.empty((3, n)), [np.empty(n) if k in kept else 0.0 for k in range(4)]
     for rows in _face_blocks(n):
-        block, _ = _corner_block(mesh, rows, angles[:, rows])
+        block = _corner_block(mesh, rows, angles[:, rows])
+        cross = next(block)
+        degenerate = _degenerate(mesh, cross)
+        if degenerate.any():  # raised before anything is kept
+            i = int(np.argmax(degenerate))
+            f = rows.start + i
+            raise DegenerateFaceError(f"face {f} is degenerate (area {0.5 * cross[i]:.3e} "
+                                      f"<= {mesh.area_epsilon:.3e})", face=f)
+        terms = next(block)
         for k in kept:
-            frame[k][rows] = block[k]
+            frame[k][rows] = terms[k]
     for array in (angles, *(frame[k] for k in kept)):
         array.flags.writeable = False
     return angles, tuple(frame)
@@ -340,7 +339,7 @@ def corner_angles(mesh: TriMesh) -> np.ndarray:
         ``angles[f, k]`` is the angle (radians) at the k-th listed vertex of
         face ``f``.  Each angle lies in (0, pi) and the three angles of a
         face sum to pi up to roundoff.  A writable copy of the angles the
-        mesh keeps for the maps of which it is the source.
+        mesh keeps, with its area verdict, for the maps of which it is the source.
 
     Raises
     ------
@@ -426,24 +425,26 @@ def boundary_loops(mesh: TriMesh) -> list[list[int]]:
 def validate_mesh(mesh: TriMesh) -> None:
     """Enforce the geometric mesh invariants.
 
-    Checks that no face is degenerate (``face_areas`` at or below ``mesh.area_epsilon``;
-    :func:`load_mesh` does not validate, and a map's target folds such a face) and that
-    face orientation is combinatorially consistent wherever the mesh is manifold: every
-    edge shared by exactly two faces must be traversed once in each direction.
-    Inconsistent orientation is reported, never repaired, because a silent flip would
-    corrupt the sign conventions of the per-face distortion fields.
+    Checks first that face orientation is combinatorially consistent wherever the mesh
+    is manifold: every edge shared by exactly two faces must be traversed once in each
+    direction.  Inconsistent orientation is reported, never repaired, because a silent
+    flip would corrupt the sign conventions of the per-face distortion fields.  Then it
+    builds the corner terms every map of the source reads, block by block, and checks
+    each block's faces, before their angles, for one that is degenerate (area at or below
+    ``mesh.area_epsilon``; :func:`load_mesh` does not validate, and a map's target folds it).
 
-    A ``TriMesh`` is immutable, so both passing verdicts are kept on the mesh,
-    the orientation one with the edge table it reads (about 1.8 MB per 50k
-    faces, read by :func:`boundary_loops` and the Tutte solve); later calls
-    return at once, and a failure is raised again on every call.
+    A ``TriMesh`` is immutable, so both passing verdicts are kept on the mesh: the
+    orientation one with the edge table it reads (about 1.8 MB per 50k faces, read by
+    :func:`boundary_loops` and the Tutte solve), the area one as the corner terms (56
+    bytes per face planar, 48 in 3D).  Later calls return at once; a failure keeps
+    nothing and is raised again on every call.
 
     Raises
     ------
     ValidationError
         :class:`DegenerateFaceError` (a subclass) for a degenerate face.
     """
-    mesh._nondegenerate and mesh._oriented  # each test runs until it first passes
+    mesh._oriented and mesh._corner_terms  # each test runs until it first passes
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +704,13 @@ def load_mesh(path: str | os.PathLike, format: str | None = None) -> TriMesh:
     with open(path, "rb") as fh:
         data = fh.read()
     verts, faces = (_read_obj if fmt == "obj" else _read_off)(path, data)
+    return _path_first(path, TriMesh, verts, faces)
+
+
+def _path_first(path, make, *args):
+    """``make(*args)`` with ``path`` put in front of the message of a ValidationError it raises."""
     try:
-        return TriMesh(verts, faces)
+        return make(*args)
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -734,12 +740,6 @@ def _share(sections, start: int, stop: int) -> list:
     return share
 
 
-def _reap(proc) -> None:
-    if proc.poll() is None:
-        proc.kill()
-    proc.wait()
-
-
 def _start_worker(stack, share):
     """``(proc, out)``: a worker writing the text of ``share`` into the temporary file ``out``,
     reaped and closed as ``stack`` closes; None if it cannot start."""
@@ -758,7 +758,8 @@ def _start_worker(stack, share):
             request.seek(0)
             proc = subprocess.Popen([sys.executable, "-S", "-I", _rowtext.__file__],
                                     stdin=request, stdout=out, stderr=subprocess.DEVNULL)
-            stack.callback(_reap, proc)
+            stack.callback(proc.wait)
+            stack.callback(proc.kill)  # unwound first; a no-op once the worker has exited
     except OSError:
         return None
     return proc, out

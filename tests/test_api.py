@@ -102,6 +102,8 @@ def test_no_public_name_is_a_module():
     namespace = {}
     exec("from qcdistort import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    readme = " ".join(README.read_text(encoding="utf-8").split())  # the count may wrap a line
+    assert f"import *` binds the {len(qcdistort.__all__)} API names" in readme
     # the submodules stay importable by name
     for module in ("angular", "beltrami", "cli", "errors", "mesh", "parameterize", "report",
                    "synth", "theory"):

@@ -54,6 +54,7 @@ from qcdistort import (
     face_beltrami,
     summarize,
     synth,
+    validate_mesh,
 )
 from qcdistort.mesh import _half_edges
 from qcdistort.parameterize import _edge_weights
@@ -456,11 +457,12 @@ def face_blocks_of(size):
 
 
 def test_summarize_gathers_each_mesh_once(monkeypatch):
-    """One corner pass per mesh: on a fresh source's first map, ``summarize``
-    reads each mesh's face coordinates once, block by block in face order,
-    and the blocks cover every face (the field functions it used to call read
-    them twice); a second map of the same source reads its target's alone,
-    since the source keeps its corner terms."""
+    """One corner pass per mesh: in an op on a fresh source's first map (``MeshMap``,
+    whose validation builds the source's corner terms, then ``summarize``), each mesh's
+    face coordinates are read once, block by block in face order, and the blocks cover
+    every face (the area test once read the source's a second time, and the field
+    functions ``summarize`` used to call read them twice); a second map of the same
+    source reads its target's alone, since the source keeps its corner terms."""
     grid = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     real = qcdistort.mesh._face_columns
     calls = []
@@ -477,24 +479,23 @@ def test_summarize_gathers_each_mesh_once(monkeypatch):
         mesh = TriMesh(grid.vertices, grid.faces)  # a fresh source, with no corner terms kept
         for squeeze, gathered_meshes in [(0.5, 2), (0.25, 1)]:
             target = TriMesh(grid.vertices * [1.0, squeeze], grid.faces)
-            # a fresh map, whose pass has not run; validation reads the coordinates too
-            mapping = MeshMap(mesh, target)
             calls.clear()
             with face_blocks_of(block):
-                summarize(mapping)
+                summarize(MeshMap(mesh, target))  # a fresh map, whose pass has not run
             assert len(calls) == gathered_meshes * n_blocks
             for m in (mesh, target)[2 - gathered_meshes:]:
                 gathered = [(rows, n) for who, rows, n in calls if who is m]
                 starts = [rows.start for rows, _ in gathered]
                 assert starts == [0, *(rows.stop for rows, _ in gathered[:-1])]
-                assert [n for _, n in gathered] == [mapping.n_faces // n_blocks] * n_blocks
+                assert [n for _, n in gathered] == [mesh.n_faces // n_blocks] * n_blocks
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_summarize_computes_one_cross_per_face(monkeypatch, dim):
-    """One ``|u x w|`` per face: ``summarize`` calls ``_cross_norm`` once per
-    mesh per block, for the block's faces, and not once per corner; the
-    source only on its first map, whose corner terms it keeps."""
+    """One ``|u x w|`` per face: an op of ``MeshMap`` and ``summarize`` calls
+    ``_cross_norm`` once per mesh per block, for the block's faces, and not once per
+    corner nor again for the area test; the source only on its first map, whose
+    validation keeps its corner terms."""
     grid = synth.grid_rectangle(3, 3)  # 8 faces: blocks of 2 give 4 per mesh
     xy = grid.vertices
     real = qcdistort.mesh._cross_norm
@@ -509,12 +510,10 @@ def test_summarize_computes_one_cross_per_face(monkeypatch, dim):
         mesh = TriMesh(np.column_stack([xy, xy[:, 0] ** 2])[:, :dim], grid.faces)
         assert mesh.dimension == dim
         for squeeze, crossed_meshes in [(0.5, 2), (0.25, 1)]:
-            # validation measures the areas, one cross per block too
-            mapping = MeshMap(mesh, TriMesh(xy * [1.0, squeeze], grid.faces))
             sizes.clear()
             with face_blocks_of(block):
-                summarize(mapping)
-            assert sizes == [mapping.n_faces // n_blocks] * (crossed_meshes * n_blocks)
+                summarize(MeshMap(mesh, TriMesh(xy * [1.0, squeeze], grid.faces)))
+            assert sizes == [mesh.n_faces // n_blocks] * (crossed_meshes * n_blocks)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -542,9 +541,9 @@ def test_fields_from_terms_kept_in_other_blocks_keep_every_bit(dim, kept_in, rea
     """A source's corner terms built in blocks of one size serve maps whose
     pass runs in blocks of another, and every value keeps the reference bits."""
     for folded in (5, 13):
-        mapping = face_soup(16, dim, folded, np.random.default_rng(folded * dim))
-        with face_blocks_of(kept_in):
-            mapping.source._corner_terms
+        with face_blocks_of(kept_in):  # MeshMap's validation builds the source's terms
+            mapping = face_soup(16, dim, folded, np.random.default_rng(folded * dim))
+        assert "_corner_terms" in vars(mapping.source)
         with face_blocks_of(read_in):
             check_beltrami_fields(mapping)
             check_summary_fields(mapping)
@@ -563,6 +562,25 @@ def test_a_source_that_fails_validation_keeps_no_corner_terms():
     with pytest.raises(ValidationError, match="inconsistent face orientation"):
         MeshMap(flipped, TriMesh(2.0 * flipped.vertices, flipped.faces))
     assert "_corner_terms" not in vars(flipped)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_degenerate_face_in_a_later_block_is_named_by_its_mesh_index(dim):
+    """The area test runs on each block's ``|u x w|``: a degenerate face in the second
+    block of 5 faces gets the whole-mesh reference's message and ``.face``, and the
+    source keeps no corner terms, not even those of the block that passed."""
+    good = face_soup(12, dim, 3, np.random.default_rng(dim))
+    verts = good.source.vertices.copy()
+    a, b, c = good.faces[7]
+    verts[c] = 0.5 * (verts[a] + verts[b])  # face 7 collapses onto its edge (a, b)
+    source = TriMesh(verts, good.faces)
+    expected = outcome(ref_require_area, source, ref_face_areas(source))
+    assert expected[0] is DegenerateFaceError and expected[2] == 7
+    with face_blocks_of(5):
+        for attempt in (lambda: MeshMap(source, good.target), lambda: corner_angles(source),
+                        lambda: validate_mesh(source)):
+            assert outcome(attempt) == expected
+            assert "_corner_terms" not in vars(source)
 
 
 def test_corner_angles_is_a_copy_no_map_reads():

@@ -25,6 +25,7 @@ from qcdistort import (
     face_beltrami,
     load_mesh,
     save_mesh,
+    summarize,
     tutte_disk,
     validate_mesh,
 )
@@ -63,6 +64,14 @@ def spy_verdict(monkeypatch, name):
     spy.__set_name__(TriMesh, name)
     monkeypatch.setattr(TriMesh, name, spy)
     return tested
+
+
+def spy_gathers(monkeypatch):
+    """The meshes whose face coordinates ``_face_columns`` gathers, one entry per block, in order."""
+    gathered, gather = [], qcdistort.mesh._face_columns
+    monkeypatch.setattr(qcdistort.mesh, "_face_columns",
+                        lambda mesh, rows: gathered.append(mesh) or gather(mesh, rows))
+    return gathered
 
 
 def rotation_matrix(ax, ay, az):
@@ -177,31 +186,37 @@ class TestTriMesh:
         assert str(info.value) == f"inconsistent face orientation across edge ({i}, {j})"
 
     def test_validation_runs_once_per_mesh(self, tmp_path, monkeypatch):
-        sized = spy_verdict(monkeypatch, "_nondegenerate")
+        sized = spy_verdict(monkeypatch, "_corner_terms")  # the area test's verdict
         oriented = spy_verdict(monkeypatch, "_oriented")
         surface = tmp_path / "hemi.obj"
         save_mesh(hemisphere(6), surface)
+        gathered = spy_gathers(monkeypatch)
         src = load_mesh(surface)
         dst = load_mesh(surface)
-        assert sized == oriented == []  # reading validates nothing
+        assert sized == oriented == gathered == []  # reading validates nothing
         MeshMap(src, dst)
         validate_mesh(src)
-        assert sized == oriented == [src]
+        assert sized == oriented == gathered == [src]
         validate_mesh(dst)
         validate_mesh(dst)
-        assert sized == oriented == [src, dst]
+        assert sized == oriented == gathered == [src, dst]
         flat = tutte_disk(src)
         # a map's target runs neither test: its face list is its source's, and the block
         # pass folds a collapsed face of it
         assert sized == oriented == [src, dst]
-        assert {"_nondegenerate", "_oriented"}.isdisjoint(vars(flat.target))
+        assert {"_corner_terms", "_oriented"}.isdisjoint(vars(flat.target))
         sized.clear()
         oriented.clear()
         save_mesh(flat.target, tmp_path / "flat.obj")
+        gathered.clear()
         assert main(["analyze", str(surface), str(tmp_path / "flat.obj"), "--json"]) == 0
         assert len(sized) == len(oriented) == 1  # the source file's
         assert sized[0].vertices.tobytes() == src.vertices.tobytes()
         assert oriented[0] is sized[0]
+        # the whole op gathers each mesh's coordinates once: the source's at validation,
+        # the target's in the map's block pass
+        assert len(gathered) == 2 and gathered[0] is sized[0]
+        assert gathered[1].vertices[:, :2].tobytes() == flat.target.vertices.tobytes()
 
     def test_one_orientation_test_per_face_list(self, tmp_path, monkeypatch):
         oriented = spy_verdict(monkeypatch, "_oriented")
@@ -260,19 +275,47 @@ class TestTriMesh:
         assert not any(array.flags.writeable for array in src._edges)
 
     def test_reading_a_target_builds_no_verdict(self, tmp_path, monkeypatch):
-        # the benchmark's 49,909-face analyze target, read as analyze reads it
+        # the benchmark's 49,909-face analyze target, read as analyze reads it, then mapped
+        disk = irregular_disk(25_000)
+        save_mesh(perturbed_target(disk, np.random.default_rng(1)), tmp_path / "dst.off")
+        disk = TriMesh(disk.vertices, disk.faces)  # a fresh source, with nothing kept
         passes = []
         edge_pass = qcdistort.mesh._edge_pass
         monkeypatch.setattr(qcdistort.mesh, "_edge_pass",
                             lambda mesh: passes.append(mesh) or edge_pass(mesh))
-        sized = spy_verdict(monkeypatch, "_nondegenerate")
+        sized = spy_verdict(monkeypatch, "_corner_terms")
         oriented = spy_verdict(monkeypatch, "_oriented")
-        disk = irregular_disk(25_000)
-        save_mesh(perturbed_target(disk, np.random.default_rng(1)), tmp_path / "dst.off")
+        gathered = spy_gathers(monkeypatch)
         target = load_mesh(tmp_path / "dst.off")
         assert target.n_faces == 49_909
-        assert passes == sized == oriented == []
-        assert {"_edges", "_nondegenerate", "_oriented"}.isdisjoint(vars(target))
+        assert passes == sized == oriented == gathered == []
+        summarize(MeshMap(disk, target))
+        # seven blocks of faces each: the source's at validation, the target's in the block pass
+        assert passes == sized == oriented == [disk]
+        assert gathered == [disk] * 7 + [target] * 7
+        assert {"_edges", "_corner_terms", "_oriented"}.isdisjoint(vars(target))
+
+    def test_orientation_is_checked_before_the_area(self, tmp_path, capsys):
+        # face 1 is degenerate and runs along the edge (0, 1) from 0 to 1, as face 0 does
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1e-16]]
+        both = TriMesh(verts, [[0, 1, 2], [0, 1, 3]])
+        target = TriMesh(2.0 * both.vertices, both.faces)
+        for attempt in (lambda: validate_mesh(both), lambda: MeshMap(both, target),
+                        lambda: tutte_disk(both)):
+            with pytest.raises(ValidationError) as info:
+                attempt()
+            assert type(info.value) is ValidationError
+            assert str(info.value) == "inconsistent face orientation across edge (0, 1)"
+            assert {"_oriented", "_corner_terms"}.isdisjoint(vars(both))
+        save_mesh(both, tmp_path / "both.obj")
+        save_mesh(target, tmp_path / "target.obj")
+        assert main(["analyze", str(tmp_path / "both.obj"), str(tmp_path / "target.obj")]) == 3
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'both.obj'}: inconsistent face "
+                                           "orientation across edge (0, 1)\n")
+        # the area test alone, as corner_angles runs it, still names the degenerate face
+        with pytest.raises(DegenerateFaceError, match="face 1 is degenerate") as info:
+            corner_angles(both)
+        assert info.value.face == 1 and "_corner_terms" not in vars(both)
 
 
 class TestCornerAngles:
@@ -309,10 +352,13 @@ class TestCornerAngles:
             corner_angles(m)
 
     def test_one_area_test_per_mesh(self, tmp_path, monkeypatch):
-        # the angles read the mesh's cached area verdict, which validation already holds
-        tested, real = [], qcdistort.mesh._require_area
-        monkeypatch.setattr(qcdistort.mesh, "_require_area",
-                            lambda mesh, areas: tested.append(mesh) or real(mesh, areas))
+        # the angles are the kept corner terms that validation builds with the area test; a
+        # map's target gets the same test per block, as its fold verdict
+        tested = []
+        for module in (qcdistort.mesh, qcdistort.beltrami):
+            monkeypatch.setattr(module, "_degenerate",
+                                lambda mesh, cross, real=module._degenerate:
+                                tested.append(mesh) or real(mesh, cross))
         save_mesh(wavy_disk(300), tmp_path / "wavy.obj")
         loaded = load_mesh(tmp_path / "wavy.obj")
         assert tested == []  # reading runs no area test
@@ -325,6 +371,14 @@ class TestCornerAngles:
         corner_angles(fresh)
         validate_mesh(fresh)
         assert tested == [loaded, fresh]
+        tested.clear()
+        target = TriMesh(2.0 * fresh.vertices, fresh.faces)
+        summarize(MeshMap(fresh, target))
+        assert tested == [target]  # one block; the source's verdict is kept
+        tested.clear()
+        other = wavy_disk(300)
+        summarize(MeshMap(other, target))
+        assert tested == [other, target]
 
 
 def test_z_column_of_zeros_keeps_every_bit():

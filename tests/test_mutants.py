@@ -14,7 +14,7 @@ _spec.loader.exec_module(mutants)
 
 def test_mutant_names_are_unique():
     names = [name for name, *_ in mutants.MUTANTS]
-    assert len(names) == len(set(names)) == 22
+    assert len(names) == len(set(names)) == 23
 
 
 @pytest.mark.parametrize("name, file, old, new", mutants.MUTANTS,
